@@ -291,7 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--substitute",
         choices=("none", "periodic", "nonperiodic"),
         default="none",
-        help="apply t_i -> t_i + q_i/t_{i+1}, wrapping the last index or not",
+        help="periodic: t_i -> t_i + q_i/t_{i-1}, t_0 wrapping to t_{l*p}; "
+        "nonperiodic: t_i -> t_i + q_i/t_{i+1}, t_{l*p+1} fresh",
     )
     p.add_argument("--coefficient-free", action="store_true", help="set all q to 1")
 

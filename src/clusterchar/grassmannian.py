@@ -4,10 +4,17 @@ characteristics via counting-polynomial interpolation.
 Subspaces are enumerated through reduced row-echelon bases (one canonical
 representative each).  The walk proceeds in topological order with early
 pruning: at each vertex only superspaces of the span of the incoming
-images are generated, and the final vertex (a sink) is not enumerated at
-all, only counted by a Gaussian binomial.  When the transpose-dual of the
-representation is cheaper to walk, counting happens there; orthogonal
-complements carry the counts back exactly.
+images are generated.  The final vertex (a sink) is never enumerated,
+only counted by a Gaussian binomial in the dimension of its incoming span.
+The vertex before it is counted in closed form too when at most one arrow
+leaves it (all its arrows end at the sink): with W its incoming span, A
+that arrow and C the span of the other arrows' images at the sink, the
+subspaces U above W are counted by dim(U meet A^{-1}(C)), which fixes the
+sink's incoming span, through q-binomials.  A multiple arrow there (as in
+the Kronecker quiver) keeps that vertex enumerated.  When the
+transpose-dual of the representation has fewer walk leaves at the prime
+in hand, counting happens there; orthogonal complements carry the counts
+back exactly.
 
 The Euler characteristic is defined operationally as the counting
 polynomial evaluated at 1.  The polynomial is interpolated through the
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +42,7 @@ from .errors import (
     InvalidArgument,
     NonPolynomialCount,
 )
-from .quiver import DimVector, IntRep, dual_rep
+from .quiver import DimVector, IntRep, Quiver, dual_rep
 
 __all__ = [
     "CountProfile",
@@ -106,42 +114,27 @@ def admissible_primes(rep: IntRep, base: Sequence[int] | None = None) -> Iterato
 # linear algebra over F_p (vectors are tuples of ints in [0, p))
 
 
-def _rref(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    cols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c] % p:
-                pivot_row = i
+def _extend(basis: dict[int, list[int]], vectors: Sequence[Sequence[int]], p: int) -> int:
+    """Grow an echelon basis (pivot column -> row that is 1 there and 0
+    before it) by the given vectors; returns the rank of the grown span."""
+    for vec in vectors:
+        row = list(vec)
+        for c in range(len(row)):
+            x = row[c]
+            if not x:
+                continue
+            pivot = basis.get(c)
+            if pivot is None:
+                inv = pow(x, p - 2, p)
+                basis[c] = [v * inv % p for v in row]
                 break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = pow(work[r][c] % p, p - 2, p)
-        work[r] = [(v * inv) % p for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] % p:
-                f = work[i][c] % p
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+            row = [(u - x * v) % p for u, v in zip(row, pivot)]
+    return len(basis)
 
 
 def _apply(matrix: Sequence[Sequence[int]], basis: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]]:
     """Images of basis row-vectors under the matrix (acting on columns)."""
-    rows = len(matrix)
-    out = []
-    for v in basis:
-        img = tuple(sum(matrix[i][j] * v[j] for j in range(len(v))) % p for i in range(rows))
-        out.append(img)
-    return out
+    return [tuple(sum(map(operator.mul, row, v)) % p for row in matrix) for v in basis]
 
 
 def _echelon_subspaces(d: int, k: int, p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -175,7 +168,8 @@ def _superspaces(
     k: int,
     p: int,
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Bases of the k-dimensional subspaces containing the RREF span W.
+    """Bases of the k-dimensional subspaces containing the span W of the
+    echelon rows ``w_rows``.
 
     Subspaces above W correspond to subspaces of the quotient, coordinates
     taken on the non-pivot columns of W; each lift is joined to W's rows.
@@ -213,66 +207,118 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 # counting
 
 
-def _walk_cost(rep: IntRep, p: int = 7) -> int:
-    order = rep.quiver.topological_order()
+def _walk_plan(quiver: Quiver) -> tuple[tuple[int, ...], int | None, int]:
+    """The enumerated vertices, the vertex counted in closed form ahead of
+    the sink (None if there is none), and the sink, all in topological order.
+
+    Every arrow out of the vertex just before the sink ends at the sink; that
+    vertex is counted in closed form when at most one such arrow exists.
+    """
+    order = quiver.topological_order()
+    if len(order) > 1 and sum(1 for s, _ in quiver.arrow_indices() if s == order[-2]) <= 1:
+        return order[:-2], order[-2], order[-1]
+    return order[:-1], None, order[-1]
+
+
+def _walk_cost(rep: IntRep, p: int) -> int:
+    """Number of leaves of the walk over F_p: subspace tuples at the
+    enumerated vertices, before pruning."""
     cost = 1
-    for v in order[:-1]:
+    for v in _walk_plan(rep.quiver)[0]:
         cost *= sum(gaussian_binomial(rep.dim[v], k, p) for k in range(rep.dim[v] + 1))
     return cost
 
 
 def _count_box_raw(rep: IntRep, p: int) -> dict[DimVector, int]:
-    """Counts of stable subspace tuples for every dimension vector at once."""
-    quiver = rep.quiver
-    order = quiver.topological_order()
-    explicit = order[:-1]
-    last = order[-1]
-    pairs = quiver.arrow_indices()
-    mats = [
-        tuple(tuple(v % p for v in row) for row in m) for m in rep.matrices
-    ]
-    in_arrows: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
-    for a, (s, t) in enumerate(pairs):
-        in_arrows[t].append((a, s))
+    """Counts of stable subspace tuples for every dimension vector at once.
 
-    m = len(quiver.vertices)
-    counts: dict[DimVector, int] = {}
+    Each leaf of the walk fixes subspaces at the enumerated vertices and is
+    tallied by a few ranks; the closed-form vertex and the sink are then
+    counted from those ranks alone.
+    """
+    explicit, tail, sink = _walk_plan(rep.quiver)
+    in_arrows: dict[int, list[tuple[tuple[tuple[int, ...], ...], int]]] = {
+        v: [] for v in range(len(rep.dim))
+    }
+    for (s, t), m in zip(rep.quiver.arrow_indices(), rep.matrices):
+        in_arrows[t].append((tuple(tuple(v % p for v in row) for row in m), s))
+
     chosen: dict[int, tuple[tuple[int, ...], ...]] = {}
-    dims: list[int] = [0] * m
+    dims: list[int] = [0] * len(rep.dim)
+    leaves: dict[tuple, int] = {}  # (dims, ranks at the leaf) -> number of leaves
 
-    def incoming_span(v: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        vectors: list[tuple[int, ...]] = []
-        for a, s in in_arrows[v]:
-            vectors.extend(_apply(mats[a], chosen[s], p))
-        if not vectors:
-            return (), ()
-        return _rref(vectors, p)
+    def images(arrows: list) -> list[tuple[int, ...]]:
+        return [img for mat, s in arrows for img in _apply(mat, chosen[s], p)]
+
+    if tail is None:
+
+        def leaf_ranks() -> tuple[int, ...]:
+            return (_extend({}, images(in_arrows[sink]), p),)
+
+    else:
+        # With W the incoming span at the tail, C the span the other arrows
+        # give at the sink and A the arrow tail -> sink (zero if absent):
+        # w = dim W, r_w = dim(C + AW), r_v = dim(C + A V_tail).
+        a_mat = next((mat for mat, s in in_arrows[sink] if s == tail), None)
+        others = [(mat, s) for mat, s in in_arrows[sink] if s != tail]
+        columns = list(zip(*a_mat)) if a_mat else []
+
+        def leaf_ranks() -> tuple[int, ...]:
+            gens = images(in_arrows[tail])
+            basis: dict[int, list[int]] = {}
+            r_w = _extend(basis, images(others) + (_apply(a_mat, gens, p) if a_mat else []), p)
+            return _extend({}, gens, p), r_w, _extend(basis, columns, p)
 
     def recurse(i: int) -> None:
         if i == len(explicit):
-            w_rows, _ = incoming_span(last)
-            w = len(w_rows)
-            d_last = rep.dim[last]
-            for k in range(w, d_last + 1):
-                n_ext = gaussian_binomial(d_last - w, k - w, p)
-                if not n_ext:
-                    continue
-                dims[last] = k
-                key = tuple(dims)
-                counts[key] = counts.get(key, 0) + n_ext
+            key = (tuple(dims), *leaf_ranks())
+            leaves[key] = leaves.get(key, 0) + 1
             return
         v = explicit[i]
-        w_rows, w_pivots = incoming_span(v)
-        w = len(w_rows)
-        d_v = rep.dim[v]
-        for k in range(w, d_v + 1):
+        span: dict[int, list[int]] = {}
+        w = _extend(span, images(in_arrows[v]), p)
+        w_rows = tuple(tuple(row) for row in span.values())
+        for k in range(w, rep.dim[v] + 1):
             dims[v] = k
-            for basis in _superspaces(w_rows, w_pivots, d_v, k, p):
+            for basis in _superspaces(w_rows, tuple(span), rep.dim[v], k, p):
                 chosen[v] = basis
                 recurse(i + 1)
         chosen.pop(v, None)
 
     recurse(0)
+
+    # (dims, dim of the incoming span at the sink) -> number of tuples
+    spans: dict[tuple[DimVector, int], int] = leaves
+    if tail is not None:
+        # A U between W and V_tail with k' = dim U/W (kk below) gives the
+        # sink span C + AU of dim r_w + k' - j, where j = dim(U/W meet K')
+        # for K' = (A^{-1}(C) + W)/W, of dim m = n - (r_v - r_w) inside
+        # V_tail/W of dim n.  q^{(k'-j)(m-j)} [m, j]_q [n-m, k'-j]_q of the
+        # U have a given j.
+        spans = {}
+        for (key, w, r_w, r_v), mult in leaves.items():
+            n = rep.dim[tail] - w
+            m = n - (r_v - r_w)
+            cur = list(key)
+            for kk in range(n + 1):
+                cur[tail] = w + kk
+                for j in range(max(0, kk - (n - m)), min(kk, m) + 1):
+                    ways = (
+                        p ** ((kk - j) * (m - j))
+                        * gaussian_binomial(m, j, p)
+                        * gaussian_binomial(n - m, kk - j, p)
+                    )
+                    span_key = (tuple(cur), r_w + kk - j)
+                    spans[span_key] = spans.get(span_key, 0) + mult * ways
+
+    counts: dict[DimVector, int] = {}
+    d_sink = rep.dim[sink]
+    for (key, s), mult in spans.items():
+        cur = list(key)
+        for k in range(s, d_sink + 1):
+            cur[sink] = k
+            e = tuple(cur)
+            counts[e] = counts.get(e, 0) + mult * gaussian_binomial(d_sink - s, k - s, p)
     return counts
 
 
@@ -281,7 +327,7 @@ def _count_box(rep: IntRep, p: int) -> dict[DimVector, int]:
     if p in rep.excluded_primes():
         raise ExcludedPrime(f"prime {p} is excluded for {rep.label or 'this module'}")
     dual = dual_rep(rep)
-    if _walk_cost(dual) < _walk_cost(rep):
+    if _walk_cost(dual, p) < _walk_cost(rep, p):
         raw = _count_box_raw(dual, p)
         total = rep.dim
         flipped: dict[DimVector, int] = {}

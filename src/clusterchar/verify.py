@@ -97,7 +97,7 @@ def lemma_dpsn(max_n: int = 8) -> list[CheckLine]:
 
 
 def lemma_cc(max_n: int = 6) -> list[CheckLine]:
-    """P_n under t_i -> t_i + q_i/t_{i+1} is subtraction-free."""
+    """P_n under t_i -> t_i + q_i/t_{i-1} (t_0 fresh) is subtraction-free."""
     out = []
     for n in range(1, max_n + 1):
         val = gen_cheb(ChebWindow(1, n)).substitute(_tail_substitution(n, with_u=False))
@@ -106,7 +106,7 @@ def lemma_cc(max_n: int = 6) -> list[CheckLine]:
 
 
 def lemma_pnpos(max_n: int = 5) -> list[CheckLine]:
-    """P_n under t_i -> t_i + u_i + q_i/t_{i+1} is subtraction-free."""
+    """P_n under t_i -> t_i + u_i + q_i/t_{i-1} (t_0 fresh) is subtraction-free."""
     out = []
     for n in range(1, max_n + 1):
         val = gen_cheb(ChebWindow(1, n)).substitute(_tail_substitution(n, with_u=True))

@@ -6,15 +6,23 @@ no dual switch)."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterchar import grassmannian as gr
 from clusterchar.errors import DimOutOfRange, ExcludedPrime, InvalidArgument
 from clusterchar.quiver import (
+    IntRep,
+    Quiver,
+    a21_homogeneous,
     a21_tube,
+    affine_a2_quiver,
     catalog_module,
     desk_affine_catalog,
     direct_sum,
+    dual_rep,
     homogeneous,
+    kronecker_quiver,
     preinjective,
     preprojective,
 )
@@ -80,6 +88,71 @@ class TestAgainstNaiveOracle:
     def test_full_box(self, rep, p):
         for e in itertools.product(*[range(d + 1) for d in rep.dim]):
             assert gr.count_subreps(rep, e, p) == naive_count(rep, e, p), (e, p)
+
+
+def assert_box_matches_oracle(rep, p):
+    """The walk itself (no dual switch) against the oracle on every e."""
+    box = gr._count_box_raw(rep, p)
+    for e in itertools.product(*[range(d + 1) for d in rep.dim]):
+        assert box.get(e, 0) == naive_count(rep, e, p), (rep.label, e, p)
+
+
+# The vertex before the sink has one arrow into it (counted in closed form),
+# none (closed form, zero arrow) or a double arrow (enumerated), or it is the
+# only other vertex (A2: nothing enumerated; Kronecker: enumerated).
+WALK_QUIVERS = {
+    "affineA2": (affine_a2_quiver(), ((0,), 1, 2)),
+    "no-arrow": (Quiver(("1", "2", "3"), (("1", "2"), ("1", "3"))), ((0,), 1, 2)),
+    "double-arrow": (
+        Quiver(("1", "2", "3"), (("1", "2"), ("2", "3"), ("2", "3"))),
+        ((0, 1), None, 2),
+    ),
+    "A2": (Quiver(("1", "2"), (("1", "2"),)), ((), 0, 1)),
+    "kronecker": (kronecker_quiver(), ((0,), None, 1)),
+}
+
+
+@st.composite
+def explicit_modules(draw, quiver):
+    dim = tuple(draw(st.integers(0, 2)) for _ in quiver.vertices)
+    mats = tuple(
+        tuple(tuple(draw(st.integers(-2, 2)) for _ in range(dim[s])) for _ in range(dim[t]))
+        for s, t in quiver.arrow_indices()
+    )
+    return IntRep(quiver, dim, mats)
+
+
+class TestClosedFormVertex:
+    @pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
+    def test_walk_plan(self, name):
+        quiver, plan = WALK_QUIVERS[name]
+        assert gr._walk_plan(quiver) == plan
+
+    @pytest.mark.parametrize(
+        "fam",
+        [a21_homogeneous(2, 0), a21_homogeneous(2, 1), a21_tube(1, 4), a21_tube(2, 4)],
+        ids=lambda f: f.describe(),
+    )
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_affine_modules(self, fam, p):
+        rep = catalog_module(fam)
+        assert_box_matches_oracle(rep, p)
+        assert_box_matches_oracle(dual_rep(rep), p)
+
+    @pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_explicit_modules(self, name, data):
+        rep = data.draw(explicit_modules(WALK_QUIVERS[name][0]))
+        for p in (2, 3):
+            assert_box_matches_oracle(rep, p)
+            assert_box_matches_oracle(dual_rep(rep), p)
+
+    def test_walk_cost_counts_enumerated_vertices_at_the_walk_prime(self):
+        rep = catalog_module(a21_homogeneous(2, 1))
+        assert gr._walk_cost(rep, 3) == 1 + 4 + 1
+        assert gr._walk_cost(rep, 5) == 1 + 6 + 1
+        assert gr._walk_cost(catalog_module(preinjective(1)), 2) == 1 + 1
 
 
 class TestCountExamples:
