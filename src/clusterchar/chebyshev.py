@@ -1,13 +1,16 @@
 """Generalized Chebyshev polynomials, delta-polynomials, and the
 one-variable normalized Chebyshev families.
 
-The production path for P_n is the three-term recurrence
+Everything here rests on one three-term recurrence,
 
     P_n = t_n * P_{n-1} - q_n * P_{n-2},    P_0 = 1,  P_{-1} = 0,
 
-over an index window [start, start+length-1] of q/t variables.  The
-tridiagonal-determinant expansion is kept as an independent oracle
-(`gen_cheb_det`) and the two must agree on every window.
+and `gen_cheb_values` is the only loop that runs it.  The window
+polynomial `gen_cheb` runs it on the q/t variables of an index window
+[start, start+length-1]; `delta` and the second-kind family S_n (all q = 1,
+all t = z) run it on their own argument lists, and the first kind is
+F_n = S_n - S_{n-2}.  The tridiagonal-determinant expansion is kept as an
+independent oracle (`gen_cheb_det`) and the two must agree on every window.
 
 P over an empty window is 1 and over a negative-length window is 0; these
 conventions make the three-term relations and the degenerate
@@ -18,10 +21,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InvalidArgument
-from .laurent import Family, LaurentPoly, q, t, z
+from .laurent import Family, LaurentPoly, VarId, q, t, tid, u, z
 
 __all__ = [
     "ChebWindow",
@@ -34,6 +37,7 @@ __all__ = [
     "cheb_first_kind",
     "cheb_second_kind",
     "s_from_f",
+    "tail_substitution",
 ]
 
 _ZERO = LaurentPoly.zero()
@@ -49,21 +53,12 @@ class ChebWindow:
 
 
 @functools.lru_cache(maxsize=None)
-def _gen_cheb_span(start: int, length: int) -> LaurentPoly:
-    if length < 0:
-        return _ZERO
-    if length == 0:
-        return _ONE
-    last = start + length - 1
-    return (
-        t(last) * _gen_cheb_span(start, length - 1)
-        - q(last) * _gen_cheb_span(start, length - 2)
-    )
-
-
 def gen_cheb(w: ChebWindow) -> LaurentPoly:
-    """P over the window, by the three-term recurrence."""
-    return _gen_cheb_span(w.start, w.length)
+    """P over the window: the recurrence run on q/t_start, ..., q/t_last."""
+    if w.length < 0:
+        return _ZERO
+    idx = range(w.start, w.start + w.length)
+    return gen_cheb_values([q(i) for i in idx], [t(i) for i in idx])
 
 
 def gen_cheb_det(w: ChebWindow) -> LaurentPoly:
@@ -114,8 +109,9 @@ def gen_cheb_det(w: ChebWindow) -> LaurentPoly:
 def gen_cheb_values(qs: Sequence[LaurentPoly], ts: Sequence[LaurentPoly]) -> LaurentPoly:
     """Evaluate P_n at explicit argument lists (q_1..q_n, t_1..t_n).
 
-    Evaluation runs the defining recurrence directly, which agrees with
-    substituting into the window polynomial because both are ring maps.
+    This is the package's one three-term loop.  Evaluation runs the
+    defining recurrence directly, which agrees with substituting into the
+    window polynomial because both are ring maps.
     """
     if len(qs) != len(ts):
         raise InvalidArgument("q and t argument lists must have equal length")
@@ -126,12 +122,24 @@ def gen_cheb_values(qs: Sequence[LaurentPoly], ts: Sequence[LaurentPoly]) -> Lau
     return prev
 
 
-def delta(l: int, p: int) -> LaurentPoly:
-    """Delta_{l,p} = P_{lp}([1,lp]) - q_1 * P_{lp-2}([2,lp-1])."""
+def _lp(l: int, p: int) -> int:
     if l < 1 or p < 1:
         raise InvalidArgument(f"delta requires l, p >= 1, got l={l}, p={p}")
-    lp = l * p
-    return gen_cheb(ChebWindow(1, lp)) - q(1) * gen_cheb(ChebWindow(2, lp - 2))
+    return l * p
+
+
+def delta(l: int, p: int) -> LaurentPoly:
+    """Delta_{l,p} = P_{lp}([1,lp]) - q_1 * P_{lp-2}([2,lp-1]).
+
+    It depends on l and p only through lp, and is memoized on lp.
+    """
+    return _delta(_lp(l, p))
+
+
+@functools.lru_cache(maxsize=None)
+def _delta(lp: int) -> LaurentPoly:
+    idx = range(1, lp + 1)
+    return delta_values(1, lp, [q(i) for i in idx], [t(i) for i in idx])
 
 
 def delta_cf(l: int, p: int) -> LaurentPoly:
@@ -141,9 +149,7 @@ def delta_cf(l: int, p: int) -> LaurentPoly:
 
 def delta_values(l: int, p: int, qs: Sequence[LaurentPoly], ts: Sequence[LaurentPoly]) -> LaurentPoly:
     """Delta_{l,p} evaluated at explicit argument lists of length lp."""
-    if l < 1 or p < 1:
-        raise InvalidArgument(f"delta requires l, p >= 1, got l={l}, p={p}")
-    lp = l * p
+    lp = _lp(l, p)
     if len(qs) != lp or len(ts) != lp:
         raise InvalidArgument(f"expected {lp} q and t arguments")
     if lp < 2:
@@ -152,32 +158,23 @@ def delta_values(l: int, p: int, qs: Sequence[LaurentPoly], ts: Sequence[Laurent
 
 
 def cheb_first_kind(n: int) -> LaurentPoly:
-    """Normalized first-kind polynomial: F_0 = 2, F_1 = z, F_{n+1} = z F_n - F_{n-1}."""
+    """Normalized first-kind polynomial: F_0 = 2, F_1 = z, F_n = S_n - S_{n-2}."""
     if n < 0:
         raise InvalidArgument("n must be >= 0")
-    zz = z()
-    prev, cur = LaurentPoly.constant(2), zz
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, zz * cur - prev
-    return cur
+    if n < 2:
+        return LaurentPoly.constant(2) if n == 0 else z()
+    return cheb_second_kind(n) - cheb_second_kind(n - 2)
 
 
+@functools.lru_cache(maxsize=None)
 def cheb_second_kind(n: int) -> LaurentPoly:
     """Normalized second-kind polynomial: S_0 = 1, S_1 = z, S_{n+1} = z S_n - S_{n-1}.
 
-    Equivalently S_n = P_n(1, ..., 1, z, ..., z).
+    Equivalently S_n = P_n(1, ..., 1, z, ..., z), which is how it is computed.
     """
     if n < 0:
         raise InvalidArgument("n must be >= 0")
-    zz = z()
-    prev, cur = _ONE, zz
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, zz * cur - prev
-    return cur
+    return gen_cheb_values([_ONE] * n, [z()] * n)
 
 
 def s_from_f(n: int) -> list[tuple[int, int]]:
@@ -203,3 +200,25 @@ def s_from_f_value(n: int) -> LaurentPoly:
         part = _ONE if idx == -1 else cheb_first_kind(idx)
         total = total + mult * part
     return total
+
+
+def tail_substitution(
+    n: int, neighbour: Callable[[int], int], with_u: bool = False
+) -> dict[VarId, LaurentPoly]:
+    """t_i -> t_i (+ u_i) + q_i / t_{neighbour(i)} for i = 1..n.
+
+    The positivity statements take neighbour(i) = i - 1: with a fresh t_0
+    for P_n, and with t_0 wrapping back to t_n for the periodic
+    delta-polynomials.  Relative to the pinned determinant orientation
+    (diagonal t_n, ..., t_1, recurrence stripping the top index) this is
+    the direction that makes the substituted polynomial subtraction-free;
+    attaching the tail to t_{i+1} instead leaves an uncancelled -q_n
+    already at n = 2.
+    """
+    sigma = {}
+    for i in range(1, n + 1):
+        img = t(i) + q(i) * t(neighbour(i)).inverse()
+        if with_u:
+            img = img + u(i)
+        sigma[tid(i)] = img
+    return sigma

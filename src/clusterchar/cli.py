@@ -23,9 +23,10 @@ from .chebyshev import (
     delta,
     gen_cheb,
     gen_cheb_det,
+    tail_substitution,
 )
 from .errors import ClusterCharError
-from .laurent import Family, LaurentPoly, q, t, tid
+from .laurent import Family, LaurentPoly
 from .quiver import (
     IntRep,
     module_from_json,
@@ -92,21 +93,13 @@ def _cmd_gencheb(args: argparse.Namespace) -> int:
     return 0
 
 
-def _delta_substitution(lp: int, periodic: bool) -> dict:
-    """Periodic: t_i -> t_i + q_i/t_{i-1} cyclically (subtraction-free).
-    Nonperiodic: the open-ended form with a fresh last variable, the
-    standard witness that positivity needs the cycle."""
-    sigma = {}
-    for i in range(1, lp + 1):
-        other = (lp if i == 1 else i - 1) if periodic else i + 1
-        sigma[tid(i)] = t(i) + q(i) * t(other).inverse()
-    return sigma
-
-
 def _cmd_delta(args: argparse.Namespace) -> int:
     value = delta(args.l, args.p)
-    if args.substitute != "none":
-        value = value.substitute(_delta_substitution(args.l * args.p, args.substitute == "periodic"))
+    lp = args.l * args.p
+    if args.substitute == "periodic":  # t_0 is t_lp
+        value = value.substitute(tail_substitution(lp, lambda i: (i - 2) % lp + 1))
+    elif args.substitute == "nonperiodic":  # t_{lp+1} is fresh
+        value = value.substitute(tail_substitution(lp, lambda i: i + 1))
     if args.coefficient_free:
         value = value.specialize_ones(Family.Q)
     positive = value.is_subtraction_free()
@@ -234,18 +227,24 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    names = verify.available_checks() if args.check == "all" else [args.check]
+    if args.check == "all":
+        names = verify.available_checks()
+    elif args.check not in verify.REGISTRY:
+        raise UsageError(
+            f"unknown check {args.check!r}; available: "
+            + ", ".join(verify.available_checks()) + ", all"
+        )
+    elif args.n is not None and verify.REGISTRY[args.check][1] is None:
+        raise UsageError(f"check {args.check!r} takes no --n bound")
+    else:
+        names = [args.check]
     all_ok = True
     results = []
     texts = []
     for name in names:
-        try:
-            lines = verify.run_check(name, args.n)
-        except KeyError:
-            raise UsageError(
-                f"unknown check {args.check!r}; available: "
-                + ", ".join(verify.available_checks()) + ", all"
-            )
+        lines = verify.run_check(name, args.n)
+        if not lines:
+            raise UsageError(f"--n {args.n} leaves check {name!r} nothing to check")
         for line in lines:
             ok = line.passed
             all_ok = all_ok and ok

@@ -33,7 +33,6 @@ import itertools
 import operator
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -358,37 +357,32 @@ def count_subreps(rep: IntRep, e: Sequence[int], p: int) -> int:
 # interpolation
 
 
-def _lagrange_coefficients(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """Exact interpolation; coefficients ascending by degree.
+def _newton_coefficients(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """Exact interpolation through integer nodes by Newton divided
+    differences; coefficients ascending by degree.
 
-    Raises NonPolynomialCount if the interpolant is not integral.
+    Every divided difference of an integer polynomial at integer nodes is
+    an integer, so the first division that leaves a remainder proves the
+    interpolant is not integral and raises NonPolynomialCount.
     """
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        # basis polynomial prod_{j != i} (X - xj) / (xi - xj)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xj
-                new[k + 1] += c
-            basis = new
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise NonPolynomialCount(f"non-integer interpolant coefficient {c}")
-        out.append(int(c))
-    while out and out[-1] == 0:
+    xs = [x for x, _ in points]
+    dd = [y for _, y in points]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            num, den = dd[i] - dd[i - 1], xs[i] - xs[i - j]
+            if num % den:
+                raise NonPolynomialCount(
+                    f"divided difference over nodes {xs[i - j:i + 1]} is "
+                    f"{num}/{den}, not an integer"
+                )
+            dd[i] = num // den
+    out = [0]
+    for k in range(len(xs) - 1, -1, -1):  # Horner on the Newton form
+        out = [a - xs[k] * b for a, b in zip([0] + out, out + [0])]
+        out[0] += dd[k]
+    while len(out) > 1 and out[-1] == 0:
         out.pop()
-    return tuple(out) if out else (0,)
+    return tuple(out)
 
 
 def _eval_poly(coeffs: Sequence[int], x: int) -> int:
@@ -434,7 +428,7 @@ def _profile_with(rep: IntRep, e: DimVector, base: tuple[int, ...]) -> CountProf
     needed = bound + 3  # interpolation nodes plus two held-out checks
     primes = list(itertools.islice(admissible_primes(rep, base), needed))
     samples = tuple((p, count_subreps(rep, e, p)) for p in primes)
-    coeffs = _lagrange_coefficients(samples[: bound + 1])
+    coeffs = _newton_coefficients(samples[: bound + 1])
     for p, c in samples[bound + 1 :]:
         if _eval_poly(coeffs, p) != c:
             raise NonPolynomialCount(

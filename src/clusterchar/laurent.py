@@ -32,11 +32,6 @@ __all__ = [
     "xid", "yid", "qid", "tid", "uid", "zid",
 ]
 
-# Generous bound on exact-division steps; an exact quotient always finishes
-# far below it, so hitting the cap means the division is not exact.
-_DIV_STEP_CAP = 100_000
-
-
 class Family(IntEnum):
     """Indeterminate families, ranked for the total variable order."""
 
@@ -516,20 +511,36 @@ class LaurentPoly:
         return best, self._terms[best]
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises NonLaurentResult if a remainder is left."""
+        """Exact division; raises NonLaurentResult if a remainder is left.
+
+        The division ends by construction.  With m_a, m_d the exponentwise
+        minima of the terms of ``self`` and of the divisor, ``divisor / m_d``
+        is a polynomial that no variable divides, and Z[vars] is a UFD, so
+        an exact quotient is ``m_a / m_d`` times a polynomial.  Long
+        division under the canonical order (graded, compatible with
+        multiplication) takes quotient terms ``r / d`` in strictly
+        descending order, ``r`` the remainder's leading monomial and ``d``
+        the divisor's.  In an exact division ``r / d`` is a quotient term,
+        so ``r`` lies exponentwise above ``m_a * d / m_d``, hence above the
+        floor ``min(m_a, 1)``: an ``r`` below it, or an indivisible
+        coefficient, proves a remainder.  Above ``floor / d`` each degree
+        holds finitely many monomials and degrees are bounded below, so the
+        descent ends.
+        """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return _ZERO
         dm, dc = divisor._leading()
+        floor: dict[VarId, int] = {}
+        for m in self._terms:
+            for v, e in m._exps:
+                if e < 0 and e < floor.get(v, 0):
+                    floor[v] = e
         rem = dict(self._terms)
         quot: dict[Monomial, int] = {}
-        steps = 0
         while rem:
-            steps += 1
-            if steps > _DIV_STEP_CAP:
-                raise NonLaurentResult("division did not terminate; remainder left")
             lead = None
             for m in rem:
                 if lead is None or _term_cmp(m, lead) < 0:
@@ -540,9 +551,13 @@ class LaurentPoly:
                 raise NonLaurentResult(
                     f"leading coefficient {c} not divisible by {dc}"
                 )
+            if any(e < floor.get(v, 0) for v, e in lead._exps if e < 0):
+                raise NonLaurentResult(
+                    f"remainder term {lead.text()} lies below the dividend's floor"
+                )
             qm = lead.div(dm)
             qc = c // dc
-            quot[qm] = quot.get(qm, 0) + qc
+            quot[qm] = qc
             for m2, c2 in divisor._terms.items():
                 key = qm.mul(m2)
                 nc = rem.get(key, 0) - qc * c2

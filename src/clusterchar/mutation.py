@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import NonLaurentResult
+from .errors import InvalidArgument, NonLaurentResult
 from .laurent import Family, LaurentPoly, x as x_var, yid
 from .quiver import Quiver
 
@@ -167,7 +167,7 @@ def cluster_variables_up_to(
     the result keeps first-found (breadth-first) order.
     """
     if depth < 0:
-        raise IndexError("depth must be >= 0")
+        raise InvalidArgument(f"depth must be >= 0, got {depth}")
     found: dict[LaurentPoly, None] = {}
     for seed in seeds_up_to(quiver, depth, principal):
         for v in seed.cluster:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from . import bases, mutation
+from . import bases, grassmannian, mutation
 from .character import (
     char_table,
     char_via_chebyshev,
@@ -26,14 +26,17 @@ from .chebyshev import (
     gen_cheb_values,
     s_from_f,
     s_from_f_value,
+    tail_substitution,
 )
 from .errors import IdentityFailed
-from .laurent import Family, q, t, tid, u
+from .laurent import Family, q, t, tid
 from .quiver import (
+    a21_tube,
     affine_a2_quiver,
     catalog_module,
     desk_affine_catalog,
     desk_tube_catalog,
+    homogeneous,
     kronecker_quiver,
     preinjective,
     preprojective,
@@ -55,36 +58,6 @@ def _line(label: str, ok: bool, detail: str = "") -> CheckLine:
     return CheckLine(label, bool(ok), detail)
 
 
-def _tail_substitution(n: int, with_u: bool) -> dict:
-    """t_i -> t_i (+ u_i) + q_i / t_{i-1} for i = 1..n, with a fresh
-    variable t_0 below the window.
-
-    Relative to the pinned determinant orientation (diagonal t_n, ..., t_1,
-    recurrence stripping the top index) this is the direction that makes
-    the substituted polynomial subtraction-free; attaching the tail to
-    t_{i+1} instead leaves an uncancelled -q_n already at n = 2.
-    """
-    sigma = {}
-    for i in range(1, n + 1):
-        img = t(i) + q(i) * t(i - 1).inverse()
-        if with_u:
-            img = img + u(i)
-        sigma[tid(i)] = img
-    return sigma
-
-
-def _periodic_substitution(lp: int, with_u: bool) -> dict:
-    """Same, but cyclic: the index 0 wraps back to lp."""
-    sigma = {}
-    for i in range(1, lp + 1):
-        prev = lp if i == 1 else i - 1
-        img = t(i) + q(i) * t(prev).inverse()
-        if with_u:
-            img = img + u(i)
-        sigma[tid(i)] = img
-    return sigma
-
-
 def lemma_dpsn(max_n: int = 8) -> list[CheckLine]:
     """d P_n / d t_i splits as the product of the two flanking windows."""
     out = []
@@ -100,7 +73,7 @@ def lemma_cc(max_n: int = 6) -> list[CheckLine]:
     """P_n under t_i -> t_i + q_i/t_{i-1} (t_0 fresh) is subtraction-free."""
     out = []
     for n in range(1, max_n + 1):
-        val = gen_cheb(ChebWindow(1, n)).substitute(_tail_substitution(n, with_u=False))
+        val = gen_cheb(ChebWindow(1, n)).substitute(tail_substitution(n, lambda i: i - 1))
         out.append(_line(f"tail substitution positive n={n}", val.is_subtraction_free()))
     return out
 
@@ -109,7 +82,8 @@ def lemma_pnpos(max_n: int = 5) -> list[CheckLine]:
     """P_n under t_i -> t_i + u_i + q_i/t_{i-1} (t_0 fresh) is subtraction-free."""
     out = []
     for n in range(1, max_n + 1):
-        val = gen_cheb(ChebWindow(1, n)).substitute(_tail_substitution(n, with_u=True))
+        sigma = tail_substitution(n, lambda i: i - 1, with_u=True)
+        val = gen_cheb(ChebWindow(1, n)).substitute(sigma)
         ok = val.is_subtraction_free() and val.min_family_exponent(Family.U) >= 0
         out.append(_line(f"tail substitution with u positive n={n}", ok))
     return out
@@ -123,7 +97,9 @@ def delta_pos(max_lp: int = 6) -> list[CheckLine]:
     """Delta_{l,p} under the periodic substitution is subtraction-free."""
     out = []
     for l, p in _lp_pairs(max_lp):
-        val = delta(l, p).substitute(_periodic_substitution(l * p, with_u=True))
+        lp = l * p
+        sigma = tail_substitution(lp, lambda i: (i - 2) % lp + 1, with_u=True)  # t_0 is t_lp
+        val = delta(l, p).substitute(sigma)
         out.append(_line(f"periodic substitution positive l={l} p={p}", val.is_subtraction_free()))
     return out
 
@@ -168,28 +144,18 @@ def lemma_key_check() -> list[CheckLine]:
 
 def char_cheb(max_n: int = 3) -> list[CheckLine]:
     """Characters of tube modules agree with their Chebyshev assembly."""
+    ns = range(1, max_n + 1)
+    cases = [(f"kronecker n={n}", homogeneous(n, 1), n) for n in ns]
+    cases += [(f"tube index={idx} n={n}", a21_tube(idx, n), n) for idx in (1, 2) for n in ns]
     out = []
-    from .quiver import a21_tube, homogeneous
-
-    for n in range(1, max_n + 1):
-        fam = homogeneous(n, 1)
+    for label, fam, n in cases:
         direct = cluster_char(catalog_module(fam))
         parts = [
             (catalog_module(g).dim, cluster_char(catalog_module(g)))
             for g in quasi_factors(fam)
         ]
         assembled = char_via_chebyshev(parts, n)
-        out.append(_line(f"chebyshev assembly kronecker n={n}", direct == assembled))
-    for idx in (1, 2):
-        for n in range(1, max_n + 1):
-            fam = a21_tube(idx, n)
-            direct = cluster_char(catalog_module(fam))
-            parts = [
-                (catalog_module(g).dim, cluster_char(catalog_module(g)))
-                for g in quasi_factors(fam)
-            ]
-            assembled = char_via_chebyshev(parts, n)
-            out.append(_line(f"chebyshev assembly tube index={idx} n={n}", direct == assembled))
+        out.append(_line(f"chebyshev assembly {label}", direct == assembled))
     return out
 
 
@@ -248,8 +214,6 @@ def tame_positivity(max_entry: int = 4) -> list[CheckLine]:
 def graded_chi(max_entry: int = 3) -> list[CheckLine]:
     """y-graded coefficients of the character at x = 1 recover each chi."""
     out = []
-    from . import grassmannian
-
     for fam in desk_affine_catalog():
         rep = catalog_module(fam)
         if max(rep.dim) > max_entry:

@@ -1,6 +1,10 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from clusterchar.cli import main
 
@@ -162,6 +166,12 @@ class TestMutateAndVariables:
         assert "x2^2*x1^-1 + x1^-1" in lines
         assert len(lines) == 4
 
+    def test_variables_negative_depth_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "variables", "--quiver", "kronecker", "--depth", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: InvalidArgument:")
+
 
 class TestBasisAndVerify:
     def test_basis_positive(self, capsys):
@@ -189,6 +199,58 @@ class TestBasisAndVerify:
         payload = json.loads(out)
         assert payload["all_passed"] is True
         assert len(payload["results"]) == 36
+
+    @pytest.mark.parametrize("check,n", [("lemma-dpsn", "-1"), ("char-cheb", "0")])
+    def test_verify_bound_that_checks_nothing_exit_two(self, capsys, check, n):
+        code, out, err = run_cli(capsys, "verify", check, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "nothing to check" in err
+
+    def test_verify_n_on_boundless_check_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "lemma-key", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "takes no --n bound" in err
+
+    def test_verify_all_with_n_runs_boundless_checks(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "all", "--n", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert any(line.startswith("PASS [lemma-key]") for line in lines)
+        assert sum(line.startswith("PASS [lemma-dpsn]") for line in lines) == 6
+
+
+GOLDENS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text(encoding="utf-8")
+)
+
+
+def _golden_argv(key):
+    """The CLI arguments of a verify or char golden key.  Homogeneous
+    characters do not depend on the point, so point 1 stands for every one."""
+    kind, *rest = key.split(":")
+    if kind == "verify":
+        return ["verify", rest[0]]
+    family = rest[0]
+    n = int(rest[1].removeprefix("n="))
+    index = int(rest[2].removeprefix("index="))
+    if family in ("kronecker_preprojective", "kronecker_preinjective"):
+        params = {"k": n}
+    elif family == "affineA21_tube":
+        params = {"index": index, "n": n}
+    else:
+        params = {"n": n, "point": 1}
+    return ["char", "--json", "--module", json.dumps({"family": family, "params": params})]
+
+
+@pytest.mark.parametrize(
+    "key", [k for k in GOLDENS if k.split(":")[0] in ("verify", "char")]
+)
+def test_byte_stable_against_goldens(capsys, key):
+    code, out, _ = run_cli(capsys, *_golden_argv(key))
+    assert code == GOLDENS[key]["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDENS[key]["sha256"]
 
 
 class TestConsoleEntry:

@@ -4,13 +4,14 @@ none of the production walk's shortcuts (no pruning, no closed-form sink,
 no dual switch)."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterchar import grassmannian as gr
-from clusterchar.errors import DimOutOfRange, ExcludedPrime, InvalidArgument
+from clusterchar.errors import DimOutOfRange, ExcludedPrime, InvalidArgument, NonPolynomialCount
 from clusterchar.quiver import (
     IntRep,
     Quiver,
@@ -283,3 +284,62 @@ class TestDirectSumCounts:
             for i in range(2)
             for j in range(2)
         )
+
+
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _fraction_solve(points):
+    """Ascending interpolant coefficients over Q, by Gaussian elimination on
+    the Vandermonde system (its leading minors are nonzero at distinct
+    positive nodes, so no pivoting is needed)."""
+    n = len(points)
+    rows = [[Fraction(x ** k) for k in range(n)] + [Fraction(y)] for x, y in points]
+    for c in range(n):
+        for r in range(c + 1, n):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    coeffs = [Fraction(0)] * n
+    for c in range(n - 1, -1, -1):
+        tail = sum(rows[c][k] * coeffs[k] for k in range(c + 1, n))
+        coeffs[c] = (rows[c][n] - tail) / rows[c][c]
+    return coeffs
+
+
+def _trimmed(coeffs):
+    out = list(coeffs)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _values(coeffs, nodes):
+    return [sum(c * x ** k for k, c in enumerate(coeffs)) for x in nodes]
+
+
+class TestNewtonInterpolation:
+    @given(
+        coeffs=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=10),
+        extra=st.integers(0, 2),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_recovers_integer_polynomials(self, coeffs, extra):
+        nodes = FIRST_PRIMES[: len(coeffs) + extra]
+        points = list(zip(nodes, _values(coeffs, nodes)))
+        assert gr._newton_coefficients(points) == _trimmed(coeffs)
+
+    @given(
+        coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=10),
+        noise=st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), min_size=10, max_size=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_raises_exactly_when_not_integral(self, coeffs, noise):
+        nodes = FIRST_PRIMES[: len(coeffs)]
+        values = [v + d for v, d in zip(_values(coeffs, nodes), noise)]
+        points = list(zip(nodes, values))
+        exact = _fraction_solve(points)
+        if all(c.denominator == 1 for c in exact):
+            assert gr._newton_coefficients(points) == _trimmed(int(c) for c in exact)
+        else:
+            with pytest.raises(NonPolynomialCount):
+                gr._newton_coefficients(points)

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clusterchar.errors import NonInvertibleImage, NonLaurentResult
@@ -187,6 +187,21 @@ class TestDivision:
     def test_coefficient_remainder_raises(self):
         with pytest.raises(NonLaurentResult):
             (3 * x(1) + 1).exact_div(LaurentPoly.constant(2))
+
+    def test_same_degree_descent_raises(self):
+        # Long division would descend forever through the quotient terms
+        # x2^k*x1^(-k-1) of degree -1, all above x3^-5 / x2 in the canonical
+        # order; the exponentwise floor stops it at the first.
+        with pytest.raises(NonLaurentResult):
+            (1 + x(3) ** -5).exact_div(x(1) - x(2))
+
+    @given(a=polys(), b=polys())
+    @settings(max_examples=60)
+    def test_unit_remainder_raises(self, a, b):
+        single = b.single_term()
+        assume(not b.is_zero() and not (single and single[1] in (1, -1)))
+        with pytest.raises(NonLaurentResult):
+            (a * b + 1).exact_div(b)
 
 
 class TestSerialization:
