@@ -7,8 +7,19 @@ positivity or identity check downstream is exact.
 
 Canonical form: no zero coefficients are stored, and serialization sorts
 terms by total degree descending, then lexicographically on the variable
-order (family rank, then index).  Within a printed monomial, factors appear
-in descending variable order, e.g. ``t2*t1 - q2``.
+order (family rank, then index), a larger exponent first.  Within a printed
+monomial, factors appear in descending variable order, e.g. ``t2*t1 - q2``.
+
+``VarId`` is a named tuple (family, index), so variables hash, compare and
+order as plain tuples.  The canonical order is the sort key ``_term_key``:
+the negated degree, then each stored (variable, exponent) pair in variable
+order, then the terminator ``(1,)``.  A pair with a positive exponent maps to
+``(0, v, -e)``; one with a negative exponent to ``(2, -family, -index, -e)``.
+Compared at the first pair where two monomials differ, a positive exponent
+sorts ahead of everything that lacks the variable (the other monomial's next
+pair is a later variable, or the terminator), a negative exponent sorts after
+it, and ``(1,)`` stands for the zero exponents of all later variables.  That
+is the lexicographic comparison of the dense exponent vectors.
 
 Values are immutable after construction and safe to share between
 concurrent tasks; all operations are pure functions.
@@ -16,10 +27,8 @@ concurrent tasks; all operations are pure functions.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import NonInvertibleImage, NonLaurentResult
 
@@ -47,8 +56,7 @@ class Family(IntEnum):
         return "xyqtuz"[int(self)]
 
 
-@dataclass(frozen=True, order=True)
-class VarId:
+class VarId(NamedTuple):
     """One indeterminate, identified by (family, index).
 
     Ordering is total and deterministic: family rank first, then index.
@@ -94,15 +102,12 @@ class Monomial:
 
     __slots__ = ("_exps", "_degree", "_hash")
 
-    def __init__(self, exps: Mapping[VarId, int] | Iterable[tuple[VarId, int]] = ()):
-        items = exps.items() if isinstance(exps, Mapping) else exps
+    def __init__(self, exps: dict[VarId, int] | Iterable[tuple[VarId, int]] = ()):
+        items = exps.items() if isinstance(exps, dict) else exps
         cleaned = tuple(sorted((v, e) for v, e in items if e != 0))
         self._exps = cleaned
         self._degree = sum(e for _, e in cleaned)
         self._hash = hash(cleaned)
-
-    def exponents(self) -> dict[VarId, int]:
-        return dict(self._exps)
 
     def exponent(self, v: VarId) -> int:
         for w, e in self._exps:
@@ -127,11 +132,7 @@ class Monomial:
             return self
         acc = dict(self._exps)
         for v, e in other._exps:
-            ne = acc.get(v, 0) + e
-            if ne:
-                acc[v] = ne
-            else:
-                del acc[v]
+            acc[v] = acc.get(v, 0) + e
         return Monomial(acc)
 
     def div(self, other: "Monomial") -> "Monomial":
@@ -139,11 +140,6 @@ class Monomial:
 
     def inverse(self) -> "Monomial":
         return Monomial(tuple((v, -e) for v, e in self._exps))
-
-    def power(self, k: int) -> "Monomial":
-        if k == 0:
-            return _MONO_ONE
-        return Monomial(tuple((v, e * k) for v, e in self._exps))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self._exps == other._exps
@@ -166,36 +162,21 @@ class Monomial:
 _MONO_ONE = Monomial(())
 
 
-def _term_cmp(a: Monomial, b: Monomial) -> int:
-    """Canonical order: total degree descending, then lexicographic on the
-    variable order with the larger exponent coming first.
-
-    Compatible with multiplication, so it doubles as the monomial order for
-    exact division.  Returns -1 when ``a`` precedes ``b``.
-    """
-    if a._degree != b._degree:
-        return -1 if a._degree > b._degree else 1
-    ea, eb = a._exps, b._exps
-    ia = ib = 0
-    while ia < len(ea) or ib < len(eb):
-        va = ea[ia][0] if ia < len(ea) else None
-        vb = eb[ib][0] if ib < len(eb) else None
-        if va is not None and (vb is None or va < vb):
-            xa, xb = ea[ia][1], 0
-            ia += 1
-        elif vb is not None and (va is None or vb < va):
-            xa, xb = 0, eb[ib][1]
-            ib += 1
-        else:
-            xa, xb = ea[ia][1], eb[ib][1]
-            ia += 1
-            ib += 1
-        if xa != xb:
-            return -1 if xa > xb else 1
-    return 0
+def _term_key(m: Monomial) -> tuple:
+    """Sort key of the canonical order: total degree descending, then
+    lexicographic on the variable order with the larger exponent first
+    (see the module docstring).  Compatible with multiplication, so it
+    doubles as the monomial order for exact division."""
+    pairs = [(0, v, -e) if e > 0 else (2, -v.family, -v.index, -e) for v, e in m._exps]
+    return (-m._degree, *pairs, (1,))
 
 
-_TERM_KEY = functools.cmp_to_key(_term_cmp)
+def _drop_zeros(acc: dict[Monomial, int]) -> dict[Monomial, int]:
+    """Delete the zero coefficients of a term map in place; returns it."""
+    for m in [m for m, c in acc.items() if not c]:
+        del acc[m]
+    return acc
+
 
 PolyLike = Union["LaurentPoly", int]
 
@@ -205,19 +186,22 @@ class LaurentPoly:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: dict[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
+        items = terms.items() if isinstance(terms, dict) else terms
         acc: dict[Monomial, int] = {}
         for m, c in items:
-            if c == 0:
-                continue
-            nc = acc.get(m, 0) + c
-            if nc:
-                acc[m] = nc
-            else:
-                del acc[m]
-        self._terms = acc
+            acc[m] = acc.get(m, 0) + c
+        self._terms = _drop_zeros(acc)
         self._hash = None
+
+    @staticmethod
+    def _of(acc: dict[Monomial, int]) -> "LaurentPoly":
+        """Wrap a term map that the caller hands over, without copying it;
+        its zero coefficients are deleted in place."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._terms = _drop_zeros(acc)
+        out._hash = None
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -256,7 +240,7 @@ class LaurentPoly:
         return iter(self._terms.items())
 
     def canonical_terms(self) -> list[tuple[Monomial, int]]:
-        return [(m, self._terms[m]) for m in sorted(self._terms, key=_TERM_KEY)]
+        return [(m, self._terms[m]) for m in sorted(self._terms, key=_term_key)]
 
     def single_term(self) -> tuple[Monomial, int] | None:
         """The (monomial, coefficient) pair if this has exactly one term."""
@@ -296,23 +280,13 @@ class LaurentPoly:
             return self
         acc = dict(self._terms)
         for m, c in other._terms.items():
-            nc = acc.get(m, 0) + c
-            if nc:
-                acc[m] = nc
-            else:
-                del acc[m]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = acc
-        out._hash = None
-        return out
+            acc[m] = acc.get(m, 0) + c
+        return LaurentPoly._of(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        out._hash = None
-        return out
+        return LaurentPoly._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: PolyLike) -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -331,15 +305,8 @@ class LaurentPoly:
         for ma, ca in a.items():
             for mb, cb in b.items():
                 m = ma.mul(mb)
-                nc = acc.get(m, 0) + ca * cb
-                if nc:
-                    acc[m] = nc
-                else:
-                    del acc[m]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = acc
-        out._hash = None
-        return out
+                acc[m] = acc.get(m, 0) + ca * cb
+        return LaurentPoly._of(acc)
 
     __rmul__ = __mul__
 
@@ -392,7 +359,7 @@ class LaurentPoly:
                 power_cache[key] = got = img
             return got
 
-        total = _ZERO
+        acc: dict[Monomial, int] = {}
         for m, c in self._terms.items():
             fixed: list[tuple[VarId, int]] = []
             factors: list[tuple[VarId, int]] = []
@@ -404,8 +371,9 @@ class LaurentPoly:
             term = LaurentPoly({Monomial(fixed): c})
             for v, e in factors:
                 term = term * image_power(v, e)
-            total = total + term
-        return total
+            for tm, tc in term._terms.items():
+                acc[tm] = acc.get(tm, 0) + tc
+        return LaurentPoly._of(acc)
 
     def inverse(self) -> "LaurentPoly":
         """Invert a unit: a single term with coefficient ±1."""
@@ -419,30 +387,17 @@ class LaurentPoly:
 
     def partial_derivative(self, v: VarId) -> "LaurentPoly":
         """Formal partial derivative d/dv with the rule d(v^n) = n v^(n-1)."""
-        acc: dict[Monomial, int] = {}
-        for m, c in self._terms.items():
-            e = m.exponent(v)
-            if e == 0:
-                continue
-            nm = m.mul(Monomial(((v, -1),)))
-            nc = acc.get(nm, 0) + c * e
-            if nc:
-                acc[nm] = nc
-            else:
-                del acc[nm]
-        return LaurentPoly(acc)
+        down = Monomial(((v, -1),))
+        return LaurentPoly(
+            (m.mul(down), c * e) for m, c in self._terms.items() if (e := m.exponent(v))
+        )
 
     def specialize_ones(self, family: Family) -> "LaurentPoly":
         """Set every variable of the given family to 1."""
-        acc: dict[Monomial, int] = {}
-        for m, c in self._terms.items():
-            nm = Monomial(tuple((v, e) for v, e in m._exps if v.family != family))
-            nc = acc.get(nm, 0) + c
-            if nc:
-                acc[nm] = nc
-            else:
-                del acc[nm]
-        return LaurentPoly(acc)
+        return LaurentPoly(
+            (Monomial([(v, e) for v, e in m._exps if v.family != family]), c)
+            for m, c in self._terms.items()
+        )
 
     def is_subtraction_free(self) -> bool:
         """True iff every coefficient is strictly positive (zero counts)."""
@@ -479,14 +434,11 @@ class LaurentPoly:
         """
         target = tuple(e)
         width = len(target)
-        acc: dict[Monomial, int] = {}
-        for m, c in self._terms.items():
-            vec = self._family_vector(m, family, width)
-            if vec != target:
-                continue
-            rest = Monomial(tuple((v, k) for v, k in m._exps if v.family != family))
-            acc[rest] = acc.get(rest, 0) + c
-        return LaurentPoly(acc)
+        return LaurentPoly(
+            (Monomial([(v, k) for v, k in m._exps if v.family != family]), c)
+            for m, c in self._terms.items()
+            if self._family_vector(m, family, width) == target
+        )
 
     def graded_support(self, family: Family = Family.Y) -> set[tuple[int, ...]]:
         """All exponent vectors of the family occurring in the polynomial,
@@ -501,14 +453,6 @@ class LaurentPoly:
             vec = self._family_vector(m, family, width)
             out.add(vec if vec is not None else ())
         return out
-
-    def _leading(self) -> tuple[Monomial, int]:
-        best = None
-        for m in self._terms:
-            if best is None or _term_cmp(m, best) < 0:
-                best = m
-        assert best is not None
-        return best, self._terms[best]
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises NonLaurentResult if a remainder is left.
@@ -532,7 +476,8 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return _ZERO
-        dm, dc = divisor._leading()
+        dm = min(divisor._terms, key=_term_key)
+        dc = divisor._terms[dm]
         floor: dict[VarId, int] = {}
         for m in self._terms:
             for v, e in m._exps:
@@ -541,11 +486,7 @@ class LaurentPoly:
         rem = dict(self._terms)
         quot: dict[Monomial, int] = {}
         while rem:
-            lead = None
-            for m in rem:
-                if lead is None or _term_cmp(m, lead) < 0:
-                    lead = m
-            assert lead is not None
+            lead = min(rem, key=_term_key)
             c = rem[lead]
             if c % dc:
                 raise NonLaurentResult(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DimensionMismatch, InvalidArgument, InvalidParams, QuiverMismatch
 
@@ -182,9 +182,12 @@ class IntRep:
     dim(target) x dim(source).
 
     ``spectrum`` records the integer parameter points baked into the
-    matrices (Jordan eigenvalues); primes dividing a nonzero point or a
-    nonzero difference of points are excluded from counting because the
-    mod-p reduction there is a different module.
+    matrices (Jordan eigenvalues).  Counting excludes the primes at which
+    the mod-p reduction is visibly a different module: those dividing a
+    nonzero point or a nonzero difference of points, and those at which an
+    arrow matrix or a composition along a path loses rank.  The rule is
+    necessary, not sufficient; the held-out primes of interpolation catch
+    the rest.
     """
 
     quiver: Quiver
@@ -208,18 +211,28 @@ class IntRep:
                 )
 
     def excluded_primes(self) -> frozenset[int]:
-        values = set()
+        return self._excluded_primes
+
+    @functools.cached_property
+    def _excluded_primes(self) -> frozenset[int]:
         pts = self.spectrum
-        values.update(abs(v) for v in pts if v)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                diff = abs(pts[i] - pts[j])
-                if diff:
-                    values.add(diff)
-        out: set[int] = set()
-        for v in values:
-            out.update(_prime_factors(v))
-        return frozenset(out)
+        values = [*pts, *(a - b for i, a in enumerate(pts) for b in pts[i + 1:])]
+        for mat in self._path_maps():
+            values += _diagonal_entries(mat)
+        return frozenset(p for v in values for p in _prime_factors(abs(v)))
+
+    def _path_maps(self) -> Iterator[IntMatrix]:
+        """The matrix of every arrow and of every composition along a path,
+        except compositions through a zero map (they are zero too)."""
+        pairs = self.quiver.arrow_indices()
+        stack = [(t, m) for (_, t), m in zip(pairs, self.matrices)]
+        while stack:
+            end, mat = stack.pop()
+            yield mat
+            if any(any(row) for row in mat):
+                stack.extend(
+                    (t, _matmul(m, mat)) for (s, t), m in zip(pairs, self.matrices) if s == end
+                )
 
     def to_json_obj(self) -> dict:
         return {
@@ -228,6 +241,41 @@ class IntRep:
             "matrices": {str(i): [list(r) for r in m] for i, m in enumerate(self.matrices)},
             "spectrum": list(self.spectrum),
         }
+
+
+def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product ab of integer matrices, b with at least one row."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _diagonal_entries(mat: IntMatrix) -> list[int]:
+    """The absolute values of the nonzero entries of a diagonal form of the
+    matrix under invertible integer row and column operations.  Those
+    operations stay invertible mod every p, so the matrix's rank mod p is
+    the number of entries that p does not divide."""
+    a = [list(row) for row in mat]
+    out = []
+    while True:
+        nonzero = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
+        if not nonzero:
+            return out
+        _, i, j = min(nonzero)
+        pivot = a[i][j]
+        for k, row in enumerate(a):
+            if k != i and row[j]:
+                f = row[j] // pivot
+                a[k] = [x - f * y for x, y in zip(row, a[i])]
+        for col in range(len(a[i])):
+            if col != j and a[i][col]:
+                f = a[i][col] // pivot
+                for row in a:
+                    row[col] -= f * row[j]
+        # Each nonzero remainder is smaller than the pivot, so this ends.
+        if sum(1 for row in a if row[j]) == 1 and sum(1 for v in a[i] if v) == 1:
+            out.append(abs(pivot))
+            del a[i]
+            for row in a:
+                del row[j]
 
 
 def _prime_factors(n: int) -> set[int]:
@@ -533,6 +581,13 @@ def quiver_from_json(obj: dict) -> Quiver:
     return Quiver(vertices, arrows)
 
 
+def _json_int(value: object, name: str) -> int:
+    """A JSON integer; a float, a string or a boolean is refused, not rounded."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidArgument(f"malformed module JSON: {name} must be an integer, got {value!r}")
+
+
 def module_from_json(obj: dict, quiver: Quiver | None = None) -> IntRep:
     """Accepts either {"family": ..., "params": {...}} or an explicit
     {"quiver": ..., "dim": {...}, "matrices": {"0": [[...]], ...}}."""
@@ -544,7 +599,7 @@ def module_from_json(obj: dict, quiver: Quiver | None = None) -> IntRep:
         kwargs = {}
         for key in ("n", "k", "point", "lam", "lambda", "index"):
             if key in params:
-                kwargs[key] = int(params[key])
+                kwargs[key] = _json_int(params[key], f"params.{key}")
         n = kwargs.get("n", kwargs.get("k", 1))
         point = kwargs.get("point", kwargs.get("lam", kwargs.get("lambda", 0)))
         index = kwargs.get("index", 1 if fam == AFFINE_A21_TUBE else 0)
@@ -554,12 +609,12 @@ def module_from_json(obj: dict, quiver: Quiver | None = None) -> IntRep:
     if quiver is None:
         raise InvalidArgument("explicit module JSON needs a quiver")
     try:
-        dim = tuple(int(obj["dim"][v]) for v in quiver.vertices)
+        dim = tuple(_json_int(obj["dim"][v], f"dim.{v}") for v in quiver.vertices)
         mats = []
         for i in range(len(quiver.arrows)):
-            raw = obj["matrices"][str(i)]
-            mats.append(tuple(tuple(int(x) for x in row) for row in raw))
-    except (KeyError, TypeError, ValueError) as exc:
+            raw, name = obj["matrices"][str(i)], f"matrices.{i} entry"
+            mats.append(tuple(tuple(_json_int(x, name) for x in row) for row in raw))
+        spectrum = tuple(_json_int(v, "spectrum entry") for v in obj.get("spectrum", ()))
+    except (KeyError, TypeError) as exc:
         raise InvalidArgument(f"malformed module JSON: {exc}") from exc
-    spectrum = tuple(int(v) for v in obj.get("spectrum", ()))
     return IntRep(quiver, dim, tuple(mats), spectrum, label=str(obj.get("label", "")))

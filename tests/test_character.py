@@ -16,6 +16,7 @@ from clusterchar.chebyshev import ChebWindow, gen_cheb
 from clusterchar.errors import IdentityFailed, InvalidArgument
 from clusterchar.laurent import Family, qid, tid, x, y
 from clusterchar.quiver import (
+    IntRep,
     a21_homogeneous,
     a21_tube,
     catalog_module,
@@ -81,6 +82,12 @@ class TestClusterChar:
         for fam in [preprojective(2), a21_tube(1, 3), homogeneous(2, 1)]:
             val = cluster_char(catalog_module(fam))
             assert val.min_family_exponent(Family.Y) == 0
+
+    def test_explicit_module_split_at_two(self, kronecker):
+        # Over Q this is homogeneous of quasi-length 2 at point 0; mod 2 the
+        # second matrix vanishes and the module splits, so 2 must be skipped.
+        rep = IntRep(kronecker, (2, 2), (((1, 0), (0, 1)), ((0, 2), (0, 0))))
+        assert cluster_char(rep) == cluster_char(catalog_module(homogeneous(2, 0)))
 
 
 class TestLemmaKey:

@@ -113,6 +113,13 @@ class TestChar:
         assert code == 2
         assert "line 1" in err
 
+    def test_non_integer_param_exit_two(self, capsys):
+        mod = '{"family":"kronecker_homogeneous","params":{"n":"x"}}'
+        code, out, err = run_cli(capsys, "char", "--module", mod)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: InvalidArgument:")
+
     def test_missing_field_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "char", "--module", '{"dim": {"1": 1}}')
         assert code == 2
@@ -227,9 +234,12 @@ GOLDENS = json.loads(
 
 
 def _golden_argv(key):
-    """The CLI arguments of a verify or char golden key.  Homogeneous
-    characters do not depend on the point, so point 1 stands for every one."""
+    """The CLI arguments of a golden key.  A variables key is its argument
+    vector joined by ':'.  Homogeneous characters do not depend on the
+    point, so point 1 stands for every one."""
     kind, *rest = key.split(":")
+    if kind == "variables":
+        return [kind, *rest]
     if kind == "verify":
         return ["verify", rest[0]]
     family = rest[0]
@@ -244,9 +254,7 @@ def _golden_argv(key):
     return ["char", "--json", "--module", json.dumps({"family": family, "params": params})]
 
 
-@pytest.mark.parametrize(
-    "key", [k for k in GOLDENS if k.split(":")[0] in ("verify", "char")]
-)
+@pytest.mark.parametrize("key", list(GOLDENS))
 def test_byte_stable_against_goldens(capsys, key):
     code, out, _ = run_cli(capsys, *_golden_argv(key))
     assert code == GOLDENS[key]["exit"]

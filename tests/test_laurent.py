@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -10,25 +11,29 @@ from clusterchar.laurent import (
     LaurentPoly,
     Monomial,
     VarId,
+    _term_key,
     q,
     qid,
     t,
     tid,
     u,
+    uid,
     x,
     xid,
     y,
     yid,
     z,
+    zid,
 )
 
 VAR_POOL = [xid(1), xid(2), yid(1), yid(2), tid(1), qid(2)]
+ORDER_POOL = VAR_POOL + [xid(3), qid(1), uid(1), zid(1)]
 
 
 @st.composite
-def monomials(draw):
+def monomials(draw, pool=VAR_POOL):
     n = draw(st.integers(min_value=0, max_value=3))
-    vs = draw(st.lists(st.sampled_from(VAR_POOL), min_size=n, max_size=n, unique=True))
+    vs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=True))
     exps = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n))
     return Monomial({v: e for v, e in zip(vs, exps)})
 
@@ -204,6 +209,19 @@ class TestDivision:
             (a * b + 1).exact_div(b)
 
 
+def _dense_cmp(a, b):
+    """The canonical order written on dense exponent vectors: degree
+    descending, then the larger exponent first in variable order.  Returns
+    -1 when ``a`` comes first."""
+    if a.degree != b.degree:
+        return -1 if a.degree > b.degree else 1
+    for v in sorted(set(a.variables()) | set(b.variables())):
+        ea, eb = a.exponent(v), b.exponent(v)
+        if ea != eb:
+            return -1 if ea > eb else 1
+    return 0
+
+
 class TestSerialization:
     def test_canonical_text(self):
         assert str(t(2) * t(1) - q(2)) == "t2*t1 - q2"
@@ -229,10 +247,21 @@ class TestSerialization:
         ]
         json.dumps(obj)  # serializable
 
+    @given(a=monomials(ORDER_POOL), b=monomials(ORDER_POOL), c=monomials(ORDER_POOL))
+    def test_term_key_is_the_dense_order(self, a, b, c):
+        want = _dense_cmp(a, b)
+        ka, kb = _term_key(a), _term_key(b)
+        assert (ka > kb) - (ka < kb) == want
+        ms = [a, b, c]
+        assert sorted(ms, key=_term_key) == sorted(ms, key=functools.cmp_to_key(_dense_cmp))
+        if want < 0:  # compatible with multiplication
+            assert _term_key(a.mul(c)) < _term_key(b.mul(c))
+
     def test_var_ordering(self):
         assert VarId(Family.X, 2) < VarId(Family.Y, 1)
         assert VarId(Family.Q, 3) < VarId(Family.T, 1)
         assert sorted([tid(2), qid(1), xid(5)]) == [xid(5), qid(1), tid(2)]
+        assert repr(tid(2)) == "VarId(t2)" and tid(2).name == "t2"
 
 
 class TestPow:

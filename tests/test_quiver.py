@@ -10,6 +10,7 @@ from clusterchar.errors import (
 )
 from clusterchar.quiver import (
     IntRep,
+    _diagonal_entries,
     ModuleFamily,
     Quiver,
     a21_homogeneous,
@@ -144,6 +145,52 @@ class TestCatalog:
         both = direct_sum(catalog_module(homogeneous(1, 1)), catalog_module(homogeneous(1, 3)))
         assert both.excluded_primes() == {2, 3}  # 3 and the difference 2
 
+    def test_excluded_primes_from_matrices(self, kronecker, affine_a2):
+        # rank of [[0, 2], [0, 0]] drops mod 2; no spectrum is declared
+        rep = IntRep(kronecker, (2, 2), (((1, 0), (0, 1)), ((0, 2), (0, 0))))
+        assert rep.excluded_primes() == {2}
+        assert rep.excluded_primes() is rep.excluded_primes()
+        # both arrows along 1 -> 2 -> 3 keep their rank mod 2; their
+        # composition [[2]] does not
+        path = IntRep(affine_a2, (1, 2, 1), (((1,), (1,)), ((1, 1),), ((1,),)))
+        assert path.excluded_primes() == {2}
+        # unimodular over the integers: nothing to exclude
+        unimodular = IntRep(kronecker, (2, 2), (((2, 1), (1, 1)), ((1, 0), (0, 1))))
+        assert unimodular.excluded_primes() == frozenset()
+
+
+def _rank_mod(rows, p):
+    """Rank over F_p by plain Gauss-Jordan elimination."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] * inv % p
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def int_matrices(draw):
+    cols = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(st.integers(min_value=-6, max_value=6), min_size=cols, max_size=cols)
+    return tuple(map(tuple, draw(st.lists(row, min_size=1, max_size=4))))
+
+
+@given(int_matrices())
+def test_diagonal_entries_give_rank_mod_p(mat):
+    entries = _diagonal_entries(mat)
+    # 1000003 exceeds every minor here, so it stands for the rank over Q
+    for p in (2, 3, 5, 7, 1000003):
+        assert sum(1 for d in entries if d % p) == _rank_mod(mat, p)
+
 
 class TestIntRep:
     def test_shape_validation(self, kronecker):
@@ -199,3 +246,22 @@ class TestJson:
     def test_malformed_module(self):
         with pytest.raises(InvalidArgument):
             module_from_json({"dim": {"1": 1}})
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"family": "kronecker_homogeneous", "params": {"n": "x"}}, "params.n"),
+            ({"family": "kronecker_homogeneous", "params": {"n": 2.7}}, "params.n"),
+            ({"family": "kronecker_homogeneous", "params": {"n": 2, "point": True}}, "params.point"),
+            ({"dim": {"1": 1, "2": 1.0}, "matrices": {"0": [[1]], "1": [[1]]}}, "dim.2"),
+            ({"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1.9]], "1": [[1]]}}, "matrices.0"),
+            ({"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1]], "1": [["1"]]}}, "matrices.1"),
+            (
+                {"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1]], "1": [[1]]}, "spectrum": "ab"},
+                "spectrum",
+            ),
+        ],
+    )
+    def test_non_integer_numbers_refused(self, kronecker, obj, field):
+        with pytest.raises(InvalidArgument, match=field):
+            module_from_json(obj, kronecker)
