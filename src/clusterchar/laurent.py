@@ -11,15 +11,16 @@ order (family rank, then index), a larger exponent first.  Within a printed
 monomial, factors appear in descending variable order, e.g. ``t2*t1 - q2``.
 
 ``VarId`` is a named tuple (family, index), so variables hash, compare and
-order as plain tuples.  The canonical order is the sort key ``_term_key``:
-the negated degree, then each stored (variable, exponent) pair in variable
-order, then the terminator ``(1,)``.  A pair with a positive exponent maps to
-``(0, v, -e)``; one with a negative exponent to ``(2, -family, -index, -e)``.
-Compared at the first pair where two monomials differ, a positive exponent
-sorts ahead of everything that lacks the variable (the other monomial's next
-pair is a later variable, or the terminator), a negative exponent sorts after
-it, and ``(1,)`` stands for the zero exponents of all later variables.  That
-is the lexicographic comparison of the dense exponent vectors.
+order as plain tuples.  Sorting, multiplication and exact division work in a
+*frame*: the sorted variables v_1 < ... < v_n that occur in the operands.
+In a frame a monomial is the dense key ``(-degree, -e_1, ..., -e_n)``, and
+plain tuple order on keys is the canonical order above: the lexicographic
+order of the dense exponent vectors, graded by degree.  Variables a monomial
+lacks sit at 0, so a larger frame orders the same.  A product of monomials is
+the elementwise sum of their keys, a quotient the difference; exact division
+takes the leading remainder term from a heap of these keys.  Multiplication
+needs no order, only sums: it packs each exponent vector into one integer,
+with a bit field per variable wide enough for every product, and adds those.
 
 Values are immutable after construction and safe to share between
 concurrent tasks; all operations are pure functions.
@@ -27,7 +28,10 @@ concurrent tasks; all operations are pure functions.
 
 from __future__ import annotations
 
+import heapq
 from enum import IntEnum
+from itertools import chain
+from operator import add, gt, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import NonInvertibleImage, NonLaurentResult
@@ -109,6 +113,16 @@ class Monomial:
         self._degree = sum(e for _, e in cleaned)
         self._hash = hash(cleaned)
 
+    @staticmethod
+    def _of(exps: tuple[tuple[VarId, int], ...], degree: int) -> "Monomial":
+        """Wrap pairs that are already sorted, with no zero exponent, and
+        their exponent sum."""
+        m = Monomial.__new__(Monomial)
+        m._exps = exps
+        m._degree = degree
+        m._hash = hash(exps)
+        return m
+
     def exponent(self, v: VarId) -> int:
         for w, e in self._exps:
             if w == v:
@@ -133,10 +147,9 @@ class Monomial:
         acc = dict(self._exps)
         for v, e in other._exps:
             acc[v] = acc.get(v, 0) + e
-        return Monomial(acc)
-
-    def div(self, other: "Monomial") -> "Monomial":
-        return self.mul(other.inverse())
+        return Monomial._of(
+            tuple(sorted(p for p in acc.items() if p[1])), self._degree + other._degree
+        )
 
     def inverse(self) -> "Monomial":
         return Monomial(tuple((v, -e) for v, e in self._exps))
@@ -162,13 +175,63 @@ class Monomial:
 _MONO_ONE = Monomial(())
 
 
-def _term_key(m: Monomial) -> tuple:
-    """Sort key of the canonical order: total degree descending, then
-    lexicographic on the variable order with the larger exponent first
-    (see the module docstring).  Compatible with multiplication, so it
-    doubles as the monomial order for exact division."""
-    pairs = [(0, v, -e) if e > 0 else (2, -v.family, -v.index, -e) for v, e in m._exps]
-    return (-m._degree, *pairs, (1,))
+def _frame(monomials: Iterable[Monomial]) -> tuple[VarId, ...]:
+    """The sorted variables that occur in the monomials."""
+    return tuple(sorted({v for m in monomials for v, _ in m._exps}))
+
+
+def _encoder(frame: Sequence[VarId]):
+    """The map from a monomial over the frame's variables to its dense key
+    ``(-degree, -e_1, ..., -e_n)``; keys sort in the canonical order."""
+    pos = {v: i for i, v in enumerate(frame, 1)}
+    width = len(frame) + 1
+
+    def encode(m: Monomial) -> tuple[int, ...]:
+        key = [0] * width
+        key[0] = -m._degree
+        for v, e in m._exps:
+            key[pos[v]] = -e
+        return tuple(key)
+
+    return encode
+
+
+def _decode(key: tuple[int, ...], frame: Sequence[VarId]) -> Monomial:
+    """The monomial whose dense key in the frame is ``key``."""
+    return Monomial._of(tuple((v, -k) for v, k in zip(frame, key[1:]) if k), -key[0])
+
+
+def _packer(a: dict[Monomial, int], b: dict[Monomial, int]):
+    """Pack and unpack for the products of monomials from ``a`` and ``b``.
+
+    A monomial packs into the integer ``sum e_v << s_v``, one bit field per
+    frame variable.  Every product exponent lies in [-bound, bound] and each
+    field is wide enough for 2 * bound, so the packing is additive and
+    one-to-one on products.
+    """
+    frame = _frame(chain(a, b))
+    bound = sum(max((abs(e) for m in t for _, e in m._exps), default=0) for t in (a, b))
+    bits = (2 * bound).bit_length()
+    mask = (1 << bits) - 1
+    shift = {v: i * bits for i, v in enumerate(frame)}
+    bias = sum(bound << s for s in shift.values())
+
+    def pack(m: Monomial) -> int:
+        return sum(e << shift[v] for v, e in m._exps)
+
+    def unpack(k: int) -> Monomial:
+        k += bias  # every field now holds e_v + bound >= 0
+        exps = []
+        degree = 0
+        for v in frame:
+            e = (k & mask) - bound
+            k >>= bits
+            if e:
+                exps.append((v, e))
+                degree += e
+        return Monomial._of(tuple(exps), degree)
+
+    return pack, unpack
 
 
 def _drop_zeros(acc: dict[Monomial, int]) -> dict[Monomial, int]:
@@ -240,7 +303,8 @@ class LaurentPoly:
         return iter(self._terms.items())
 
     def canonical_terms(self) -> list[tuple[Monomial, int]]:
-        return [(m, self._terms[m]) for m in sorted(self._terms, key=_term_key)]
+        encode = _encoder(_frame(self._terms))
+        return sorted(self._terms.items(), key=lambda mc: encode(mc[0]))
 
     def single_term(self) -> tuple[Monomial, int] | None:
         """The (monomial, coefficient) pair if this has exactly one term."""
@@ -249,10 +313,7 @@ class LaurentPoly:
         return next(iter(self._terms.items()))
 
     def support(self) -> tuple[VarId, ...]:
-        vs: set[VarId] = set()
-        for m in self._terms:
-            vs.update(m.variables())
-        return tuple(sorted(vs))
+        return _frame(self._terms)
 
     def constant_value(self) -> int | None:
         """The integer value if the polynomial is constant, else None."""
@@ -301,12 +362,18 @@ class LaurentPoly:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        acc: dict[Monomial, int] = {}
+        if len(a) == 1:
+            ((ma, ca),) = a.items()
+            return LaurentPoly._of({ma.mul(mb): ca * cb for mb, cb in b.items()})
+        pack, unpack = _packer(a, b)
+        eb = [(pack(mb), cb) for mb, cb in b.items()]
+        acc: dict[int, int] = {}
         for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = ma.mul(mb)
-                acc[m] = acc.get(m, 0) + ca * cb
-        return LaurentPoly._of(acc)
+            ka = pack(ma)
+            for kb, cb in eb:
+                k = ka + kb
+                acc[k] = acc.get(k, 0) + ca * cb
+        return LaurentPoly._of({unpack(k): c for k, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -332,7 +399,11 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted((m._hash, c) for m, c in self._terms.items())))
+            value = self.constant_value()
+            if value is not None:  # equal to that int, so hashed as it
+                self._hash = hash(value)
+            else:
+                self._hash = hash(tuple(sorted((m._hash, c) for m, c in self._terms.items())))
         return self._hash
 
     # -- the operations the rest of the package is built on --------------
@@ -476,37 +547,47 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return _ZERO
-        dm = min(divisor._terms, key=_term_key)
-        dc = divisor._terms[dm]
-        floor: dict[VarId, int] = {}
-        for m in self._terms:
-            for v, e in m._exps:
-                if e < 0 and e < floor.get(v, 0):
-                    floor[v] = e
-        rem = dict(self._terms)
+        # Work on dense keys in the frame of both operands.  The remainder is
+        # a key -> coefficient map with a heap of its keys; a key that cancels
+        # leaves the map, and its heap entry is skipped when popped.  Every
+        # product qk + d sorts after the lead it was made from, so a popped
+        # key never returns.
+        frame = _frame(chain(self._terms, divisor._terms))
+        encode = _encoder(frame)
+        dterms = sorted((encode(m), c) for m, c in divisor._terms.items())
+        (dk, dc), rest = dterms[0], dterms[1:]
+        rem = {encode(m): c for m, c in self._terms.items()}
+        # The floor min(m_a, 1) as a dense key bound: -e_i <= ceil[i].
+        ceil = [max(0, *col) for col in list(zip(*rem))[1:]]
+        heap = list(rem)
+        heapq.heapify(heap)
         quot: dict[Monomial, int] = {}
-        while rem:
-            lead = min(rem, key=_term_key)
-            c = rem[lead]
+        while heap:
+            lead = heapq.heappop(heap)
+            c = rem.pop(lead, 0)
+            if not c:
+                continue
             if c % dc:
                 raise NonLaurentResult(
                     f"leading coefficient {c} not divisible by {dc}"
                 )
-            if any(e < floor.get(v, 0) for v, e in lead._exps if e < 0):
+            if any(map(gt, lead[1:], ceil)):
                 raise NonLaurentResult(
-                    f"remainder term {lead.text()} lies below the dividend's floor"
+                    f"remainder term {_decode(lead, frame).text()} lies below the dividend's floor"
                 )
-            qm = lead.div(dm)
+            qk = tuple(map(sub, lead, dk))
             qc = c // dc
-            quot[qm] = qc
-            for m2, c2 in divisor._terms.items():
-                key = qm.mul(m2)
+            quot[_decode(qk, frame)] = qc
+            for k2, c2 in rest:
+                key = tuple(map(add, qk, k2))
                 nc = rem.get(key, 0) - qc * c2
                 if nc:
+                    if key not in rem:
+                        heapq.heappush(heap, key)
                     rem[key] = nc
                 else:
-                    rem.pop(key, None)
-        return LaurentPoly(quot)
+                    del rem[key]
+        return LaurentPoly._of(quot)
 
     # -- serialization ----------------------------------------------------
 

@@ -1,5 +1,6 @@
 import functools
 import json
+import operator
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +12,8 @@ from clusterchar.laurent import (
     LaurentPoly,
     Monomial,
     VarId,
-    _term_key,
+    _encoder,
+    _frame,
     q,
     qid,
     t,
@@ -28,6 +30,7 @@ from clusterchar.laurent import (
 
 VAR_POOL = [xid(1), xid(2), yid(1), yid(2), tid(1), qid(2)]
 ORDER_POOL = VAR_POOL + [xid(3), qid(1), uid(1), zid(1)]
+EXTRA_POOL = ORDER_POOL + [xid(4), yid(3), tid(3), zid(2)]
 
 
 @st.composite
@@ -39,9 +42,9 @@ def monomials(draw, pool=VAR_POOL):
 
 
 @st.composite
-def polys(draw):
+def polys(draw, pool=VAR_POOL):
     n = draw(st.integers(min_value=0, max_value=4))
-    ms = draw(st.lists(monomials(), min_size=n, max_size=n))
+    ms = draw(st.lists(monomials(pool), min_size=n, max_size=n))
     cs = draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=n, max_size=n))
     return LaurentPoly(list(zip(ms, cs)))
 
@@ -222,6 +225,95 @@ def _dense_cmp(a, b):
     return 0
 
 
+_DENSE_KEY = functools.cmp_to_key(_dense_cmp)
+
+
+def _sparse_mul(ma, mb):
+    """Monomial product on sparse exponent maps."""
+    acc = {v: ma.exponent(v) for v in ma.variables()}
+    for v in mb.variables():
+        acc[v] = acc.get(v, 0) + mb.exponent(v)
+    return Monomial(acc)
+
+
+def _sparse_product(a, b):
+    return LaurentPoly(
+        [(_sparse_mul(ma, mb), ca * cb) for ma, ca in a.terms() for mb, cb in b.terms()]
+    )
+
+
+def _scan_div(a, d):
+    """Long division that scans the whole remainder for its leading term,
+    with the coefficient and floor refusals of ``LaurentPoly.exact_div``."""
+    dm = min((m for m, _ in d.terms()), key=_DENSE_KEY)
+    dc = dict(d.terms())[dm]
+    floor = {}
+    for m, _ in a.terms():
+        for v in m.variables():
+            floor[v] = min(floor.get(v, 0), m.exponent(v))
+    rem = dict(a.terms())
+    quot = {}
+    while rem:
+        lead = min(rem, key=_DENSE_KEY)
+        c = rem[lead]
+        if c % dc:
+            raise NonLaurentResult(f"leading coefficient {c} not divisible by {dc}")
+        if any(lead.exponent(v) < floor.get(v, 0) for v in lead.variables()):
+            raise NonLaurentResult(
+                f"remainder term {lead.text()} lies below the dividend's floor"
+            )
+        qm = _sparse_mul(lead, dm.inverse())
+        qc = c // dc
+        quot[qm] = qc
+        for m2, c2 in d.terms():
+            key = _sparse_mul(qm, m2)
+            nc = rem.get(key, 0) - qc * c2
+            if nc:
+                rem[key] = nc
+            else:
+                rem.pop(key, None)
+    return LaurentPoly(quot)
+
+
+def _outcome(f):
+    try:
+        got = f()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return got, str(got), [m.degree for m, _ in got.canonical_terms()]
+
+
+class TestDenseKeys:
+    """Products and quotients on dense keys against the sparse reference."""
+
+    @given(a=polys(ORDER_POOL), b=polys(ORDER_POOL), r=polys(ORDER_POOL))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sparse_reference(self, a, b, r):
+        n = a * b + r
+        for f, g in ((a, b), (n, n)):  # n * n spans wider exponent ranges
+            assert _outcome(lambda: f * g) == _outcome(lambda: _sparse_product(f, g))
+        assume(not b.is_zero())
+        assert _outcome(lambda: n.exact_div(b)) == _outcome(lambda: _scan_div(n, b))
+
+    @pytest.mark.parametrize(
+        "dividend, divisor, message",
+        [
+            (3 * x(1) + 1, LaurentPoly.constant(2), "leading coefficient 3 not divisible by 2"),
+            (x(1) + 1, x(2) + 1, "remainder term x2^-1*x1 lies below the dividend's floor"),
+            (
+                1 + x(3) ** -5,
+                x(1) - x(2),
+                "remainder term x2*x1^-1 lies below the dividend's floor",
+            ),
+        ],
+        ids=["coefficient", "floor", "same-degree-descent"],
+    )
+    def test_refusals_match_sparse_reference(self, dividend, divisor, message):
+        want = (NonLaurentResult, message)
+        assert _outcome(lambda: dividend.exact_div(divisor)) == want
+        assert _outcome(lambda: _scan_div(dividend, divisor)) == want
+
+
 class TestSerialization:
     def test_canonical_text(self):
         assert str(t(2) * t(1) - q(2)) == "t2*t1 - q2"
@@ -247,21 +339,44 @@ class TestSerialization:
         ]
         json.dumps(obj)  # serializable
 
-    @given(a=monomials(ORDER_POOL), b=monomials(ORDER_POOL), c=monomials(ORDER_POOL))
-    def test_term_key_is_the_dense_order(self, a, b, c):
-        want = _dense_cmp(a, b)
-        ka, kb = _term_key(a), _term_key(b)
-        assert (ka > kb) - (ka < kb) == want
+    @given(
+        a=monomials(ORDER_POOL),
+        b=monomials(ORDER_POOL),
+        c=monomials(ORDER_POOL),
+        extra=st.lists(st.sampled_from(EXTRA_POOL), max_size=4),
+    )
+    def test_term_key_is_the_dense_order(self, a, b, c, extra):
         ms = [a, b, c]
-        assert sorted(ms, key=_term_key) == sorted(ms, key=functools.cmp_to_key(_dense_cmp))
-        if want < 0:  # compatible with multiplication
-            assert _term_key(a.mul(c)) < _term_key(b.mul(c))
+        key = _encoder(_frame(ms))
+        want = _dense_cmp(a, b)
+        ka, kb = key(a), key(b)
+        assert (ka > kb) - (ka < kb) == want
+        assert sorted(ms, key=key) == sorted(ms, key=_DENSE_KEY)
+        if want < 0:  # compatible with multiplication, which adds keys
+            assert key(a.mul(c)) == tuple(map(operator.add, ka, key(c)))
+            assert key(a.mul(c)) < key(b.mul(c))
+        # Variables that no monomial carries do not change the order.
+        wide = _encoder(tuple(sorted(set(_frame(ms)) | set(extra))))
+        wa, wb = wide(a), wide(b)
+        assert (wa > wb) - (wa < wb) == want
 
     def test_var_ordering(self):
         assert VarId(Family.X, 2) < VarId(Family.Y, 1)
         assert VarId(Family.Q, 3) < VarId(Family.T, 1)
         assert sorted([tid(2), qid(1), xid(5)]) == [xid(5), qid(1), tid(2)]
         assert repr(tid(2)) == "VarId(t2)" and tid(2).name == "t2"
+
+
+class TestHash:
+    @pytest.mark.parametrize("c", [0, 3, -1, -2, 2**70])
+    def test_constant_hashes_as_its_int(self, c):
+        p = LaurentPoly.constant(c)
+        assert p == c and hash(p) == hash(c)
+        assert c in {p} and p in {c}
+
+    def test_equal_polys_hash_equal(self):
+        assert hash(x(1) + 1) == hash(1 + x(1))
+        assert hash(LaurentPoly.zero()) == hash(0) == hash(x(1) - x(1))
 
 
 class TestPow:
