@@ -11,16 +11,29 @@ leaves it (all its arrows end at the sink): with W its incoming span, A
 that arrow and C the span of the other arrows' images at the sink, the
 subspaces U above W are counted by dim(U meet A^{-1}(C)), which fixes the
 sink's incoming span, through q-binomials.  A multiple arrow there (as in
-the Kronecker quiver) keeps that vertex enumerated.  When the
-transpose-dual of the representation has fewer walk leaves at the prime
-in hand, counting happens there; orthogonal complements carry the counts
-back exactly.
+the Kronecker quiver) keeps that vertex enumerated.
+
+The walk therefore only tallies its leaves by stratum: the dimensions at
+the enumerated vertices plus the few ranks the closed forms need.  The
+closing of a stratum, the number of ways to finish a leaf at the
+closed-form vertices for each dimension vector e, is an integer
+polynomial in q, and the count at p is the sum over strata of tally times
+closing at q = p.  Each module is walked on one side at every prime, itself
+or its transpose-dual, whichever has the smaller stratum degree (see
+below); orthogonal complements carry the counts back exactly.
 
 The Euler characteristic is defined operationally as the counting
-polynomial evaluated at 1.  The polynomial is interpolated through the
-first D+1 admissible primes, with D the ambient product-of-Grassmannians
-dimension bound, and verified against two held-out primes; disagreement
-raises instead of guessing.
+polynomial evaluated at 1.  Only enumerated vertices set the degree: the
+first B+3 admissible primes are sampled, with B the sum over enumerated
+vertices of floor(d/2)*ceil(d/2).  Each stratum's tally is interpolated
+through the first b+1 of them, b the sum of k(d-k) over its dims, and
+checked against all later primes (at least two); the closings then give
+the counting polynomial of every e at once, which is checked against every
+sample.  If any stratum fails, the module falls back to interpolating each
+e alone through the first D+3 primes, D the ambient product-of-Grassmannians
+degree bound.  Disagreement on a held-out prime raises instead of guessing,
+and so does a Kronecker module with a point that is not rational, whose
+counts cannot be a polynomial in p.
 
 Counting at distinct primes or dimension vectors is independent and
 side-effect-free; results aggregate deterministically by (prime, e) key.
@@ -30,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -41,7 +55,7 @@ from .errors import (
     InvalidArgument,
     NonPolynomialCount,
 )
-from .quiver import DimVector, IntRep, Quiver, dual_rep
+from .quiver import DimVector, IntRep, Quiver, _prime_factors, dual_rep
 
 __all__ = [
     "CountProfile",
@@ -203,6 +217,53 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# integer polynomials in q (ascending coefficient tuples)
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _poly_add(acc: list[int], a: Sequence[int], shift: int = 0) -> None:
+    """acc += q^shift * a, in place."""
+    if len(acc) < shift + len(a):
+        acc.extend([0] * (shift + len(a) - len(acc)))
+    for i, x in enumerate(a):
+        acc[shift + i] += x
+
+
+def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
+    out = list(coeffs) or [0]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _q_binomial(n: int, k: int) -> tuple[int, ...]:
+    """The Gaussian binomial [n, k]_q as a polynomial in q."""
+    if k < 0 or k > n:
+        return (0,)
+    if k == 0 or k == n:
+        return (1,)
+    out = list(_q_binomial(n - 1, k - 1))  # [n-1, k-1] + q^k [n-1, k]
+    _poly_add(out, _q_binomial(n - 1, k), k)
+    return tuple(out)
+
+
+def _eval_poly(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # counting
 
 
@@ -228,12 +289,33 @@ def _walk_cost(rep: IntRep, p: int) -> int:
     return cost
 
 
-def _count_box_raw(rep: IntRep, p: int) -> dict[DimVector, int]:
-    """Counts of stable subspace tuples for every dimension vector at once.
+def _walk_degree(rep: IntRep) -> int:
+    """The largest degree in q of a stratum count: the largest
+    Grassmannian dimension k(d-k) summed over the enumerated vertices."""
+    return sum((d // 2) * (d - d // 2) for d in (rep.dim[v] for v in _walk_plan(rep.quiver)[0]))
 
-    Each leaf of the walk fixes subspaces at the enumerated vertices and is
-    tallied by a few ranks; the closed-form vertex and the sink are then
-    counted from those ranks alone.
+
+@functools.lru_cache(maxsize=None)
+def _walk_side(rep: IntRep) -> tuple[IntRep, bool]:
+    """The side walked at every prime, and whether it is the dual: the
+    module or its transpose-dual, whichever has the smaller stratum degree,
+    ties going to the fewer leaves over F_2.  One side per module keeps a
+    stratum's meaning the same at every prime."""
+    dual = dual_rep(rep)
+    if (_walk_degree(dual), _walk_cost(dual, 2)) < (_walk_degree(rep), _walk_cost(rep, 2)):
+        return dual, True
+    return rep, False
+
+
+@functools.lru_cache(maxsize=None)
+def _walk(rep: IntRep, p: int) -> dict[tuple, int]:
+    """Leaf tallies of the walk over F_p, by stratum.
+
+    Each leaf fixes subspaces at the enumerated vertices.  Its stratum is
+    (dims, w, r_w, r_v) when a vertex is counted in closed form ahead of
+    the sink, else (dims, s) with s the rank of the incoming span at the
+    sink; ``dims`` holds the dimensions at the enumerated vertices and 0
+    elsewhere.
     """
     explicit, tail, sink = _walk_plan(rep.quiver)
     in_arrows: dict[int, list[tuple[tuple[tuple[int, ...], ...], int]]] = {
@@ -244,7 +326,7 @@ def _count_box_raw(rep: IntRep, p: int) -> dict[DimVector, int]:
 
     chosen: dict[int, tuple[tuple[int, ...], ...]] = {}
     dims: list[int] = [0] * len(rep.dim)
-    leaves: dict[tuple, int] = {}  # (dims, ranks at the leaf) -> number of leaves
+    leaves: dict[tuple, int] = {}
 
     def images(arrows: list) -> list[tuple[int, ...]]:
         return [img for mat, s in arrows for img in _apply(mat, chosen[s], p)]
@@ -285,56 +367,68 @@ def _count_box_raw(rep: IntRep, p: int) -> dict[DimVector, int]:
         chosen.pop(v, None)
 
     recurse(0)
+    return leaves
 
-    # (dims, dim of the incoming span at the sink) -> number of tuples
-    spans: dict[tuple[DimVector, int], int] = leaves
-    if tail is not None:
+
+@functools.lru_cache(maxsize=None)
+def _closing(
+    dim: DimVector, tail: int | None, sink: int, stratum: tuple
+) -> tuple[tuple[DimVector, tuple[int, ...]], ...]:
+    """For one leaf of the stratum, the number of stable choices at the
+    closed-form vertex and the sink, by dimension vector e, as polynomials
+    in q."""
+    if tail is None:
+        spans = {stratum: [1]}
+    else:
         # A U between W and V_tail with k' = dim U/W (kk below) gives the
         # sink span C + AU of dim r_w + k' - j, where j = dim(U/W meet K')
         # for K' = (A^{-1}(C) + W)/W, of dim m = n - (r_v - r_w) inside
         # V_tail/W of dim n.  q^{(k'-j)(m-j)} [m, j]_q [n-m, k'-j]_q of the
         # U have a given j.
+        key, w, r_w, r_v = stratum
+        n = dim[tail] - w
+        m = n - (r_v - r_w)
         spans = {}
-        for (key, w, r_w, r_v), mult in leaves.items():
-            n = rep.dim[tail] - w
-            m = n - (r_v - r_w)
-            cur = list(key)
-            for kk in range(n + 1):
-                cur[tail] = w + kk
-                for j in range(max(0, kk - (n - m)), min(kk, m) + 1):
-                    ways = (
-                        p ** ((kk - j) * (m - j))
-                        * gaussian_binomial(m, j, p)
-                        * gaussian_binomial(n - m, kk - j, p)
-                    )
-                    span_key = (tuple(cur), r_w + kk - j)
-                    spans[span_key] = spans.get(span_key, 0) + mult * ways
-
-    counts: dict[DimVector, int] = {}
-    d_sink = rep.dim[sink]
-    for (key, s), mult in spans.items():
         cur = list(key)
-        for k in range(s, d_sink + 1):
+        for kk in range(n + 1):
+            cur[tail] = w + kk
+            for j in range(max(0, kk - (n - m)), min(kk, m) + 1):
+                ways = _poly_mul(_q_binomial(m, j), _q_binomial(n - m, kk - j))
+                span = spans.setdefault((tuple(cur), r_w + kk - j), [])
+                _poly_add(span, ways, (kk - j) * (m - j))
+    out: dict[DimVector, list[int]] = {}
+    for (key, s), ways in spans.items():
+        cur = list(key)
+        for k in range(s, dim[sink] + 1):
             cur[sink] = k
-            e = tuple(cur)
-            counts[e] = counts.get(e, 0) + mult * gaussian_binomial(d_sink - s, k - s, p)
+            sink_ways = _q_binomial(dim[sink] - s, k - s)
+            _poly_add(out.setdefault(tuple(cur), []), _poly_mul(ways, sink_ways))
+    return tuple((e, tuple(poly)) for e, poly in out.items())
+
+
+def _count_side(rep: IntRep, p: int) -> dict[DimVector, int]:
+    """Counts of stable subspace tuples for every dimension vector at once,
+    walked on this side: each stratum's tally times its closing at q = p."""
+    _, tail, sink = _walk_plan(rep.quiver)
+    counts: dict[DimVector, int] = {}
+    for stratum, mult in _walk(rep, p).items():
+        for e, ways in _closing(rep.dim, tail, sink, stratum):
+            counts[e] = counts.get(e, 0) + mult * _eval_poly(ways, p)
     return counts
+
+
+def _flip(dim: DimVector, dual: bool, e: DimVector) -> DimVector:
+    """A dimension vector on the walked side, read on the module's side:
+    orthogonal complements carry sub-dimension e of the dual to dim - e."""
+    return tuple(t - x for t, x in zip(dim, e)) if dual else e
 
 
 @functools.lru_cache(maxsize=None)
 def _count_box(rep: IntRep, p: int) -> dict[DimVector, int]:
     if p in rep.excluded_primes():
         raise ExcludedPrime(f"prime {p} is excluded for {rep.label or 'this module'}")
-    dual = dual_rep(rep)
-    if _walk_cost(dual, p) < _walk_cost(rep, p):
-        raw = _count_box_raw(dual, p)
-        total = rep.dim
-        flipped: dict[DimVector, int] = {}
-        for e, c in raw.items():
-            comp = tuple(t - x for t, x in zip(total, e))
-            flipped[comp] = c
-        return flipped
-    return _count_box_raw(rep, p)
+    walked, dual = _walk_side(rep)
+    return {_flip(rep.dim, dual, e): c for e, c in _count_side(walked, p).items()}
 
 
 def _check_e(rep: IntRep, e: Sequence[int]) -> DimVector:
@@ -351,6 +445,123 @@ def count_subreps(rep: IntRep, e: Sequence[int], p: int) -> int:
     e = _check_e(rep, e)
     box = _count_box(rep, p)
     return box.get(e, 0)
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker spectrum
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            sign = -sign
+        for r in range(c + 1, n):
+            for k in range(c + 1, n):
+                a[r][k] = (a[r][k] * a[c][c] - a[r][c] * a[c][k]) // prev
+        prev = a[c][c]
+    return sign * (a[n - 1][n - 1] if n else 1)
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = [1]
+    for p in _prime_factors(n):
+        k = 0
+        while n % p ** (k + 1) == 0:
+            k += 1
+        out = [d * p**i for d in out for i in range(k + 1)]
+    return out
+
+
+def _without_rational_roots(coeffs: Sequence[int]) -> tuple[int, ...]:
+    """The integer polynomial divided by a linear factor s*t - r for every
+    rational root r/s, with multiplicity (rational-root test)."""
+    c = list(_trim(coeffs))
+    while len(c) > 1:
+        if c[0] == 0:
+            c.pop(0)
+            continue
+        deg = len(c) - 1
+        root = next(
+            (
+                (r, s)
+                for s in _divisors(c[-1])
+                for a in _divisors(c[0])
+                for r in (a, -a)
+                if math.gcd(r, s) == 1
+                and sum(ci * r**i * s ** (deg - i) for i, ci in enumerate(c)) == 0
+            ),
+            None,
+        )
+        if root is None:
+            break
+        r, s = root
+        quotient = [0] * deg  # c = (s t - r) * quotient, from the top down
+        rest = c[:]
+        for i in range(deg, 0, -1):
+            quotient[i - 1] = rest[i] // s
+            rest[i - 1] += r * quotient[i - 1]
+        c = quotient
+    return tuple(c)
+
+
+def _form_text(coeffs: Sequence[int]) -> str:
+    """The binary form sum c_i lambda^i mu^(deg-i), highest power of
+    lambda first."""
+    deg = len(coeffs) - 1
+    out = ""
+    for i in range(deg, -1, -1):
+        c = coeffs[i]
+        if not c:
+            continue
+        powers = [f"{v}^{k}" if k > 1 else v for v, k in (("lambda", i), ("mu", deg - i)) if k]
+        body = "*".join(([str(abs(c))] if abs(c) != 1 or not powers else []) + powers)
+        sign = ("-" if c < 0 else "") if not out else (" - " if c < 0 else " + ")
+        out += sign + body
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _check_spectrum(rep: IntRep) -> None:
+    """Refuse a Kronecker module of dimension (n, n) whose spectrum has a
+    point that is not rational.  A Kronecker module here is one supported
+    on two vertices joined by two parallel arrows.
+
+    With arrow matrices A and B and det(mu B - lambda A) not identically 0,
+    the points of the module are the roots of that binary form.  A factor
+    of degree 2 or more without rational roots splits differently mod
+    different primes, so the counts are not a polynomial in p.
+    """
+    inner = [
+        (arrow, mat)
+        for arrow, mat in zip(rep.quiver.arrow_indices(), rep.matrices)
+        if rep.dim[arrow[0]] and rep.dim[arrow[1]]
+    ]
+    support = [d for d in rep.dim if d]
+    if len(support) != 2 or len(inner) != 2 or inner[0][0] != inner[1][0]:
+        return
+    if support[0] != support[1]:
+        return
+    (_, a), (_, b) = inner
+    # det(B - tA) at t = 0..n, interpolated: the form at mu = 1
+    form = _newton_coefficients([
+        (t, _det([[y - t * x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]))
+        for t in range(support[0] + 1)
+    ])
+    rest = _without_rational_roots(form)
+    if len(rest) > 2:
+        raise NonPolynomialCount(
+            f"det(mu*B - lambda*A) has the factor {_form_text(rest)} with no "
+            f"rational root: the module has a point that is not rational, so "
+            f"its counts are not a polynomial in p"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +591,24 @@ def _newton_coefficients(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     for k in range(len(xs) - 1, -1, -1):  # Horner on the Newton form
         out = [a - xs[k] * b for a, b in zip([0] + out, out + [0])]
         out[0] += dd[k]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return _trim(out)
 
 
-def _eval_poly(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _interpolate(points: Sequence[tuple[int, int]], bound: int, what: str) -> tuple[int, ...]:
+    """The interpolant of degree at most ``bound`` through the first
+    bound + 1 points, checked against every later (held-out) point."""
+    try:
+        coeffs = _newton_coefficients(points[: bound + 1])
+    except NonPolynomialCount as exc:
+        raise NonPolynomialCount(f"{what}: {exc}") from None
+    checked = [(p, c, _eval_poly(coeffs, p)) for p, c in points[bound + 1 :]]
+    bad = [(p, c, v) for p, c, v in checked if v != c]
+    if bad:
+        raise NonPolynomialCount(
+            f"held-out primes {[p for p, _, _ in bad]} disagree for {what}: "
+            f"counts {[c for _, c, _ in bad]} vs interpolant {[v for _, _, v in bad]}"
+        )
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -422,19 +641,52 @@ def profile(rep: IntRep, e: DimVector) -> CountProfile:
     return _profile_with(rep, _check_e(rep, e), default_primes())
 
 
+def _primes(rep: IntRep, base: tuple[int, ...], bound: int) -> list[int]:
+    """Interpolation nodes for degree ``bound`` plus two held-out primes."""
+    return list(itertools.islice(admissible_primes(rep, base), bound + 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _box_polynomials(rep: IntRep, base: tuple[int, ...]) -> dict[DimVector, tuple[int, ...]]:
+    """The counting polynomial of every e in the box, from the strata.
+
+    Each stratum's tally is interpolated with the degree bound of its own
+    dims; every later prime is held out.  Its closing polynomials then give
+    each e's share.  The walks were done (and cached) by count_subreps.
+    """
+    walked, dual = _walk_side(rep)
+    explicit, tail, sink = _walk_plan(walked.quiver)
+    primes = _primes(rep, base, _walk_degree(walked))
+    tallies = [_walk(walked, p) for p in primes]
+    totals: dict[DimVector, list[int]] = {}
+    for stratum in sorted(set().union(*tallies)):
+        dims = stratum[0]
+        bound = sum(dims[v] * (walked.dim[v] - dims[v]) for v in explicit)
+        points = [(p, t.get(stratum, 0)) for p, t in zip(primes, tallies)]
+        count = _interpolate(points, bound, f"stratum {stratum}")
+        for e, ways in _closing(walked.dim, tail, sink, stratum):
+            _poly_add(totals.setdefault(_flip(rep.dim, dual, e), []), _poly_mul(count, ways))
+    return {e: _trim(poly) for e, poly in totals.items()}
+
+
+def _per_e_profile(rep: IntRep, e: DimVector, base: tuple[int, ...]) -> CountProfile:
+    """The fallback: interpolate e's count alone, through the first primes
+    of the ambient product-of-Grassmannians degree bound."""
+    bound = _ambient_degree_bound(rep, e)
+    samples = tuple((p, count_subreps(rep, e, p)) for p in _primes(rep, base, bound))
+    coeffs = _interpolate(samples, bound, f"e={e}")
+    return CountProfile(rep, e, samples, coeffs, _eval_poly(coeffs, 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _profile_with(rep: IntRep, e: DimVector, base: tuple[int, ...]) -> CountProfile:
-    bound = _ambient_degree_bound(rep, e)
-    needed = bound + 3  # interpolation nodes plus two held-out checks
-    primes = list(itertools.islice(admissible_primes(rep, base), needed))
+    _check_spectrum(rep)
+    primes = _primes(rep, base, _walk_degree(_walk_side(rep)[0]))
     samples = tuple((p, count_subreps(rep, e, p)) for p in primes)
-    coeffs = _newton_coefficients(samples[: bound + 1])
-    for p, c in samples[bound + 1 :]:
-        if _eval_poly(coeffs, p) != c:
-            raise NonPolynomialCount(
-                f"held-out prime {p} disagrees for e={e}: "
-                f"count {c} vs interpolant {_eval_poly(coeffs, p)}"
-            )
+    try:
+        coeffs = _box_polynomials(rep, base).get(e, (0,))
+    except NonPolynomialCount:
+        return _per_e_profile(rep, e, base)
     return CountProfile(rep, e, samples, coeffs, _eval_poly(coeffs, 1))
 
 

@@ -410,15 +410,6 @@ class ModuleFamily:
         if self.family == AFFINE_A21_TUBE and self.index not in (1, 2):
             raise InvalidParams("tube index must be 1 or 2 on the rank-2 tube")
 
-    @property
-    def tube_rank(self) -> int | None:
-        """Rank of the tube the family lives on; None off the tubes."""
-        if self.family in (KRONECKER_HOMOGENEOUS, AFFINE_A21_HOMOGENEOUS):
-            return 1
-        if self.family == AFFINE_A21_TUBE:
-            return 2
-        return None
-
     def describe(self) -> str:
         if self.family == KRONECKER_HOMOGENEOUS:
             return f"kronecker_homogeneous(n={self.n}, point={self.point})"

@@ -144,6 +144,23 @@ class TestGrass:
         payload = json.loads(out)
         assert payload["samples"][0] == [5, 6]
 
+    @pytest.mark.parametrize(
+        "matrices, factor",
+        [
+            ('{"0": [[1, 0], [0, 1]], "1": [[0, -190], [1, 0]]}', "lambda^2 + 190*mu^2"),
+            (
+                '{"0": [[-1, 2], [0, -3]], "1": [[-2, 1], [1, -1]]}',
+                "3*lambda^2 - 5*lambda*mu + mu^2",
+            ),
+        ],
+    )
+    def test_irrational_kronecker_point_exit_two(self, capsys, matrices, factor):
+        mod = '{"dim": {"1": 2, "2": 2}, "matrices": %s}' % matrices
+        for argv in (("grass", "--e", "1,1"), ("char", "--coefficient-free")):
+            code, out, err = run_cli(capsys, *argv, "--quiver", "kronecker", "--module", mod)
+            assert code == 2 and out == ""
+            assert err.startswith("error: NonPolynomialCount:") and factor in err
+
     def test_out_of_range_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "grass", "--module", MODULE_QUASI, "--e", "3,0")
         assert code == 2

@@ -4,10 +4,11 @@ none of the production walk's shortcuts (no pruning, no closed-form sink,
 no dual switch)."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clusterchar import grassmannian as gr
@@ -93,7 +94,7 @@ class TestAgainstNaiveOracle:
 
 def assert_box_matches_oracle(rep, p):
     """The walk itself (no dual switch) against the oracle on every e."""
-    box = gr._count_box_raw(rep, p)
+    box = gr._count_side(rep, p)
     for e in itertools.product(*[range(d + 1) for d in rep.dim]):
         assert box.get(e, 0) == naive_count(rep, e, p), (rep.label, e, p)
 
@@ -154,6 +155,149 @@ class TestClosedFormVertex:
         assert gr._walk_cost(rep, 3) == 1 + 4 + 1
         assert gr._walk_cost(rep, 5) == 1 + 6 + 1
         assert gr._walk_cost(catalog_module(preinjective(1)), 2) == 1 + 1
+
+
+def _spectrum_ok(rep):
+    try:
+        gr._check_spectrum(rep)
+    except NonPolynomialCount:
+        return False
+    return True
+
+
+# An affineA2 module whose counting polynomials exist for every e while the
+# stratum ((1, 0, 0), 0, 1, 1) has no polynomial tally.
+NON_POLYNOMIAL_STRATUM = IntRep(
+    affine_a2_quiver(), (2, 1, 2), (((-1, -1),), ((1,), (2,)), ((-1, -2), (1, 1)))
+)
+
+
+class TestStratifiedInterpolation:
+    @pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_e_path(self, name, data):
+        rep = data.draw(explicit_modules(WALK_QUIVERS[name][0]))
+        assume(_spectrum_ok(rep))
+        base = gr.default_primes()
+        for e in itertools.product(*[range(d + 1) for d in rep.dim]):
+            try:
+                old = gr._per_e_profile(rep, e, base)
+            except NonPolynomialCount:
+                continue
+            new = gr._profile_with(rep, e, base)
+            assert (new.coefficients, new.chi) == (old.coefficients, old.chi), e
+            try:
+                box = gr._box_polynomials(rep, base)
+            except NonPolynomialCount:
+                continue
+            assert box.get(e, (0,)) == old.coefficients, e
+
+    def test_catalog_samples_fewer_primes(self):
+        rep = catalog_module(homogeneous(3, 1))
+        walked, dual = gr._walk_side(rep)
+        assert not dual and gr._walk_degree(walked) == 2
+        prof = gr.profile(rep, (1, 2))
+        assert [p for p, _ in prof.samples] == [2, 3, 5, 7, 11]
+        assert prof.coefficients == gr._per_e_profile(rep, (1, 2), gr.default_primes()).coefficients
+
+    def test_walks_the_side_of_smaller_degree(self):
+        walked, dual = gr._walk_side(catalog_module(preprojective(4)))  # dim (5, 4)
+        assert dual and gr._walk_degree(walked) == 4
+
+    def test_non_polynomial_stratum_falls_back(self):
+        rep = NON_POLYNOMIAL_STRATUM
+        base = gr.default_primes()
+        stratum = re.escape("held-out primes [5, 7] disagree for stratum ((1, 0, 0), 0, 1, 1)")
+        with pytest.raises(NonPolynomialCount, match=stratum):
+            gr._box_polynomials(rep, base)
+        for e, prof in gr.box_profiles(rep).items():
+            assert prof == gr._per_e_profile(rep, e, base)
+            assert len(prof.samples) == gr._ambient_degree_bound(rep, e) + 3
+
+    def test_failing_stratum_interpolation_falls_back(self, monkeypatch):
+        rep = catalog_module(a21_tube(1, 3))
+        base = gr.default_primes()
+        interpolate = gr._interpolate
+
+        def refuse_strata(points, bound, what):
+            if what.startswith("stratum"):
+                raise NonPolynomialCount(f"refused {what}")
+            return interpolate(points, bound, what)
+
+        gr._box_polynomials.cache_clear()
+        gr._profile_with.cache_clear()
+        monkeypatch.setattr(gr, "_interpolate", refuse_strata)
+        try:
+            for e, prof in gr.box_profiles(rep).items():
+                assert prof == gr._per_e_profile(rep, e, base)
+        finally:
+            gr._box_polynomials.cache_clear()
+            gr._profile_with.cache_clear()
+
+    def test_held_out_error_names_every_prime(self):
+        points = [(2, 1), (3, 1), (5, 2), (7, 1), (11, 3)]
+        message = "held-out primes [5, 11] disagree for e=(1, 1): counts [2, 3] vs interpolant [1, 1]"
+        with pytest.raises(NonPolynomialCount, match=re.escape(message)):
+            gr._interpolate(points, 1, "e=(1, 1)")
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_q_binomial_matches_gaussian_binomial(self, p):
+        for n in range(7):
+            for k in range(-1, n + 2):
+                got = gr._eval_poly(gr._q_binomial(n, k), p)
+                assert got == gr.gaussian_binomial(n, k, p), (n, k)
+
+
+def _kronecker(a, b):
+    n = len(a)
+    return IntRep(kronecker_quiver(), (n, n), (a, b))
+
+
+class TestKroneckerSpectrum:
+    @pytest.mark.parametrize(
+        "a, b, factor",
+        [
+            (((1, 0), (0, 1)), ((0, -190), (1, 0)), "lambda^2 + 190*mu^2"),
+            (((-1, 2), (0, -3)), ((-2, 1), (1, -1)), "3*lambda^2 - 5*lambda*mu + mu^2"),
+        ],
+    )
+    def test_irrational_point_is_refused(self, a, b, factor):
+        rep = _kronecker(a, b)
+        with pytest.raises(NonPolynomialCount, match=re.escape(factor)):
+            gr.profile(rep, (1, 1))
+        with pytest.raises(NonPolynomialCount):
+            gr.profile(rep, (0, 0))
+
+    def test_counts_are_not_polynomial_there(self):
+        # lambda^2 + 190 has two roots mod p exactly when -190 is a square:
+        # not mod any admissible prime below 29, so every small sample is 0
+        rep = _kronecker(((1, 0), (0, 1)), ((0, -190), (1, 0)))
+        counts = {p: gr.count_subreps(rep, (1, 1), p) for p in (3, 23, 29, 31, 43)}
+        assert counts == {3: 0, 23: 0, 29: 2, 31: 0, 43: 2}
+
+    def test_kronecker_supported_on_two_vertices_is_refused(self):
+        quiver = WALK_QUIVERS["double-arrow"][0]
+        rep = IntRep(quiver, (0, 2, 2), (((), ()), ((1, 0), (0, 1)), ((0, -2), (1, 0))))
+        with pytest.raises(NonPolynomialCount, match=re.escape("lambda^2 + 2*mu^2")):
+            gr.profile(rep, (0, 1, 1))
+
+    @pytest.mark.parametrize(
+        "b", [((3, 1), (0, 5)), ((1, 2), (0, 1)), ((0, 2), (0, 0)), ((0, 0), (0, 0))]
+    )
+    def test_rational_points_pass(self, b):
+        gr._check_spectrum(_kronecker(((1, 0), (0, 1)), b))
+
+    def test_catalog_passes(self):
+        for fam in desk_affine_catalog():
+            gr._check_spectrum(catalog_module(fam))
+
+    def test_rational_roots_are_divided_out(self):
+        # (t - 1)(2t + 3)(t^2 + 2) t
+        poly = (0, -6, 2, 1, 1, 2)
+        assert gr._without_rational_roots(poly) == (2, 0, 1)
+        assert gr._without_rational_roots((-6, 1, 1)) == (1,)  # (t + 3)(t - 2)
+        assert gr._without_rational_roots((0, 0)) == (0,)
 
 
 class TestCountExamples:
