@@ -13,14 +13,18 @@ monomial, factors appear in descending variable order, e.g. ``t2*t1 - q2``.
 ``VarId`` is a named tuple (family, index), so variables hash, compare and
 order as plain tuples.  Sorting, multiplication and exact division work in a
 *frame*: the sorted variables v_1 < ... < v_n that occur in the operands.
-In a frame a monomial is the dense key ``(-degree, -e_1, ..., -e_n)``, and
-plain tuple order on keys is the canonical order above: the lexicographic
-order of the dense exponent vectors, graded by degree.  Variables a monomial
-lacks sit at 0, so a larger frame orders the same.  A product of monomials is
-the elementwise sum of their keys, a quotient the difference; exact division
-takes the leading remainder term from a heap of these keys.  Multiplication
-needs no order, only sums: it packs each exponent vector into one integer,
-with a bit field per variable wide enough for every product, and adds those.
+In a frame a monomial packs into one integer key, the dense vector
+``(-degree, -e_1, ..., -e_n)`` written as balanced signed digits in bit
+fields, the degree most significant.  Integer order on keys is the
+canonical order above: the lexicographic order of the dense exponent
+vectors, graded by degree.  Variables a monomial lacks sit at 0, so a larger
+frame orders the same.  A product of monomials is the sum of their keys, a
+quotient the difference, as long as every exponent involved fits the field
+width; each operation derives that width from a bound on its own exponents.
+Multiplication adds keys; exact division takes the leading remainder term
+from a heap of them, its fields holding digits up to 2n(a + d) for n frame
+variables and largest |exponent| a and d of dividend and divisor (proved in
+``LaurentPoly.exact_div``).
 
 Values are immutable after construction and safe to share between
 concurrent tasks; all operations are pure functions.
@@ -31,7 +35,6 @@ from __future__ import annotations
 import heapq
 from enum import IntEnum
 from itertools import chain
-from operator import add, gt, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import NonInvertibleImage, NonLaurentResult
@@ -180,58 +183,56 @@ def _frame(monomials: Iterable[Monomial]) -> tuple[VarId, ...]:
     return tuple(sorted({v for m in monomials for v, _ in m._exps}))
 
 
-def _encoder(frame: Sequence[VarId]):
-    """The map from a monomial over the frame's variables to its dense key
-    ``(-degree, -e_1, ..., -e_n)``; keys sort in the canonical order."""
-    pos = {v: i for i, v in enumerate(frame, 1)}
-    width = len(frame) + 1
-
-    def encode(m: Monomial) -> tuple[int, ...]:
-        key = [0] * width
-        key[0] = -m._degree
-        for v, e in m._exps:
-            key[pos[v]] = -e
-        return tuple(key)
-
-    return encode
+def _max_exponent(monomials: Iterable[Monomial]) -> int:
+    """The largest |exponent| in the monomials (0 if there is none)."""
+    return max((abs(e) for m in monomials for _, e in m._exps), default=0)
 
 
-def _decode(key: tuple[int, ...], frame: Sequence[VarId]) -> Monomial:
-    """The monomial whose dense key in the frame is ``key``."""
-    return Monomial._of(tuple((v, -k) for v, k in zip(frame, key[1:]) if k), -key[0])
+def _packing(frame: Sequence[VarId], bound: int):
+    """Order-preserving packed keys over the frame's variables v_1 < ... < v_n.
 
+    A monomial packs into one integer with n fields of ``bits`` bits under a
+    top field: the top holds ``-degree``, the field of v_i holds ``-e_i``, v_1
+    the most significant.  A field holds a balanced signed digit, so keys add
+    like exponent vectors.  When every exponent lies in [-bound, bound],
+    ``2**(bits - 1) > 2 * bound`` makes the fields read back one-to-one and
+    integer order equal to the canonical order (the top field has no bound):
+    the first differing field outweighs every field below it.
 
-def _packer(a: dict[Monomial, int], b: dict[Monomial, int]):
-    """Pack and unpack for the products of monomials from ``a`` and ``b``.
-
-    A monomial packs into the integer ``sum e_v << s_v``, one bit field per
-    frame variable.  Every product exponent lies in [-bound, bound] and each
-    field is wide enough for 2 * bound, so the packing is additive and
-    one-to-one on products.
+    Returns ``pack``, ``unpack`` and ``guards``, the top bit of every field.
+    For a floor monomial f, field i of ``guards + pack(f) - key`` holds
+    ``2**(bits - 1) + e_i - f_i``, which lies in [0, 2**bits) as both
+    exponents lie in [-bound, bound].  So ``(guards + pack(f) - key) & guards``
+    keeps the guard of field i exactly when e_i >= f_i: one subtraction
+    tests every field.
     """
-    frame = _frame(chain(a, b))
-    bound = sum(max((abs(e) for m in t for _, e in m._exps), default=0) for t in (a, b))
-    bits = (2 * bound).bit_length()
+    bits = (2 * bound).bit_length() + 1
+    top = bits * len(frame)
+    shift = {v: top - bits * i for i, v in enumerate(frame, 1)}
+    ones = ((1 << top) - 1) // ((1 << bits) - 1)  # a 1 in every field
+    bias = bound * ones
+    guards = ones << (bits - 1)
     mask = (1 << bits) - 1
-    shift = {v: i * bits for i, v in enumerate(frame)}
-    bias = sum(bound << s for s in shift.values())
+    tail = frame[::-1]
 
     def pack(m: Monomial) -> int:
-        return sum(e << shift[v] for v, e in m._exps)
+        k = m._degree << top
+        for v, e in m._exps:
+            k += e << shift[v]
+        return -k
 
     def unpack(k: int) -> Monomial:
-        k += bias  # every field now holds e_v + bound >= 0
+        k = bias - k  # fields e_i + bound >= 0 under the degree
         exps = []
-        degree = 0
-        for v in frame:
+        for v in tail:
             e = (k & mask) - bound
             k >>= bits
             if e:
                 exps.append((v, e))
-                degree += e
-        return Monomial._of(tuple(exps), degree)
+        exps.reverse()
+        return Monomial._of(tuple(exps), k)
 
-    return pack, unpack
+    return pack, unpack, guards
 
 
 def _drop_zeros(acc: dict[Monomial, int]) -> dict[Monomial, int]:
@@ -303,8 +304,11 @@ class LaurentPoly:
         return iter(self._terms.items())
 
     def canonical_terms(self) -> list[tuple[Monomial, int]]:
-        encode = _encoder(_frame(self._terms))
-        return sorted(self._terms.items(), key=lambda mc: encode(mc[0]))
+        terms = self._terms
+        if len(terms) < 2:
+            return list(terms.items())
+        pack = _packing(_frame(terms), _max_exponent(terms))[0]
+        return [(m, terms[m]) for m in sorted(terms, key=pack)]
 
     def single_term(self) -> tuple[Monomial, int] | None:
         """The (monomial, coefficient) pair if this has exactly one term."""
@@ -365,7 +369,8 @@ class LaurentPoly:
         if len(a) == 1:
             ((ma, ca),) = a.items()
             return LaurentPoly._of({ma.mul(mb): ca * cb for mb, cb in b.items()})
-        pack, unpack = _packer(a, b)
+        # Every product exponent lies within the sum of the factors' bounds.
+        pack, unpack, _ = _packing(_frame(chain(a, b)), _max_exponent(a) + _max_exponent(b))
         eb = [(pack(mb), cb) for mb, cb in b.items()]
         acc: dict[int, int] = {}
         for ma, ca in a.items():
@@ -541,24 +546,40 @@ class LaurentPoly:
         coefficient, proves a remainder.  Above ``floor / d`` each degree
         holds finitely many monomials and degrees are bounded below, so the
         descent ends.
+
+        Keys are packed over the n frame variables with the field bound
+        M = 2n(a + d), a and d the largest |exponent| of the dividend and
+        of the divisor.  Each remainder term sorts at or after the
+        dividend's leading term, so a lead r has deg r <= n*a; if r passes
+        the floor check, every e_i(r) >= -a, so deg r >= -n*a and
+        e_i(r) = deg r - sum_{j != i} e_j(r) <= (2n - 1)*a.  A quotient term
+        r / d then has |e_i| <= (2n - 1)*a + d, and a product of it with a
+        divisor term |e_i| <= (2n - 1)*a + 2d <= M.  Every key formed, the
+        dividend's, the divisor's, quotients and products, lies within M,
+        the lead that fails the floor check included.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return _ZERO
-        # Work on dense keys in the frame of both operands.  The remainder is
+        # Work on packed keys in the frame of both operands.  The remainder is
         # a key -> coefficient map with a heap of its keys; a key that cancels
         # leaves the map, and its heap entry is skipped when popped.  Every
         # product qk + d sorts after the lead it was made from, so a popped
         # key never returns.
         frame = _frame(chain(self._terms, divisor._terms))
-        encode = _encoder(frame)
-        dterms = sorted((encode(m), c) for m, c in divisor._terms.items())
+        bound = 2 * len(frame) * (_max_exponent(self._terms) + _max_exponent(divisor._terms))
+        pack, unpack, guards = _packing(frame, bound)
+        dterms = sorted((pack(m), c) for m, c in divisor._terms.items())
         (dk, dc), rest = dterms[0], dterms[1:]
-        rem = {encode(m): c for m, c in self._terms.items()}
-        # The floor min(m_a, 1) as a dense key bound: -e_i <= ceil[i].
-        ceil = [max(0, *col) for col in list(zip(*rem))[1:]]
+        rem = {pack(m): c for m, c in self._terms.items()}
+        floor: dict[VarId, int] = {}
+        for m in self._terms:
+            for v, e in m._exps:
+                if e < floor.get(v, 0):
+                    floor[v] = e
+        gate = guards + pack(Monomial(floor))
         heap = list(rem)
         heapq.heapify(heap)
         quot: dict[Monomial, int] = {}
@@ -571,15 +592,15 @@ class LaurentPoly:
                 raise NonLaurentResult(
                     f"leading coefficient {c} not divisible by {dc}"
                 )
-            if any(map(gt, lead[1:], ceil)):
+            if (gate - lead) & guards != guards:
                 raise NonLaurentResult(
-                    f"remainder term {_decode(lead, frame).text()} lies below the dividend's floor"
+                    f"remainder term {unpack(lead).text()} lies below the dividend's floor"
                 )
-            qk = tuple(map(sub, lead, dk))
+            qk = lead - dk
             qc = c // dc
-            quot[_decode(qk, frame)] = qc
+            quot[unpack(qk)] = qc
             for k2, c2 in rest:
-                key = tuple(map(add, qk, k2))
+                key = qk + k2
                 nc = rem.get(key, 0) - qc * c2
                 if nc:
                     if key not in rem:

@@ -3,7 +3,7 @@ import json
 import operator
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clusterchar.errors import NonInvertibleImage, NonLaurentResult
@@ -12,8 +12,9 @@ from clusterchar.laurent import (
     LaurentPoly,
     Monomial,
     VarId,
-    _encoder,
     _frame,
+    _max_exponent,
+    _packing,
     q,
     qid,
     t,
@@ -29,6 +30,7 @@ from clusterchar.laurent import (
 )
 
 VAR_POOL = [xid(1), xid(2), yid(1), yid(2), tid(1), qid(2)]
+WIDE_POOL = [xid(1), xid(2), xid(3), yid(1), yid(2), qid(1), tid(1), uid(1)]
 ORDER_POOL = VAR_POOL + [xid(3), qid(1), uid(1), zid(1)]
 EXTRA_POOL = ORDER_POOL + [xid(4), yid(3), tid(3), zid(2)]
 
@@ -47,6 +49,24 @@ def polys(draw, pool=VAR_POOL):
     ms = draw(st.lists(monomials(pool), min_size=n, max_size=n))
     cs = draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=n, max_size=n))
     return LaurentPoly(list(zip(ms, cs)))
+
+
+@st.composite
+def wide_polys(draw, max_terms):
+    """Polynomials over up to 8 variables with exponents in -40..40."""
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        vs = draw(st.lists(st.sampled_from(WIDE_POOL), max_size=len(WIDE_POOL), unique=True))
+        es = draw(st.lists(st.integers(-40, 40), min_size=len(vs), max_size=len(vs)))
+        terms.append((Monomial(dict(zip(vs, es))), draw(st.integers(-5, 5))))
+    return LaurentPoly(terms)
+
+
+def _corner(sign):
+    """A monomial in every WIDE_POOL variable with exponents +-40."""
+    return LaurentPoly.from_monomial(
+        Monomial({v: sign * (40 if i % 2 else -40) for i, v in enumerate(WIDE_POOL)})
+    )
 
 
 @st.composite
@@ -242,9 +262,11 @@ def _sparse_product(a, b):
     )
 
 
-def _scan_div(a, d):
+def _scan_div(a, d, trace=None):
     """Long division that scans the whole remainder for its leading term,
-    with the coefficient and floor refusals of ``LaurentPoly.exact_div``."""
+    with the coefficient and floor refusals of ``LaurentPoly.exact_div``.
+    A ``trace`` list receives every lead that passes both checks as
+    ("lead", m) and every quotient and product monomial as ("formed", m)."""
     dm = min((m for m, _ in d.terms()), key=_DENSE_KEY)
     dc = dict(d.terms())[dm]
     floor = {}
@@ -265,8 +287,13 @@ def _scan_div(a, d):
         qm = _sparse_mul(lead, dm.inverse())
         qc = c // dc
         quot[qm] = qc
+        if trace is not None:
+            trace.append(("lead", lead))
+            trace.append(("formed", qm))
         for m2, c2 in d.terms():
             key = _sparse_mul(qm, m2)
+            if trace is not None:
+                trace.append(("formed", key))
             nc = rem.get(key, 0) - qc * c2
             if nc:
                 rem[key] = nc
@@ -294,6 +321,47 @@ class TestDenseKeys:
             assert _outcome(lambda: f * g) == _outcome(lambda: _sparse_product(f, g))
         assume(not b.is_zero())
         assert _outcome(lambda: n.exact_div(b)) == _outcome(lambda: _scan_div(n, b))
+
+    @given(bound=st.integers(0, 40), data=st.data())
+    def test_packing_at_its_bound(self, bound, data):
+        """The packing contract at the edge of its field bound: round trip,
+        the canonical order, and the one-subtraction floor test."""
+        row = st.lists(st.integers(-bound, bound), min_size=len(WIDE_POOL), max_size=len(WIDE_POOL))
+        a, b, f = (Monomial(dict(zip(WIDE_POOL, data.draw(row)))) for _ in range(3))
+        pack, unpack, guards = _packing(tuple(WIDE_POOL), bound)
+        ka, kb = pack(a), pack(b)
+        assert unpack(ka) == a and unpack(ka).degree == a.degree
+        assert (ka > kb) - (ka < kb) == _dense_cmp(a, b)
+        below = Monomial({v: min(a.exponent(v), f.exponent(v)) for v in WIDE_POOL})
+        for floor in (f, below):
+            above = all(a.exponent(v) >= floor.exponent(v) for v in WIDE_POOL)
+            assert ((guards + pack(floor) - ka) & guards == guards) == above
+
+    @given(a=wide_polys(3), b=wide_polys(3), r=wide_polys(2))
+    @example(a=_corner(1) + 3, b=_corner(-1) - 2, r=LaurentPoly.zero())  # exact
+    @example(a=_corner(1), b=x(1) - x(2), r=x(3) ** -40)  # floor refusal
+    @example(a=_corner(1), b=2 * _corner(-1) + 1, r=_corner(1))  # coefficient refusal
+    @settings(max_examples=80, deadline=None)
+    def test_wide_exponents_match_sparse_reference(self, a, b, r):
+        """Up to 8 frame variables, exponents up to 40 in magnitude: the
+        packed division agrees with the reference, refusals included, and
+        every monomial the reference forms lies within the field bound
+        M = 2n(a + d) that the packed keys are sized by (the packing itself
+        is checked at its bound by ``test_packing_at_its_bound``)."""
+        assume(not b.is_zero())
+        n = a * b + r
+        trace = []
+        assert _outcome(lambda: n.exact_div(b)) == _outcome(lambda: _scan_div(n, b, trace))
+        dividend, divisor = [m for m, _ in n.terms()], [m for m, _ in b.terms()]
+        frame = _frame(dividend + divisor)
+        k, ea = len(frame), _max_exponent(dividend)
+        bound = 2 * k * (ea + _max_exponent(divisor))
+        for kind, m in trace:
+            exps = [m.exponent(v) for v in frame]
+            assert max(map(abs, exps), default=0) <= bound
+            if kind == "lead":
+                assert abs(m.degree) <= k * ea
+                assert all(abs(e) <= (2 * k - 1) * ea for e in exps)
 
     @pytest.mark.parametrize(
         "dividend, divisor, message",
@@ -347,16 +415,19 @@ class TestSerialization:
     )
     def test_term_key_is_the_dense_order(self, a, b, c, extra):
         ms = [a, b, c]
-        key = _encoder(_frame(ms))
+        bound = 2 * _max_exponent(ms)  # products of two of them fit as well
+        key, unpack, _ = _packing(_frame(ms), bound)
         want = _dense_cmp(a, b)
         ka, kb = key(a), key(b)
         assert (ka > kb) - (ka < kb) == want
         assert sorted(ms, key=key) == sorted(ms, key=_DENSE_KEY)
+        assert unpack(ka) == a and unpack(ka).degree == a.degree
         if want < 0:  # compatible with multiplication, which adds keys
-            assert key(a.mul(c)) == tuple(map(operator.add, ka, key(c)))
+            assert key(a.mul(c)) == ka + key(c)
             assert key(a.mul(c)) < key(b.mul(c))
+            assert unpack(ka + key(c)) == a.mul(c)
         # Variables that no monomial carries do not change the order.
-        wide = _encoder(tuple(sorted(set(_frame(ms)) | set(extra))))
+        wide = _packing(tuple(sorted(set(_frame(ms)) | set(extra))), bound)[0]
         wa, wb = wide(a), wide(b)
         assert (wa > wb) - (wa < wb) == want
 

@@ -1,13 +1,24 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterchar.character import cf_cluster_char, cluster_char
+from clusterchar.errors import InvalidArgument
 from clusterchar.laurent import Family, x, y
-from clusterchar.mutation import cluster_variables_up_to, initial_seed, mutate, seeds_up_to
+from clusterchar.mutation import (
+    Seed,
+    cluster_variables_up_to,
+    initial_seed,
+    mutate,
+    seeds_up_to,
+)
 from clusterchar.quiver import (
+    Quiver,
     affine_a2_quiver,
     catalog_module,
+    kronecker_quiver,
     preinjective,
     preprojective,
 )
@@ -104,3 +115,130 @@ class TestCharacterAgreement:
         for k in range(2):
             assert cluster_char(catalog_module(preprojective(k))) in variables
             assert cluster_char(catalog_module(preinjective(k))) in variables
+
+
+# An estimate of an exchange's cost, |x_k| times the term-count bound of
+# each side's product, above which the reference search stops.  Quivers
+# with double arrows are wild from rank 3 on, and their depth-4 variables
+# reach tens of thousands of terms.
+EXCHANGE_BUDGET = 4000
+
+
+def _exchange_estimate(seed, k):
+    m = seed.rank
+    sides = [1, 1]
+    for i in range(m):
+        b = seed.exchange_matrix[i][k]
+        if b:
+            sides[b > 0] *= len(seed.cluster[i]) ** abs(b)
+    return len(seed.cluster[k]) * sum(sides)
+
+
+def _reference_seeds(quiver, depth, principal):
+    """The breadth-first search of ``seeds_up_to`` written out, calling
+    ``mutate`` with no memo.  Returns the seeds and whether the search
+    finished: it stops before an exchange over EXCHANGE_BUDGET."""
+    start = initial_seed(quiver, principal)
+    out = [start]
+    seen = {(start.exchange_matrix, start.cluster)}
+    frontier = [(start, -1)]
+    for _ in range(depth):
+        next_frontier = []
+        for seed, last in frontier:
+            for k in range(seed.rank):
+                if k == last:
+                    continue
+                if _exchange_estimate(seed, k) > EXCHANGE_BUDGET:
+                    return out, False
+                child = mutate(seed, k)
+                key = (child.exchange_matrix, child.cluster)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(child)
+                    next_frontier.append((child, k))
+        frontier = next_frontier
+    return out, True
+
+
+def _rows(seeds):
+    return [(s.exchange_matrix, s.cluster, s.depth) for s in seeds]
+
+
+@st.composite
+def acyclic_quivers(draw):
+    """Connected acyclic quivers of rank 2-4, each arrow of multiplicity
+    at most 2, oriented along a random order of the vertices."""
+    n = draw(st.integers(2, 4))
+    mult = {}
+    for j in range(1, n):  # a tree of arrows keeps the quiver connected
+        mult[draw(st.integers(0, j - 1)), j] = draw(st.integers(1, 2))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in mult:
+                mult[i, j] = draw(st.integers(0, 2))
+    order = draw(st.permutations(range(n)))
+    vertices = tuple(str(v + 1) for v in range(n))
+    arrows = []
+    for (i, j), k in sorted(mult.items()):
+        src, tgt = (i, j) if order.index(i) < order.index(j) else (j, i)
+        arrows += [(vertices[src], vertices[tgt])] * k
+    return Quiver(vertices, tuple(arrows))
+
+
+class TestExchangeMemo:
+    """``seeds_up_to`` computes each exchange once; the seeds it yields are
+    those of a search that computes every exchange."""
+
+    @pytest.mark.parametrize("name", ["kronecker", "affineA2"])
+    @pytest.mark.parametrize("principal", [False, True])
+    def test_catalog_quivers_depth_five(self, name, principal):
+        quiver = kronecker_quiver() if name == "kronecker" else affine_a2_quiver()
+        want, finished = _reference_seeds(quiver, 5, principal)
+        assert finished
+        assert _rows(seeds_up_to(quiver, 5, principal)) == _rows(want)
+
+    @given(quiver=acyclic_quivers(), depth=st.integers(0, 5), principal=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_random_acyclic_quivers(self, quiver, depth, principal):
+        want, finished = _reference_seeds(quiver, depth, principal)
+        got = seeds_up_to(quiver, depth, principal)
+        if finished:
+            assert _rows(got) == _rows(want)
+        else:  # the same prefix, in the same order
+            assert _rows(islice(got, len(want))) == _rows(want)
+
+    @pytest.mark.parametrize("principal", [False, True])
+    def test_key_hit_with_sides_swapped(self, principal):
+        # The opposite seed has the same cluster and the negated matrix, so
+        # its exchange binomial is N + P where the seed's is P + N.
+        seed = initial_seed(affine_a2_quiver(), principal)
+        opposite = Seed(tuple(tuple(-b for b in row) for row in seed.exchange_matrix), seed.cluster)
+        exchanges = {}
+        first = mutate(seed, 1, exchanges=exchanges)
+        again = mutate(opposite, 1, exchanges=exchanges)
+        assert len(exchanges) == 1
+        assert again.cluster[1] is first.cluster[1]
+        assert _rows([again]) == _rows([mutate(opposite, 1)])
+        assert again.exchange_matrix != first.exchange_matrix  # made per seed
+
+
+    def test_key_tells_coefficients_apart(self):
+        # Same cluster and principal part, coefficient rows I and 0: the
+        # binomials differ only in their y-factors, so neither may reuse the
+        # other's variable.
+        seed = initial_seed(kronecker_quiver(), principal=True)
+        bare = Seed(seed.principal_part() + ((0, 0), (0, 0)), seed.cluster)
+        exchanges = {}
+        got = [mutate(s, 0, exchanges=exchanges).cluster[0] for s in (seed, bare)]
+        assert len(exchanges) == 2
+        assert got == [(y(1) * x(2) ** 2 + 1).exact_div(x(1)), (x(2) ** 2 + 1).exact_div(x(1))]
+
+
+class TestNegativeDepth:
+    def test_seeds_up_to_refuses(self, affine_a2):
+        with pytest.raises(InvalidArgument, match=r"^depth must be >= 0, got -3$"):
+            seeds_up_to(affine_a2, -3)
+
+    def test_cluster_variables_up_to_refuses(self, kronecker):
+        with pytest.raises(InvalidArgument, match=r"^depth must be >= 0, got -1$"):
+            cluster_variables_up_to(kronecker, -1)
