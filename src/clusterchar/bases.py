@@ -102,9 +102,9 @@ def basis_element(
     return BasisElement(kind, n, regular_part, head)
 
 
-def cluster_monomials(quiver: Quiver, depth: int, max_degree: int = 2) -> list[LaurentPoly]:
+def cluster_monomials(quiver: Quiver, depth: int) -> list[LaurentPoly]:
     """Monomials in the variables of a single cluster, over all seeds
-    reachable within ``depth`` mutations, with exponent sum <= max_degree."""
+    reachable within ``depth`` mutations, with exponent sum at most 2."""
     out: dict[LaurentPoly, None] = {}
 
     def extend(acc: LaurentPoly, vars_left: tuple[LaurentPoly, ...], budget: int) -> None:
@@ -115,7 +115,7 @@ def cluster_monomials(quiver: Quiver, depth: int, max_degree: int = 2) -> list[L
             extend(acc * v, vars_left[i:], budget - 1)
 
     for seed in seeds_up_to(quiver, depth, principal=False):
-        extend(LaurentPoly.one(), seed.cluster, max_degree)
+        extend(LaurentPoly.one(), seed.cluster, 2)
     return list(out)
 
 
@@ -147,17 +147,14 @@ def _offending_term(p: LaurentPoly) -> str:
     return ""
 
 
-def verify_positivity(
-    kind: str,
-    max_n: int,
-    quiver: Quiver,
-    monomial_depth: int = 4,
-) -> PositivityReport:
+def verify_positivity(kind: str, max_n: int, quiver: Quiver) -> PositivityReport:
     """Expand every element of the basis stratum with n <= max_n over the
-    catalog regular rigid modules, plus the depth-limited cluster-monomial
-    stratum, and report subtraction-freeness of each."""
+    catalog regular rigid modules, plus the cluster monomials of the seeds
+    within 4 mutations, and report subtraction-freeness of each."""
     if kind not in KINDS:
         raise InvalidArgument(f"kind must be one of {KINDS}")
+    if max_n < 0:
+        raise InvalidArgument("max_n must be >= 0")
     lines: list[PositivityLine] = []
     regulars: list[ModuleFamily | None] = [None]
     regulars.extend(regular_rigid_catalog(quiver))
@@ -171,7 +168,7 @@ def verify_positivity(
                     _offending_term(elem.value),
                 )
             )
-    for i, mono in enumerate(cluster_monomials(quiver, monomial_depth)):
+    for i, mono in enumerate(cluster_monomials(quiver, 4)):
         lines.append(
             PositivityLine(
                 f"cluster monomial #{i}",

@@ -45,16 +45,10 @@ import functools
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import (
-    DimOutOfRange,
-    ExcludedPrime,
-    InvalidArgument,
-    NonPolynomialCount,
-)
+from .errors import DimOutOfRange, ExcludedPrime, NonPolynomialCount
 from .quiver import DimVector, IntRep, Quiver, _prime_factors, dual_rep
 
 __all__ = [
@@ -65,62 +59,19 @@ __all__ = [
     "profile",
     "box_profiles",
     "gaussian_binomial",
-    "default_primes",
-    "PRIMES_ENV_VAR",
 ]
-
-PRIMES_ENV_VAR = "CLUSTERCHAR_PRIMES"
-_DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
 # ---------------------------------------------------------------------------
 # primes
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def default_primes() -> tuple[int, ...]:
-    """The configured base prime list (CLUSTERCHAR_PRIMES overrides)."""
-    raw = os.environ.get(PRIMES_ENV_VAR)
-    if raw is None:
-        return _DEFAULT_PRIMES
-    try:
-        vals = sorted({int(tok) for tok in raw.split(",") if tok.strip()})
-    except ValueError as exc:
-        raise InvalidArgument(f"bad {PRIMES_ENV_VAR}: {raw!r}") from exc
-    if not vals or any(not _is_prime(v) for v in vals):
-        raise InvalidArgument(f"{PRIMES_ENV_VAR} must list primes, got {raw!r}")
-    return tuple(vals)
-
-
-def _prime_stream(base: Sequence[int]) -> Iterator[int]:
-    """The base list in order, extended with the next primes beyond it
-    whenever interpolation needs more samples than the list provides."""
-    last = 1
-    for p in base:
-        yield p
-        last = p
-    n = last + 1
-    while True:
-        if _is_prime(n):
-            yield n
-        n += 1
-
-
-def admissible_primes(rep: IntRep, base: Sequence[int] | None = None) -> Iterator[int]:
+def admissible_primes(rep: IntRep) -> Iterator[int]:
+    """The primes in increasing order, skipping the module's excluded ones."""
     excluded = rep.excluded_primes()
-    for p in _prime_stream(base if base is not None else default_primes()):
-        if p not in excluded:
-            yield p
+    for n in itertools.count(2):
+        if _prime_factors(n) == {n} and n not in excluded:
+            yield n
 
 
 # ---------------------------------------------------------------------------
@@ -638,16 +589,16 @@ def _ambient_degree_bound(rep: IntRep, e: DimVector) -> int:
 
 def profile(rep: IntRep, e: DimVector) -> CountProfile:
     """Sample, interpolate, and cross-check the counting polynomial for e."""
-    return _profile_with(rep, _check_e(rep, e), default_primes())
+    return _profile_with(rep, _check_e(rep, e))
 
 
-def _primes(rep: IntRep, base: tuple[int, ...], bound: int) -> list[int]:
+def _primes(rep: IntRep, bound: int) -> list[int]:
     """Interpolation nodes for degree ``bound`` plus two held-out primes."""
-    return list(itertools.islice(admissible_primes(rep, base), bound + 3))
+    return list(itertools.islice(admissible_primes(rep), bound + 3))
 
 
 @functools.lru_cache(maxsize=None)
-def _box_polynomials(rep: IntRep, base: tuple[int, ...]) -> dict[DimVector, tuple[int, ...]]:
+def _box_polynomials(rep: IntRep) -> dict[DimVector, tuple[int, ...]]:
     """The counting polynomial of every e in the box, from the strata.
 
     Each stratum's tally is interpolated with the degree bound of its own
@@ -656,7 +607,7 @@ def _box_polynomials(rep: IntRep, base: tuple[int, ...]) -> dict[DimVector, tupl
     """
     walked, dual = _walk_side(rep)
     explicit, tail, sink = _walk_plan(walked.quiver)
-    primes = _primes(rep, base, _walk_degree(walked))
+    primes = _primes(rep, _walk_degree(walked))
     tallies = [_walk(walked, p) for p in primes]
     totals: dict[DimVector, list[int]] = {}
     for stratum in sorted(set().union(*tallies)):
@@ -669,24 +620,24 @@ def _box_polynomials(rep: IntRep, base: tuple[int, ...]) -> dict[DimVector, tupl
     return {e: _trim(poly) for e, poly in totals.items()}
 
 
-def _per_e_profile(rep: IntRep, e: DimVector, base: tuple[int, ...]) -> CountProfile:
+def _per_e_profile(rep: IntRep, e: DimVector) -> CountProfile:
     """The fallback: interpolate e's count alone, through the first primes
     of the ambient product-of-Grassmannians degree bound."""
     bound = _ambient_degree_bound(rep, e)
-    samples = tuple((p, count_subreps(rep, e, p)) for p in _primes(rep, base, bound))
+    samples = tuple((p, count_subreps(rep, e, p)) for p in _primes(rep, bound))
     coeffs = _interpolate(samples, bound, f"e={e}")
     return CountProfile(rep, e, samples, coeffs, _eval_poly(coeffs, 1))
 
 
 @functools.lru_cache(maxsize=None)
-def _profile_with(rep: IntRep, e: DimVector, base: tuple[int, ...]) -> CountProfile:
+def _profile_with(rep: IntRep, e: DimVector) -> CountProfile:
     _check_spectrum(rep)
-    primes = _primes(rep, base, _walk_degree(_walk_side(rep)[0]))
+    primes = _primes(rep, _walk_degree(_walk_side(rep)[0]))
     samples = tuple((p, count_subreps(rep, e, p)) for p in primes)
     try:
-        coeffs = _box_polynomials(rep, base).get(e, (0,))
+        coeffs = _box_polynomials(rep).get(e, (0,))
     except NonPolynomialCount:
-        return _per_e_profile(rep, e, base)
+        return _per_e_profile(rep, e)
     return CountProfile(rep, e, samples, coeffs, _eval_poly(coeffs, 1))
 
 

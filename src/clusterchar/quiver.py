@@ -70,26 +70,11 @@ class Quiver:
                 raise InvalidArgument(f"arrow ({s}, {t}) references unknown vertex")
             if s == t:
                 raise InvalidArgument(f"loop at vertex {s}")
-        self._check_acyclic(idx)
+        self._check_acyclic()
         self._check_connected(idx)
 
-    def _check_acyclic(self, idx: dict[str, int]) -> None:
-        m = len(self.vertices)
-        indeg = [0] * m
-        outs: list[list[int]] = [[] for _ in range(m)]
-        for s, t in self.arrows:
-            outs[idx[s]].append(idx[t])
-            indeg[idx[t]] += 1
-        queue = [i for i in range(m) if indeg[i] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for w in outs[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if seen != m:
+    def _check_acyclic(self) -> None:
+        if len(self.topological_order()) != len(self.vertices):
             raise InvalidArgument("quiver has a directed cycle")
 
     def _check_connected(self, idx: dict[str, int]) -> None:
@@ -278,14 +263,27 @@ def _diagonal_entries(mat: IntMatrix) -> list[int]:
                 del row[j]
 
 
+_TRIAL_DIVISORS = 10**6
+
+
 def _prime_factors(n: int) -> set[int]:
+    """The prime factors of n >= 0, by trial division up to 10^6.  A
+    cofactor left below (10^6 + 1)^2 is then prime; a larger one is refused,
+    since it may have two factors beyond the trial bound."""
+    whole = n
     out: set[int] = set()
-    d = 2
-    while d * d <= n:
+    for d in range(2, _TRIAL_DIVISORS + 1):
+        if d * d > n:
+            break
         while n % d == 0:
             out.add(d)
             n //= d
-        d += 1
+    else:
+        if n >= (_TRIAL_DIVISORS + 1) ** 2:
+            raise InvalidArgument(
+                f"cannot factor {whole}: trial division up to {_TRIAL_DIVISORS} "
+                f"leaves {n}, too large to be known prime"
+            )
     if n > 1:
         out.add(n)
     return out

@@ -136,13 +136,26 @@ class TestGrass:
         assert payload["chi"] == 2
         assert payload["samples"][0] == [2, 3]
 
-    def test_primes_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("CLUSTERCHAR_PRIMES", "5,7,11")
-        mod = '{"family": "kronecker_homogeneous", "params": {"n": 2, "point": 0}}'
-        code, out, _ = run_cli(capsys, "grass", "--module", mod, "--e", "0,1", "--json")
+    @pytest.mark.parametrize(
+        "family, point, e, primes",
+        [
+            ("kronecker_homogeneous", 2, "1,1", [3, 5, 7, 11]),
+            ("kronecker_homogeneous", 6, "1,1", [5, 7, 11, 13]),
+            ("affineA21_homogeneous", 3, "1,1,1", [2, 5, 7, 11]),
+        ],
+    )
+    def test_samples_skip_excluded_primes(self, capsys, family, point, e, primes):
+        mod = '{"family": "%s", "params": {"n": 2, "point": %d}}' % (family, point)
+        code, out, _ = run_cli(capsys, "grass", "--module", mod, "--e", e, "--json")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["samples"][0] == [5, 6]
+        assert [p for p, _ in json.loads(out)["samples"]] == primes
+
+    def test_unfactorable_entry_exit_two(self, capsys):
+        mod = '{"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1]], "1": [[100000000000000000039]]}}'
+        code, out, err = run_cli(capsys, "grass", "--quiver", "kronecker", "--module", mod, "--e", "1,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: InvalidArgument: cannot factor 100000000000000000039")
 
     @pytest.mark.parametrize(
         "matrices, factor",
@@ -204,6 +217,20 @@ class TestBasisAndVerify:
         )
         assert code == 0
         assert all(line.startswith("PASS") for line in out.splitlines())
+
+    def test_basis_negative_max_n_exit_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "basis", "--kind", "B", "--max-n", "-1", "--quiver", "kronecker"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: InvalidArgument: max_n must be >= 0\n"
+
+    def test_verify_basis_pos_negative_n_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "basis-pos", "--n", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: InvalidArgument: max_n must be >= 0\n"
 
     def test_verify_single_check(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "s-from-f")

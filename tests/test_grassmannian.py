@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clusterchar import grassmannian as gr
-from clusterchar.errors import DimOutOfRange, ExcludedPrime, InvalidArgument, NonPolynomialCount
+from clusterchar.errors import DimOutOfRange, ExcludedPrime, NonPolynomialCount
 from clusterchar.quiver import (
     IntRep,
     Quiver,
@@ -179,16 +179,15 @@ class TestStratifiedInterpolation:
     def test_matches_per_e_path(self, name, data):
         rep = data.draw(explicit_modules(WALK_QUIVERS[name][0]))
         assume(_spectrum_ok(rep))
-        base = gr.default_primes()
         for e in itertools.product(*[range(d + 1) for d in rep.dim]):
             try:
-                old = gr._per_e_profile(rep, e, base)
+                old = gr._per_e_profile(rep, e)
             except NonPolynomialCount:
                 continue
-            new = gr._profile_with(rep, e, base)
+            new = gr._profile_with(rep, e)
             assert (new.coefficients, new.chi) == (old.coefficients, old.chi), e
             try:
-                box = gr._box_polynomials(rep, base)
+                box = gr._box_polynomials(rep)
             except NonPolynomialCount:
                 continue
             assert box.get(e, (0,)) == old.coefficients, e
@@ -199,7 +198,7 @@ class TestStratifiedInterpolation:
         assert not dual and gr._walk_degree(walked) == 2
         prof = gr.profile(rep, (1, 2))
         assert [p for p, _ in prof.samples] == [2, 3, 5, 7, 11]
-        assert prof.coefficients == gr._per_e_profile(rep, (1, 2), gr.default_primes()).coefficients
+        assert prof.coefficients == gr._per_e_profile(rep, (1, 2)).coefficients
 
     def test_walks_the_side_of_smaller_degree(self):
         walked, dual = gr._walk_side(catalog_module(preprojective(4)))  # dim (5, 4)
@@ -207,17 +206,15 @@ class TestStratifiedInterpolation:
 
     def test_non_polynomial_stratum_falls_back(self):
         rep = NON_POLYNOMIAL_STRATUM
-        base = gr.default_primes()
         stratum = re.escape("held-out primes [5, 7] disagree for stratum ((1, 0, 0), 0, 1, 1)")
         with pytest.raises(NonPolynomialCount, match=stratum):
-            gr._box_polynomials(rep, base)
+            gr._box_polynomials(rep)
         for e, prof in gr.box_profiles(rep).items():
-            assert prof == gr._per_e_profile(rep, e, base)
+            assert prof == gr._per_e_profile(rep, e)
             assert len(prof.samples) == gr._ambient_degree_bound(rep, e) + 3
 
     def test_failing_stratum_interpolation_falls_back(self, monkeypatch):
         rep = catalog_module(a21_tube(1, 3))
-        base = gr.default_primes()
         interpolate = gr._interpolate
 
         def refuse_strata(points, bound, what):
@@ -230,7 +227,7 @@ class TestStratifiedInterpolation:
         monkeypatch.setattr(gr, "_interpolate", refuse_strata)
         try:
             for e, prof in gr.box_profiles(rep).items():
-                assert prof == gr._per_e_profile(rep, e, base)
+                assert prof == gr._per_e_profile(rep, e)
         finally:
             gr._box_polynomials.cache_clear()
             gr._profile_with.cache_clear()
@@ -390,23 +387,14 @@ class TestDuality:
 
 
 class TestPrimeConfiguration:
-    def test_default_list(self, monkeypatch):
-        monkeypatch.delenv(gr.PRIMES_ENV_VAR, raising=False)
-        assert gr.default_primes() == (2, 3, 5, 7, 11, 13, 17, 19)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(gr.PRIMES_ENV_VAR, "5,3,11")
-        assert gr.default_primes() == (3, 5, 11)
-
-    def test_env_rejects_composites(self, monkeypatch):
-        monkeypatch.setenv(gr.PRIMES_ENV_VAR, "4,5")
-        with pytest.raises(InvalidArgument):
-            gr.default_primes()
-
-    def test_stream_extends_past_list(self):
-        stream = gr._prime_stream((2, 3))
-        got = [next(stream) for _ in range(6)]
-        assert got == [2, 3, 5, 7, 11, 13]
+    @pytest.mark.parametrize(
+        "fam", [homogeneous(2, 2), homogeneous(2, 6), a21_homogeneous(2, 3), a21_tube(1, 3)]
+    )
+    def test_admissible_primes_skip_exclusions(self, fam):
+        rep = catalog_module(fam)
+        expected = [p for p in FIRST_PRIMES if p not in rep.excluded_primes()]
+        got = list(itertools.islice(gr.admissible_primes(rep), len(expected)))
+        assert got == expected
 
     def test_gaussian_binomial(self):
         assert gr.gaussian_binomial(4, 2, 3) == 130

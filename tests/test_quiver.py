@@ -158,6 +158,20 @@ class TestCatalog:
         unimodular = IntRep(kronecker, (2, 2), (((2, 1), (1, 1)), ((1, 0), (0, 1))))
         assert unimodular.excluded_primes() == frozenset()
 
+    def test_excluded_primes_near_the_trial_division_bound(self, kronecker):
+        big = 10**12 + 39  # prime, below (10^6 + 1)^2
+        rep = IntRep(kronecker, (1, 1), (((1,),), ((big,),)))
+        assert rep.excluded_primes() == {big}
+        # the two largest primes below 10^6
+        rep = IntRep(kronecker, (1, 1), (((1,),), ((999979 * 999983,),)))
+        assert rep.excluded_primes() == {999979, 999983}
+
+    def test_excluded_primes_refuse_unfactorable_entry(self, kronecker):
+        square = (10**12 + 39) ** 2
+        rep = IntRep(kronecker, (1, 1), (((1,),), ((square,),)))
+        with pytest.raises(InvalidArgument, match=f"cannot factor {square}"):
+            rep.excluded_primes()
+
 
 def _rank_mod(rows, p):
     """Rank over F_p by plain Gauss-Jordan elimination."""
