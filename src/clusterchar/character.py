@@ -44,26 +44,22 @@ def y_monomial(e: Sequence[int]) -> LaurentPoly:
     )
 
 
-def _x_exponents(rep: IntRep, e: DimVector) -> Monomial:
+def _term(rep: IntRep, e: DimVector, chi: int) -> LaurentPoly:
+    """L(M, e) for chi = chi(Gr_e(M)): chi * y^e * x^(Euler-form exponents)."""
     quiver = rep.quiver
     rest = tuple(d - v for d, v in zip(rep.dim, e))
-    exps = {}
+    exps = {yid(i + 1): v for i, v in enumerate(e) if v}
     for i in range(len(quiver.vertices)):
         s_i = unit_vector(quiver, i)
         k = -euler_form(quiver, e, s_i) - euler_form(quiver, s_i, rest)
         if k:
             exps[xid(i + 1)] = k
-    return Monomial(exps)
+    return LaurentPoly.from_monomial(Monomial(exps), chi)
 
 
 def term_L(rep: IntRep, e: Sequence[int]) -> LaurentPoly:
     """The e-term of the character: a single monomial scaled by chi."""
-    e = tuple(int(v) for v in e)
-    chi = grassmannian.euler_char(rep, e)
-    if chi == 0:
-        return LaurentPoly.zero()
-    mono = Monomial({yid(i + 1): v for i, v in enumerate(e) if v}).mul(_x_exponents(rep, e))
-    return LaurentPoly.from_monomial(mono, chi)
+    return char_table(rep).term(grassmannian._check_e(rep, e))
 
 
 @dataclass(frozen=True)
@@ -101,16 +97,9 @@ class CharTermTable:
 
 @functools.lru_cache(maxsize=None)
 def char_table(rep: IntRep) -> CharTermTable:
-    profiles = grassmannian.box_profiles(rep)
-    terms: list[tuple[DimVector, LaurentPoly]] = []
-    total = LaurentPoly.zero()
-    for e in sorted(profiles):
-        if profiles[e].chi == 0:
-            continue
-        val = term_L(rep, e)
-        terms.append((e, val))
-        total = total + val
-    return CharTermTable(rep, tuple(terms), total)
+    profiles = sorted(grassmannian.box_profiles(rep).items())
+    terms = tuple((e, _term(rep, e, prof.chi)) for e, prof in profiles if prof.chi)
+    return CharTermTable(rep, terms, sum((val for _, val in terms), LaurentPoly.zero()))
 
 
 @functools.lru_cache(maxsize=None)

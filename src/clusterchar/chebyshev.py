@@ -51,6 +51,10 @@ class ChebWindow:
     start: int
     length: int
 
+    def __post_init__(self) -> None:
+        if self.start < 0:
+            raise InvalidArgument(f"window start must be >= 0 (t0, t1, ...), got {self.start}")
+
 
 @functools.lru_cache(maxsize=None)
 def gen_cheb(w: ChebWindow) -> LaurentPoly:

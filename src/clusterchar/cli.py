@@ -65,10 +65,7 @@ def _load_json_arg(value: str) -> dict:
     return obj
 
 
-def _resolve_quiver(args: argparse.Namespace):
-    raw = getattr(args, "quiver", None)
-    if raw is None:
-        raise UsageError("--quiver is required")
+def _resolve_quiver(raw: str):
     if raw.lstrip().startswith("{") or raw.endswith(".json"):
         return quiver_from_json(_load_json_arg(raw))
     return quiver_by_name(raw)
@@ -76,10 +73,7 @@ def _resolve_quiver(args: argparse.Namespace):
 
 def _resolve_module(args: argparse.Namespace) -> IntRep:
     obj = _load_json_arg(args.module)
-    quiver = None
-    if getattr(args, "quiver", None):
-        quiver = _resolve_quiver(args)
-    return module_from_json(obj, quiver)
+    return module_from_json(obj, _resolve_quiver(args.quiver) if args.quiver else None)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +171,7 @@ def _parse_sequence(raw: str, quiver) -> list[int]:
 
 
 def _cmd_mutate(args: argparse.Namespace) -> int:
-    quiver = _resolve_quiver(args)
+    quiver = _resolve_quiver(args.quiver)
     seed = mutation.initial_seed(quiver, principal=args.principal)
     for k in _parse_sequence(args.sequence, quiver):
         seed = mutation.mutate(seed, k)
@@ -193,7 +187,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
 
 
 def _cmd_variables(args: argparse.Namespace) -> int:
-    quiver = _resolve_quiver(args)
+    quiver = _resolve_quiver(args.quiver)
     variables = mutation.cluster_variables_up_to(quiver, args.depth, principal=args.principal)
     payload = {
         "depth": args.depth,
@@ -206,7 +200,7 @@ def _cmd_variables(args: argparse.Namespace) -> int:
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
-    quiver = _resolve_quiver(args)
+    quiver = _resolve_quiver(args.quiver)
     report = bases.verify_positivity(args.kind, args.max_n, quiver)
     lines = [
         f"{'PASS' if line.positive else 'FAIL'} {line.description}"
@@ -280,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("gencheb", _cmd_gencheb, "generalized Chebyshev polynomial over a window")
     p.add_argument("--n", type=int, required=True, help="window length")
-    p.add_argument("--start", type=int, default=1, help="window start index (default 1)")
+    p.add_argument("--start", type=int, default=1, help="window start index, >= 0 (default 1)")
     p.add_argument("--det", action="store_true", help="use the determinant oracle")
 
     p = add("delta", _cmd_delta, "delta-polynomial, optionally substituted")
@@ -301,12 +295,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("char", _cmd_char, "cluster character of a module")
     p.add_argument("--module", required=True, help="module JSON (inline or path)")
-    p.add_argument("--quiver", help="quiver name or JSON, for explicit modules")
+    p.add_argument("--quiver", help="quiver name or JSON; must be the module's own")
     p.add_argument("--coefficient-free", action="store_true")
 
     p = add("grass", _cmd_grass, "counting polynomial and Euler characteristic")
     p.add_argument("--module", required=True, help="module JSON (inline or path)")
-    p.add_argument("--quiver", help="quiver name or JSON, for explicit modules")
+    p.add_argument("--quiver", help="quiver name or JSON; must be the module's own")
     p.add_argument("--e", required=True, help="sub-dimension vector, e.g. 0,1")
 
     p = add("mutate", _cmd_mutate, "apply a mutation sequence to the initial seed")

@@ -18,25 +18,23 @@ the enumerated vertices plus the few ranks the closed forms need.  The
 closing of a stratum, the number of ways to finish a leaf at the
 closed-form vertices for each dimension vector e, is an integer
 polynomial in q, and the count at p is the sum over strata of tally times
-closing at q = p.  Each module is walked on one side at every prime, itself
-or its transpose-dual, whichever has the smaller stratum degree (see
-below); orthogonal complements carry the counts back exactly.
+closing at q = p.
 
 The Euler characteristic is defined operationally as the counting
-polynomial evaluated at 1.  Only enumerated vertices set the degree: the
-first B+3 admissible primes are sampled, with B the sum over enumerated
-vertices of floor(d/2)*ceil(d/2).  Each stratum's tally is interpolated
-through the first b+1 of them, b the sum of k(d-k) over its dims, and
-checked against all later primes (at least two); the closings then give
-the counting polynomial of every e at once, which is checked against every
-sample.  If any stratum fails, the module falls back to interpolating each
-e alone through the first D+3 primes, D the ambient product-of-Grassmannians
-degree bound.  Disagreement on a held-out prime raises instead of guessing,
-and so does a Kronecker module with a point that is not rational, whose
-counts cannot be a polynomial in p.
-
-Counting at distinct primes or dimension vectors is independent and
-side-effect-free; results aggregate deterministically by (prime, e) key.
+polynomial evaluated at 1.  All but e is decided once per module: the side
+walked at every prime (the module or its transpose-dual, whichever has the
+smaller stratum degree B; orthogonal complements carry the counts back
+exactly), the sample primes (the first B+3 admissible ones, B the sum over
+enumerated vertices of floor(d/2)*ceil(d/2)), and whether the strata
+interpolate.  Each stratum's tally is interpolated through the first b+1
+primes, b the sum of k(d-k) over its dims, and checked against all later
+primes (at least two); the closings then give the counting polynomial of
+every e at once, checked against every sample.  If a stratum fails, each e
+of the module is interpolated alone through the first D+3 primes, D the
+ambient product-of-Grassmannians degree bound.  Disagreement on a held-out
+prime raises instead of guessing, and so does a Kronecker module with a
+point that is not rational, whose counts cannot be a polynomial in p.
+One walk per (module, prime) is cached, with the counts of every e.
 """
 
 from __future__ import annotations
@@ -72,6 +70,11 @@ def admissible_primes(rep: IntRep) -> Iterator[int]:
     for n in itertools.count(2):
         if _prime_factors(n) == {n} and n not in excluded:
             yield n
+
+
+def _primes(rep: IntRep, bound: int) -> list[int]:
+    """Interpolation nodes for degree ``bound`` plus two held-out primes."""
+    return list(itertools.islice(admissible_primes(rep), bound + 3))
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +243,31 @@ def _walk_cost(rep: IntRep, p: int) -> int:
     return cost
 
 
+def _grassmannian_dim(dim: DimVector, e: Sequence[int]) -> int:
+    """The dimension of the product of Grassmannians Gr(e_v, d_v), the sum
+    of e_v(d_v - e_v): the degree in q of counting subspaces of dims e."""
+    return sum(k * (d - k) for k, d in zip(e, dim))
+
+
 def _walk_degree(rep: IntRep) -> int:
     """The largest degree in q of a stratum count: the largest
-    Grassmannian dimension k(d-k) summed over the enumerated vertices."""
-    return sum((d // 2) * (d - d // 2) for d in (rep.dim[v] for v in _walk_plan(rep.quiver)[0]))
+    Grassmannian dimension over the enumerated vertices."""
+    explicit = _walk_plan(rep.quiver)[0]
+    half = [d // 2 if v in explicit else 0 for v, d in enumerate(rep.dim)]
+    return _grassmannian_dim(rep.dim, half)
 
 
 @functools.lru_cache(maxsize=None)
-def _walk_side(rep: IntRep) -> tuple[IntRep, bool]:
-    """The side walked at every prime, and whether it is the dual: the
-    module or its transpose-dual, whichever has the smaller stratum degree,
-    ties going to the fewer leaves over F_2.  One side per module keeps a
-    stratum's meaning the same at every prime."""
+def _module_plan(rep: IntRep) -> tuple[IntRep, bool, tuple[int, ...]]:
+    """The counting state of a module: the side walked at every prime, the
+    module or its transpose-dual, whichever has the smaller stratum degree B
+    (ties to the fewer leaves over F_2, then the module); whether that is
+    the dual; and the sample primes, the first B + 3 admissible ones."""
     dual = dual_rep(rep)
-    if (_walk_degree(dual), _walk_cost(dual, 2)) < (_walk_degree(rep), _walk_cost(rep, 2)):
-        return dual, True
-    return rep, False
+    walked = min((rep, dual), key=lambda side: (_walk_degree(side), _walk_cost(side, 2)))
+    return walked, walked is dual, tuple(_primes(rep, _walk_degree(walked)))
 
 
-@functools.lru_cache(maxsize=None)
 def _walk(rep: IntRep, p: int) -> dict[tuple, int]:
     """Leaf tallies of the walk over F_p, by stratum.
 
@@ -357,15 +366,17 @@ def _closing(
     return tuple((e, tuple(poly)) for e, poly in out.items())
 
 
-def _count_side(rep: IntRep, p: int) -> dict[DimVector, int]:
-    """Counts of stable subspace tuples for every dimension vector at once,
-    walked on this side: each stratum's tally times its closing at q = p."""
+def _count_side(rep: IntRep, p: int) -> tuple[dict[tuple, int], dict[DimVector, int]]:
+    """The walk over F_p on this side: its leaf tallies by stratum, and the
+    count of every dimension vector at once, each stratum's tally times its
+    closing at q = p."""
     _, tail, sink = _walk_plan(rep.quiver)
+    tallies = _walk(rep, p)
     counts: dict[DimVector, int] = {}
-    for stratum, mult in _walk(rep, p).items():
+    for stratum, mult in tallies.items():
         for e, ways in _closing(rep.dim, tail, sink, stratum):
             counts[e] = counts.get(e, 0) + mult * _eval_poly(ways, p)
-    return counts
+    return tallies, counts
 
 
 def _flip(dim: DimVector, dual: bool, e: DimVector) -> DimVector:
@@ -375,11 +386,13 @@ def _flip(dim: DimVector, dual: bool, e: DimVector) -> DimVector:
 
 
 @functools.lru_cache(maxsize=None)
-def _count_box(rep: IntRep, p: int) -> dict[DimVector, int]:
+def _count_box(rep: IntRep, p: int) -> tuple[dict[tuple, int], dict[DimVector, int]]:
+    """The walk's tallies over F_p, and the counts on the module's side."""
     if p in rep.excluded_primes():
         raise ExcludedPrime(f"prime {p} is excluded for {rep.label or 'this module'}")
-    walked, dual = _walk_side(rep)
-    return {_flip(rep.dim, dual, e): c for e, c in _count_side(walked, p).items()}
+    walked, dual, _ = _module_plan(rep)
+    tallies, counts = _count_side(walked, p)
+    return tallies, {_flip(rep.dim, dual, e): c for e, c in counts.items()}
 
 
 def _check_e(rep: IntRep, e: Sequence[int]) -> DimVector:
@@ -394,8 +407,7 @@ def _check_e(rep: IntRep, e: Sequence[int]) -> DimVector:
 def count_subreps(rep: IntRep, e: Sequence[int], p: int) -> int:
     """Exact number of subrepresentations of dimension vector e over F_p."""
     e = _check_e(rep, e)
-    box = _count_box(rep, p)
-    return box.get(e, 0)
+    return _count_box(rep, p)[1].get(e, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -583,38 +595,26 @@ class CountProfile:
             raise NonPolynomialCount("chi must be the polynomial value at 1")
 
 
-def _ambient_degree_bound(rep: IntRep, e: DimVector) -> int:
-    return sum(ei * (di - ei) for ei, di in zip(e, rep.dim))
-
-
-def profile(rep: IntRep, e: DimVector) -> CountProfile:
-    """Sample, interpolate, and cross-check the counting polynomial for e."""
-    return _profile_with(rep, _check_e(rep, e))
-
-
-def _primes(rep: IntRep, bound: int) -> list[int]:
-    """Interpolation nodes for degree ``bound`` plus two held-out primes."""
-    return list(itertools.islice(admissible_primes(rep), bound + 3))
-
-
 @functools.lru_cache(maxsize=None)
-def _box_polynomials(rep: IntRep) -> dict[DimVector, tuple[int, ...]]:
-    """The counting polynomial of every e in the box, from the strata.
+def _box_polynomials(rep: IntRep) -> dict[DimVector, tuple[int, ...]] | NonPolynomialCount:
+    """The counting polynomial of every e in the box, from the strata, or
+    the error of the first stratum that fails.
 
     Each stratum's tally is interpolated with the degree bound of its own
     dims; every later prime is held out.  Its closing polynomials then give
     each e's share.  The walks were done (and cached) by count_subreps.
     """
-    walked, dual = _walk_side(rep)
-    explicit, tail, sink = _walk_plan(walked.quiver)
-    primes = _primes(rep, _walk_degree(walked))
-    tallies = [_walk(walked, p) for p in primes]
+    walked, dual, primes = _module_plan(rep)
+    _, tail, sink = _walk_plan(walked.quiver)
+    tallies = [_count_box(rep, p)[0] for p in primes]
     totals: dict[DimVector, list[int]] = {}
     for stratum in sorted(set().union(*tallies)):
-        dims = stratum[0]
-        bound = sum(dims[v] * (walked.dim[v] - dims[v]) for v in explicit)
         points = [(p, t.get(stratum, 0)) for p, t in zip(primes, tallies)]
-        count = _interpolate(points, bound, f"stratum {stratum}")
+        bound = _grassmannian_dim(walked.dim, stratum[0])
+        try:
+            count = _interpolate(points, bound, f"stratum {stratum}")
+        except NonPolynomialCount as exc:
+            return exc.with_traceback(None)  # cached, so it keeps no frames alive
         for e, ways in _closing(walked.dim, tail, sink, stratum):
             _poly_add(totals.setdefault(_flip(rep.dim, dual, e), []), _poly_mul(count, ways))
     return {e: _trim(poly) for e, poly in totals.items()}
@@ -623,32 +623,34 @@ def _box_polynomials(rep: IntRep) -> dict[DimVector, tuple[int, ...]]:
 def _per_e_profile(rep: IntRep, e: DimVector) -> CountProfile:
     """The fallback: interpolate e's count alone, through the first primes
     of the ambient product-of-Grassmannians degree bound."""
-    bound = _ambient_degree_bound(rep, e)
+    bound = _grassmannian_dim(rep.dim, e)
     samples = tuple((p, count_subreps(rep, e, p)) for p in _primes(rep, bound))
     coeffs = _interpolate(samples, bound, f"e={e}")
     return CountProfile(rep, e, samples, coeffs, _eval_poly(coeffs, 1))
 
 
-@functools.lru_cache(maxsize=None)
-def _profile_with(rep: IntRep, e: DimVector) -> CountProfile:
+def profile(rep: IntRep, e: Sequence[int]) -> CountProfile:
+    """Sample, interpolate, and cross-check the counting polynomial for e.
+    The samples come first, so each walk runs inside count_subreps."""
+    e = _check_e(rep, e)
     _check_spectrum(rep)
-    primes = _primes(rep, _walk_degree(_walk_side(rep)[0]))
+    _, _, primes = _module_plan(rep)
     samples = tuple((p, count_subreps(rep, e, p)) for p in primes)
-    try:
-        coeffs = _box_polynomials(rep).get(e, (0,))
-    except NonPolynomialCount:
+    box = _box_polynomials(rep)
+    if isinstance(box, NonPolynomialCount):
         return _per_e_profile(rep, e)
+    coeffs = box.get(e, (0,))
     return CountProfile(rep, e, samples, coeffs, _eval_poly(coeffs, 1))
 
 
 def counting_polynomial(rep: IntRep, e: Sequence[int]) -> tuple[int, ...]:
     """Ascending coefficients of the verified counting polynomial."""
-    return profile(rep, tuple(int(v) for v in e)).coefficients
+    return profile(rep, e).coefficients
 
 
 def euler_char(rep: IntRep, e: Sequence[int]) -> int:
     """Counting polynomial evaluated at 1."""
-    return profile(rep, tuple(int(v) for v in e)).chi
+    return profile(rep, e).chi
 
 
 def box_profiles(rep: IntRep) -> dict[DimVector, CountProfile]:

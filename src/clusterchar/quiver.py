@@ -563,6 +563,8 @@ def regular_rigid_catalog(quiver: Quiver) -> list[ModuleFamily]:
 
 def quiver_from_json(obj: dict) -> Quiver:
     try:
+        if not isinstance(obj["vertices"], list) or not isinstance(obj["arrows"], list):
+            raise InvalidArgument("malformed quiver JSON: vertices and arrows must be lists")
         vertices = tuple(str(v) for v in obj["vertices"])
         arrows = tuple((str(a["src"]), str(a["tgt"])) for a in obj["arrows"])
     except (KeyError, TypeError) as exc:
@@ -579,31 +581,40 @@ def _json_int(value: object, name: str) -> int:
 
 def module_from_json(obj: dict, quiver: Quiver | None = None) -> IntRep:
     """Accepts either {"family": ..., "params": {...}} or an explicit
-    {"quiver": ..., "dim": {...}, "matrices": {"0": [[...]], ...}}."""
+    {"quiver": ..., "dim": {...}, "matrices": {"0": [[...]], ...}}.
+    A given ``quiver`` must be the module's own."""
     if "family" in obj:
         params = obj.get("params", {})
         if not isinstance(params, dict):
             raise InvalidArgument("malformed module JSON: params must be an object")
-        fam = str(obj["family"])
-        kwargs = {}
-        for key in ("n", "k", "point", "lam", "lambda", "index"):
-            if key in params:
-                kwargs[key] = _json_int(params[key], f"params.{key}")
-        n = kwargs.get("n", kwargs.get("k", 1))
-        point = kwargs.get("point", kwargs.get("lam", kwargs.get("lambda", 0)))
-        index = kwargs.get("index", 1 if fam == AFFINE_A21_TUBE else 0)
-        return catalog_module(ModuleFamily(fam, n=n, point=point, index=index))
-    if "quiver" in obj:
-        quiver = quiver_from_json(obj["quiver"])
-    if quiver is None:
-        raise InvalidArgument("explicit module JSON needs a quiver")
-    try:
-        dim = tuple(_json_int(obj["dim"][v], f"dim.{v}") for v in quiver.vertices)
-        mats = []
-        for i in range(len(quiver.arrows)):
-            raw, name = obj["matrices"][str(i)], f"matrices.{i} entry"
-            mats.append(tuple(tuple(_json_int(x, name) for x in row) for row in raw))
-        spectrum = tuple(_json_int(v, "spectrum entry") for v in obj.get("spectrum", ()))
-    except (KeyError, TypeError) as exc:
-        raise InvalidArgument(f"malformed module JSON: {exc}") from exc
-    return IntRep(quiver, dim, tuple(mats), spectrum, label=str(obj.get("label", "")))
+        fam, kwargs = str(obj["family"]), {}
+        for key, value in params.items():
+            param = {"k": "n", "lam": "point", "lambda": "point"}.get(key, key)
+            if param not in ("n", "point", "index"):
+                raise InvalidArgument(f"malformed module JSON: unknown params key {key!r}")
+            if param in kwargs:
+                raise InvalidArgument(f"malformed module JSON: params give {param!r} twice")
+            kwargs[param] = _json_int(value, f"params.{key}")
+        if fam == AFFINE_A21_TUBE:
+            kwargs.setdefault("index", 1)
+        rep = catalog_module(ModuleFamily(fam, **kwargs))
+    else:
+        own = quiver_from_json(obj["quiver"]) if "quiver" in obj else quiver
+        if own is None:
+            raise InvalidArgument("explicit module JSON needs a quiver")
+        try:
+            dim = tuple(_json_int(obj["dim"][v], f"dim.{v}") for v in own.vertices)
+            mats = []
+            for i in range(len(own.arrows)):
+                raw, name = obj["matrices"][str(i)], f"matrices.{i} entry"
+                mats.append(tuple(tuple(_json_int(x, name) for x in row) for row in raw))
+            spectrum = tuple(_json_int(v, "spectrum entry") for v in obj.get("spectrum", ()))
+        except (KeyError, TypeError) as exc:
+            raise InvalidArgument(f"malformed module JSON: {exc}") from exc
+        rep = IntRep(own, dim, tuple(mats), spectrum, label=str(obj.get("label", "")))
+    if quiver is not None and quiver != rep.quiver:
+        raise QuiverMismatch(
+            f"the module is over the quiver {rep.quiver.to_json_obj()}, "
+            f"not over the given {quiver.to_json_obj()}"
+        )
+    return rep

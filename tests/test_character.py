@@ -13,7 +13,7 @@ from clusterchar.character import (
     y_monomial,
 )
 from clusterchar.chebyshev import ChebWindow, gen_cheb
-from clusterchar.errors import IdentityFailed, InvalidArgument
+from clusterchar.errors import DimOutOfRange, IdentityFailed, InvalidArgument
 from clusterchar.laurent import Family, qid, tid, x, y
 from clusterchar.quiver import (
     IntRep,
@@ -46,6 +46,11 @@ class TestTermL:
         assert len(val) == 1
         ((mono, coeff),) = val.terms()
         assert coeff == gr.euler_char(rep, (0, 1)) == 2
+
+    @pytest.mark.parametrize("e", [(2, 0), (0, -1), (1,), (0, 0, 0)])
+    def test_e_out_of_range(self, e):
+        with pytest.raises(DimOutOfRange):
+            term_L(QUASI, e)
 
 
 class TestClusterChar:

@@ -33,6 +33,11 @@ class TestGenCheb:
     def test_window_start_shift(self):
         assert P(4, 2) == t(5) * t(4) - q(5)
 
+    def test_negative_window_start_refused(self):
+        with pytest.raises(InvalidArgument, match="window start must be >= 0"):
+            ChebWindow(-5, 2)
+        assert P(0, 2) == t(1) * t(0) - q(1)
+
     @pytest.mark.parametrize("length", range(0, 11))
     def test_matches_determinant_oracle(self, length):
         w = ChebWindow(1, length)

@@ -37,6 +37,13 @@ class TestGencheb:
         _, out2, _ = run_cli(capsys, "gencheb", "--n", "7")
         assert out1 == out2
 
+    def test_negative_start_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "gencheb", "--n", "2", "--start", "-5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: InvalidArgument: window start must be >= 0")
+        code, out, _ = run_cli(capsys, "gencheb", "--n", "2", "--start", "0")
+        assert (code, out) == (0, "t1*t0 - q1\n")
+
 
 class TestDelta:
     def test_plain(self, capsys):
@@ -124,6 +131,55 @@ class TestChar:
         code, _, err = run_cli(capsys, "char", "--module", '{"dim": {"1": 1}}')
         assert code == 2
         assert "quiver" in err
+
+    def test_quiver_contradicting_catalog_module_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "char", "--quiver", "affineA2", "--module", MODULE_QUASI)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: QuiverMismatch:")
+
+    def test_quiver_contradicting_module_json_exit_two(self, capsys):
+        arrows = [{"src": "1", "tgt": "2"}, {"src": "2", "tgt": "3"}]
+        a3 = {"vertices": ["1", "2", "3"], "arrows": arrows}
+        dim, matrices = {"1": 1, "2": 1, "3": 1}, {"0": [[1]], "1": [[1]]}
+        mod = json.dumps({"quiver": a3, "dim": dim, "matrices": matrices})
+        assert run_cli(capsys, "char", "--module", mod)[0] == 0
+        code, out, err = run_cli(capsys, "char", "--quiver", "kronecker", "--module", mod)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: QuiverMismatch:")
+
+    def test_matching_quiver_accepted(self, capsys):
+        _, want, _ = run_cli(capsys, "char", "--module", MODULE_QUASI)
+        code, out, _ = run_cli(capsys, "char", "--quiver", "kronecker", "--module", MODULE_QUASI)
+        assert (code, out) == (0, want)
+        kronecker = {"vertices": ["1", "2"], "arrows": [{"src": "1", "tgt": "2"}] * 2}
+        dim, matrices = {"1": 1, "2": 1}, {"0": [[1]], "1": [[1]]}
+        mod = json.dumps({"quiver": kronecker, "dim": dim, "matrices": matrices})
+        code, out, _ = run_cli(capsys, "char", "--quiver", "kronecker", "--module", mod)
+        assert (code, out) == (0, want)
+
+    @pytest.mark.parametrize(
+        "family, params, problem",
+        [
+            ("affineA21_tube", {"idx": 2, "n": 3}, "unknown params key 'idx'"),
+            ("kronecker_preprojective", {"n": 1, "k": 3}, "params give 'n' twice"),
+            ("kronecker_homogeneous", {"n": 1, "point": 1, "lam": 2}, "params give 'point' twice"),
+            ("kronecker_homogeneous", {"n": 1, "lambda": 2, "lam": 2}, "params give 'point' twice"),
+        ],
+    )
+    def test_strict_params_exit_two(self, capsys, family, params, problem):
+        mod = json.dumps({"family": family, "params": params})
+        code, out, err = run_cli(capsys, "char", "--module", mod)
+        assert (code, out) == (2, "")
+        assert err == f"error: InvalidArgument: malformed module JSON: {problem}\n"
+
+    @pytest.mark.parametrize("field", ["vertices", "arrows"])
+    def test_quiver_lists_required_exit_two(self, capsys, field):
+        quiver = {"vertices": ["1", "2"], "arrows": [{"src": "1", "tgt": "2"}]}
+        quiver[field] = "12"
+        argv = ["mutate", "--quiver", json.dumps(quiver), "--sequence", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "vertices and arrows must be lists" in err
 
 
 class TestGrass:

@@ -94,7 +94,7 @@ class TestAgainstNaiveOracle:
 
 def assert_box_matches_oracle(rep, p):
     """The walk itself (no dual switch) against the oracle on every e."""
-    box = gr._count_side(rep, p)
+    box = gr._count_side(rep, p)[1]
     for e in itertools.product(*[range(d + 1) for d in rep.dim]):
         assert box.get(e, 0) == naive_count(rep, e, p), (rep.label, e, p)
 
@@ -184,34 +184,72 @@ class TestStratifiedInterpolation:
                 old = gr._per_e_profile(rep, e)
             except NonPolynomialCount:
                 continue
-            new = gr._profile_with(rep, e)
+            new = gr.profile(rep, e)
             assert (new.coefficients, new.chi) == (old.coefficients, old.chi), e
-            try:
-                box = gr._box_polynomials(rep)
-            except NonPolynomialCount:
+            box = gr._box_polynomials(rep)
+            if isinstance(box, NonPolynomialCount):
                 continue
             assert box.get(e, (0,)) == old.coefficients, e
 
     def test_catalog_samples_fewer_primes(self):
         rep = catalog_module(homogeneous(3, 1))
-        walked, dual = gr._walk_side(rep)
-        assert not dual and gr._walk_degree(walked) == 2
+        walked, dual, primes = gr._module_plan(rep)
+        assert not dual and gr._walk_degree(walked) == 2 and primes == (2, 3, 5, 7, 11)
         prof = gr.profile(rep, (1, 2))
         assert [p for p, _ in prof.samples] == [2, 3, 5, 7, 11]
         assert prof.coefficients == gr._per_e_profile(rep, (1, 2)).coefficients
 
     def test_walks_the_side_of_smaller_degree(self):
-        walked, dual = gr._walk_side(catalog_module(preprojective(4)))  # dim (5, 4)
+        walked, dual, _ = gr._module_plan(catalog_module(preprojective(4)))  # dim (5, 4)
         assert dual and gr._walk_degree(walked) == 4
 
     def test_non_polynomial_stratum_falls_back(self):
         rep = NON_POLYNOMIAL_STRATUM
         stratum = re.escape("held-out primes [5, 7] disagree for stratum ((1, 0, 0), 0, 1, 1)")
-        with pytest.raises(NonPolynomialCount, match=stratum):
-            gr._box_polynomials(rep)
+        error = gr._box_polynomials(rep)
+        assert isinstance(error, NonPolynomialCount)
+        assert re.search(stratum, str(error))
         for e, prof in gr.box_profiles(rep).items():
             assert prof == gr._per_e_profile(rep, e)
-            assert len(prof.samples) == gr._ambient_degree_bound(rep, e) + 3
+            ambient = sum(k * (d - k) for k, d in zip(e, rep.dim))
+            assert len(prof.samples) == ambient + 3
+
+    def test_fallback_is_decided_once_per_module(self, monkeypatch):
+        rep = NON_POLYNOMIAL_STRATUM
+        calls = {"primes": 0, "strata": 0}
+        primes, interpolate = gr._primes, gr._interpolate
+
+        def count_primes(*args):
+            calls["primes"] += 1
+            return primes(*args)
+
+        def count_strata(points, bound, what):
+            calls["strata"] += what.startswith("stratum")
+            return interpolate(points, bound, what)
+
+        gr._module_plan.cache_clear()
+        gr._box_polynomials.cache_clear()
+        monkeypatch.setattr(gr, "_primes", count_primes)
+        monkeypatch.setattr(gr, "_interpolate", count_strata)
+        gr.box_profiles(rep)
+        assert gr._box_polynomials.cache_info().misses == 1
+        assert calls == {"primes": 1 + 18, "strata": 2}  # the plan, then each e alone
+
+    def test_module_consumes_its_primes_once(self, monkeypatch):
+        rep = catalog_module(a21_tube(1, 3))
+        calls = []
+        admissible = gr.admissible_primes
+
+        def count_calls(rep):
+            calls.append(rep)
+            return admissible(rep)
+
+        gr._module_plan.cache_clear()
+        gr._box_polynomials.cache_clear()
+        monkeypatch.setattr(gr, "admissible_primes", count_calls)
+        gr.box_profiles(rep)
+        assert not isinstance(gr._box_polynomials(rep), NonPolynomialCount)
+        assert calls == [rep]
 
     def test_failing_stratum_interpolation_falls_back(self, monkeypatch):
         rep = catalog_module(a21_tube(1, 3))
@@ -223,14 +261,12 @@ class TestStratifiedInterpolation:
             return interpolate(points, bound, what)
 
         gr._box_polynomials.cache_clear()
-        gr._profile_with.cache_clear()
         monkeypatch.setattr(gr, "_interpolate", refuse_strata)
         try:
             for e, prof in gr.box_profiles(rep).items():
                 assert prof == gr._per_e_profile(rep, e)
         finally:
             gr._box_polynomials.cache_clear()
-            gr._profile_with.cache_clear()
 
     def test_held_out_error_names_every_prime(self):
         points = [(2, 1), (3, 1), (5, 2), (7, 1), (11, 3)]
