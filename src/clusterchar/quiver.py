@@ -5,15 +5,21 @@ Representations carry plain integer matrices and are reduced mod p on
 demand, so a single object serves every prime during point counting.
 The Auslander-Reiten translate is not implemented as a functor; tube
 families expose it combinatorially (an index shift on the catalog).
+
+Each catalog family is one entry of ``_CATALOG`` (its quiver, the fields it
+reads, its label, its matrices and its tube), and whatever differs between
+families reads the entry, so a new family is one entry.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DimensionMismatch, InvalidArgument, InvalidParams, QuiverMismatch
+from .errors import (
+    DimensionMismatch, InvalidArgument, InvalidParams, QuiverMismatch, UnsupportedQuiver,
+)
 
 __all__ = [
     "DimVector",
@@ -219,14 +225,6 @@ class IntRep:
                     (t, _matmul(m, mat)) for (s, t), m in zip(pairs, self.matrices) if s == end
                 )
 
-    def to_json_obj(self) -> dict:
-        return {
-            "quiver": self.quiver.to_json_obj(),
-            "dim": {v: d for v, d in zip(self.quiver.vertices, self.dim)},
-            "matrices": {str(i): [list(r) for r in m] for i, m in enumerate(self.matrices)},
-            "spectrum": list(self.spectrum),
-        }
-
 
 def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """The product ab of integer matrices, b with at least one row."""
@@ -289,12 +287,9 @@ def _prime_factors(n: int) -> set[int]:
     return out
 
 
-def _zero_matrix(rows: int, cols: int) -> IntMatrix:
-    return tuple((0,) * cols for _ in range(rows))
-
-
-def _identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _shift(rows: int, cols: int, offset: int) -> IntMatrix:
+    """The 0/1 matrix with a 1 where the column is the row plus ``offset``."""
+    return tuple(tuple(1 if j == i + offset else 0 for j in range(cols)) for i in range(rows))
 
 
 def _jordan(n: int, lam: int) -> IntMatrix:
@@ -305,10 +300,7 @@ def _jordan(n: int, lam: int) -> IntMatrix:
 
 
 def zero_rep(quiver: Quiver) -> IntRep:
-    m = len(quiver.vertices)
-    dim = (0,) * m
-    mats = tuple(_zero_matrix(0, 0) for _ in quiver.arrows)
-    return IntRep(quiver, dim, mats, label="0")
+    return IntRep(quiver, (0,) * len(quiver.vertices), ((),) * len(quiver.arrows), label="0")
 
 
 def direct_sum(a: IntRep, b: IntRep) -> IntRep:
@@ -373,23 +365,15 @@ KRONECKER_PREINJECTIVE = "kronecker_preinjective"
 AFFINE_A21_TUBE = "affineA21_tube"
 AFFINE_A21_HOMOGENEOUS = "affineA21_homogeneous"
 
-_FAMILIES = (
-    KRONECKER_HOMOGENEOUS,
-    KRONECKER_PREPROJECTIVE,
-    KRONECKER_PREINJECTIVE,
-    AFFINE_A21_TUBE,
-    AFFINE_A21_HOMOGENEOUS,
-)
+_PARAMS = ("n", "point", "index")
 
 
 @dataclass(frozen=True)
 class ModuleFamily:
-    """A catalog module family plus its parameters.
-
-    Parameter usage: ``n`` is the quasi-length (or the preprojective /
-    preinjective step k), ``point`` is an integer parameter of a
-    homogeneous tube, ``index`` labels a quasi-simple on the rank-2 tube.
-    """
+    """A catalog module family plus its parameters: ``n`` is the quasi-length
+    (or the preprojective / preinjective step k), ``point`` an integer parameter
+    of a homogeneous tube, ``index`` a quasi-simple on the rank-2 tube.  Each
+    family reads the fields its catalog entry names and ignores the others."""
 
     family: str
     n: int = 1
@@ -397,25 +381,18 @@ class ModuleFamily:
     index: int = 0
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        entry = _CATALOG.get(self.family)
+        if entry is None:
             raise InvalidParams(f"unknown family {self.family!r}")
-        if self.family in (KRONECKER_HOMOGENEOUS, AFFINE_A21_HOMOGENEOUS, AFFINE_A21_TUBE):
-            if self.n < 1:
-                raise InvalidParams("quasi-length must be >= 1")
-        else:
-            if self.n < 0:
-                raise InvalidParams("preprojective/preinjective step must be >= 0")
-        if self.family == AFFINE_A21_TUBE and self.index not in (1, 2):
+        if entry.tube and self.n < 1:
+            raise InvalidParams("quasi-length must be >= 1")
+        if not entry.tube and self.n < 0:
+            raise InvalidParams("preprojective/preinjective step must be >= 0")
+        if entry.tube == _RANK2 and self.index not in (1, 2):
             raise InvalidParams("tube index must be 1 or 2 on the rank-2 tube")
 
     def describe(self) -> str:
-        if self.family == KRONECKER_HOMOGENEOUS:
-            return f"kronecker_homogeneous(n={self.n}, point={self.point})"
-        if self.family == AFFINE_A21_HOMOGENEOUS:
-            return f"affineA21_homogeneous(n={self.n}, point={self.point})"
-        if self.family == AFFINE_A21_TUBE:
-            return f"affineA21_tube(index={self.index}, n={self.n})"
-        return f"{self.family}(k={self.n})"
+        return _CATALOG[self.family].label.format(n=self.n, point=self.point, index=self.index)
 
 
 def homogeneous(n: int, point: int = 1) -> ModuleFamily:
@@ -438,42 +415,17 @@ def a21_homogeneous(n: int, point: int = 1) -> ModuleFamily:
     return ModuleFamily(AFFINE_A21_HOMOGENEOUS, n=n, point=point)
 
 
-def catalog_module(f: ModuleFamily) -> IntRep:
-    """Explicit integer matrices for a catalog family member."""
-    if f.family == KRONECKER_HOMOGENEOUS:
-        n, lam = f.n, f.point
-        return IntRep(
-            kronecker_quiver(),
-            (n, n),
-            (_identity(n), _jordan(n, lam)),
-            spectrum=(lam,),
-            label=f.describe(),
-        )
-    if f.family == KRONECKER_PREPROJECTIVE:
-        k = f.n
-        drop_last = tuple(tuple(1 if j == i else 0 for j in range(k + 1)) for i in range(k))
-        drop_first = tuple(tuple(1 if j == i + 1 else 0 for j in range(k + 1)) for i in range(k))
-        return IntRep(kronecker_quiver(), (k + 1, k), (drop_last, drop_first), label=f.describe())
-    if f.family == KRONECKER_PREINJECTIVE:
-        k = f.n
-        top = tuple(tuple(1 if j == i else 0 for j in range(k)) for i in range(k + 1))
-        bottom = tuple(tuple(1 if j == i - 1 else 0 for j in range(k)) for i in range(k + 1))
-        return IntRep(kronecker_quiver(), (k, k + 1), (top, bottom), label=f.describe())
-    if f.family == AFFINE_A21_TUBE:
-        return _a21_tube_rep(f)
-    if f.family == AFFINE_A21_HOMOGENEOUS:
-        n, lam = f.n, f.point
-        return IntRep(
-            affine_a2_quiver(),
-            (n, n, n),
-            (_identity(n), _identity(n), _jordan(n, lam)),
-            spectrum=(lam,),
-            label=f.describe(),
-        )
-    raise InvalidParams(f"unknown family {f.family!r}")
+_Matrices = tuple[DimVector, tuple[IntMatrix, ...], tuple[int, ...]]
 
 
-def _a21_tube_rep(f: ModuleFamily) -> IntRep:
+def _homogeneous_member(f: ModuleFamily, vertices: int) -> _Matrices:
+    """Dimension n at each vertex, the identity on each arrow but the last and
+    J_n(point) on the last (both catalog quivers have as many arrows as vertices)."""
+    eye = _shift(f.n, f.n, 0)
+    return (f.n,) * vertices, (eye,) * (vertices - 1) + (_jordan(f.n, f.point),), (f.point,)
+
+
+def _a21_tube_member(f: ModuleFamily) -> _Matrices:
     """Quasi-length-n module on the rank-2 exceptional tube of the quiver
     1->2, 2->3, 1->3.
 
@@ -482,45 +434,76 @@ def _a21_tube_rep(f: ModuleFamily) -> IntRep:
     quasi-length-n module with quasi-socle R_i is a string module whose
     arrow matrices are shifted inclusions.
     """
-    n = f.n
-    s_count = (n + 1) // 2 if f.index == 1 else n // 2
-    m_count = n - s_count
-    dim = (s_count, m_count, s_count)
-    if f.index == 1:
-        # a: u_c -> v_{c-1} (u_0 -> 0), b: v_c -> w_c
-        a = tuple(tuple(1 if c == r + 1 else 0 for c in range(s_count)) for r in range(m_count))
-        b = tuple(tuple(1 if c == r else 0 for c in range(m_count)) for r in range(s_count))
-    else:
-        # a: u_c -> v_c, b: v_c -> w_{c-1} (v_0 -> 0)
-        a = tuple(tuple(1 if c == r else 0 for c in range(s_count)) for r in range(m_count))
-        b = tuple(tuple(1 if c == r + 1 else 0 for c in range(m_count)) for r in range(s_count))
-    c = _identity(s_count)
-    return IntRep(affine_a2_quiver(), dim, (a, b, c), label=f.describe())
+    s_count = (f.n + 1) // 2 if f.index == 1 else f.n // 2
+    m_count = f.n - s_count
+    # index 1: a: u_c -> v_{c-1} (u_0 -> 0), b: v_c -> w_c
+    # index 2: a: u_c -> v_c, b: v_c -> w_{c-1} (v_0 -> 0)
+    a = _shift(m_count, s_count, 2 - f.index)
+    b = _shift(s_count, m_count, f.index - 1)
+    return (s_count, m_count, s_count), (a, b, _shift(s_count, s_count, 0)), ()
+
+
+_HOMOGENEOUS, _RANK2 = "homogeneous", "rank-2"
+
+
+class _Family(NamedTuple):
+    """What the catalog knows of one family."""
+
+    quiver: Quiver
+    reads: tuple[str, ...]  # the ModuleFamily fields it reads
+    label: str  # describe() format over n, point and index
+    member: Callable[[ModuleFamily], _Matrices]  # dim, matrices, spectrum
+    tube: str | None  # _HOMOGENEOUS, _RANK2, or None for a transient family
+
+
+_CATALOG: dict[str, _Family] = {
+    KRONECKER_HOMOGENEOUS: _Family(
+        kronecker_quiver(), ("n", "point"), "kronecker_homogeneous(n={n}, point={point})",
+        lambda f: _homogeneous_member(f, 2), _HOMOGENEOUS,
+    ),
+    KRONECKER_PREPROJECTIVE: _Family(
+        kronecker_quiver(), ("n",), "kronecker_preprojective(k={n})",
+        lambda f: ((f.n + 1, f.n), (_shift(f.n, f.n + 1, 0), _shift(f.n, f.n + 1, 1)), ()), None,
+    ),
+    KRONECKER_PREINJECTIVE: _Family(
+        kronecker_quiver(), ("n",), "kronecker_preinjective(k={n})",
+        lambda f: ((f.n, f.n + 1), (_shift(f.n + 1, f.n, 0), _shift(f.n + 1, f.n, -1)), ()), None,
+    ),
+    AFFINE_A21_TUBE: _Family(
+        affine_a2_quiver(), ("n", "index"), "affineA21_tube(index={index}, n={n})",
+        _a21_tube_member, _RANK2,
+    ),
+    AFFINE_A21_HOMOGENEOUS: _Family(
+        affine_a2_quiver(), ("n", "point"), "affineA21_homogeneous(n={n}, point={point})",
+        lambda f: _homogeneous_member(f, 3), _HOMOGENEOUS,
+    ),
+}
+
+
+def catalog_module(f: ModuleFamily) -> IntRep:
+    """Explicit integer matrices for a catalog family member."""
+    entry = _CATALOG[f.family]
+    return IntRep(entry.quiver, *entry.member(f), label=f.describe())
 
 
 def tau_translate(f: ModuleFamily) -> ModuleFamily:
     """The AR translate on tube families: an index shift, identity on
     homogeneous tubes.  Not defined for the transient families."""
-    if f.family in (KRONECKER_HOMOGENEOUS, AFFINE_A21_HOMOGENEOUS):
+    tube = _CATALOG[f.family].tube
+    if tube == _HOMOGENEOUS:
         return f
-    if f.family == AFFINE_A21_TUBE:
-        return a21_tube(1 if f.index == 2 else 2, f.n)
+    if tube == _RANK2:
+        return ModuleFamily(f.family, n=f.n, index=3 - f.index)
     raise InvalidParams(f"{f.family} is not a tube family")
 
 
 def quasi_factors(f: ModuleFamily) -> list[ModuleFamily]:
     """Quasi-composition factors, socle first, in tau-inverse order."""
-    if f.family == KRONECKER_HOMOGENEOUS:
-        return [homogeneous(1, f.point) for _ in range(f.n)]
-    if f.family == AFFINE_A21_HOMOGENEOUS:
-        return [a21_homogeneous(1, f.point) for _ in range(f.n)]
-    if f.family == AFFINE_A21_TUBE:
-        out = []
-        idx = f.index
-        for _ in range(f.n):
-            out.append(a21_tube(idx, 1))
-            idx = 1 if idx == 2 else 2
-        return out
+    tube = _CATALOG[f.family].tube
+    if tube == _HOMOGENEOUS:
+        return [ModuleFamily(f.family, n=1, point=f.point) for _ in range(f.n)]
+    if tube == _RANK2:
+        return [ModuleFamily(f.family, n=1, index=(f.index, 3 - f.index)[j % 2]) for j in range(f.n)]
     raise InvalidParams(f"{f.family} is not a tube family")
 
 
@@ -554,7 +537,7 @@ def regular_rigid_catalog(quiver: Quiver) -> list[ModuleFamily]:
         return []
     if quiver == affine_a2_quiver():
         return [a21_tube(1, 1), a21_tube(2, 1)]
-    raise InvalidArgument("not a catalog affine quiver")
+    raise UnsupportedQuiver("not a catalog affine quiver")
 
 
 # ---------------------------------------------------------------------------
@@ -579,26 +562,39 @@ def _json_int(value: object, name: str) -> int:
     raise InvalidArgument(f"malformed module JSON: {name} must be an integer, got {value!r}")
 
 
+def _refuse_unknown(keys: Iterable[str], known: Sequence[str], what: str) -> None:
+    for key in keys:
+        if key not in known:
+            raise InvalidArgument(f"malformed module JSON: unknown {what} {key!r}")
+
+
 def module_from_json(obj: dict, quiver: Quiver | None = None) -> IntRep:
-    """Accepts either {"family": ..., "params": {...}} or an explicit
-    {"quiver": ..., "dim": {...}, "matrices": {"0": [[...]], ...}}.
-    A given ``quiver`` must be the module's own."""
+    """Accepts either {"family": ..., "params": {...}} or an explicit {"quiver": ...,
+    "dim": {...}, "matrices": {"0": [[...]], ...}, "spectrum": [...], "label": ...}.
+    A key that the format, or the family, does not read is refused.  A given
+    ``quiver`` must be the module's own."""
     if "family" in obj:
+        _refuse_unknown(obj, ("family", "params"), "key")
         params = obj.get("params", {})
         if not isinstance(params, dict):
             raise InvalidArgument("malformed module JSON: params must be an object")
         fam, kwargs = str(obj["family"]), {}
+        # An unknown family reads every parameter, so that ModuleFamily names it.
+        reads = _CATALOG[fam].reads if fam in _CATALOG else _PARAMS
         for key, value in params.items():
             param = {"k": "n", "lam": "point", "lambda": "point"}.get(key, key)
-            if param not in ("n", "point", "index"):
+            if param not in _PARAMS:
                 raise InvalidArgument(f"malformed module JSON: unknown params key {key!r}")
+            if param not in reads:
+                raise InvalidArgument(f"malformed module JSON: {fam} does not read params key {key!r}")
             if param in kwargs:
                 raise InvalidArgument(f"malformed module JSON: params give {param!r} twice")
             kwargs[param] = _json_int(value, f"params.{key}")
-        if fam == AFFINE_A21_TUBE:
+        if "index" in reads:
             kwargs.setdefault("index", 1)
         rep = catalog_module(ModuleFamily(fam, **kwargs))
     else:
+        _refuse_unknown(obj, ("quiver", "dim", "matrices", "spectrum", "label"), "key")
         own = quiver_from_json(obj["quiver"]) if "quiver" in obj else quiver
         if own is None:
             raise InvalidArgument("explicit module JSON needs a quiver")
@@ -609,6 +605,8 @@ def module_from_json(obj: dict, quiver: Quiver | None = None) -> IntRep:
                 raw, name = obj["matrices"][str(i)], f"matrices.{i} entry"
                 mats.append(tuple(tuple(_json_int(x, name) for x in row) for row in raw))
             spectrum = tuple(_json_int(v, "spectrum entry") for v in obj.get("spectrum", ()))
+            _refuse_unknown(obj["dim"], own.vertices, "dim key")
+            _refuse_unknown(obj.get("matrices", ()), [str(i) for i in range(len(mats))], "matrices key")
         except (KeyError, TypeError) as exc:
             raise InvalidArgument(f"malformed module JSON: {exc}") from exc
         rep = IntRep(own, dim, tuple(mats), spectrum, label=str(obj.get("label", "")))

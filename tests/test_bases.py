@@ -22,6 +22,7 @@ from clusterchar.quiver import (
     a21_tube,
     catalog_module,
     homogeneous,
+    regular_rigid_catalog,
 )
 
 
@@ -41,6 +42,8 @@ class TestXDelta:
         q = Quiver(("a", "b"), (("a", "b"),))
         with pytest.raises(UnsupportedQuiver):
             x_delta(q)
+        with pytest.raises(UnsupportedQuiver):
+            regular_rigid_catalog(q)
 
 
 class TestBasisElements:

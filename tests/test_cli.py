@@ -164,6 +164,21 @@ class TestChar:
             ("kronecker_preprojective", {"n": 1, "k": 3}, "params give 'n' twice"),
             ("kronecker_homogeneous", {"n": 1, "point": 1, "lam": 2}, "params give 'point' twice"),
             ("kronecker_homogeneous", {"n": 1, "lambda": 2, "lam": 2}, "params give 'point' twice"),
+            (
+                "kronecker_preprojective",
+                {"k": 1, "point": 5},
+                "kronecker_preprojective does not read params key 'point'",
+            ),
+            (
+                "affineA21_homogeneous",
+                {"n": 1, "index": 2},
+                "affineA21_homogeneous does not read params key 'index'",
+            ),
+            (
+                "kronecker_preinjective",
+                {"k": 1, "lam": 2},
+                "kronecker_preinjective does not read params key 'lam'",
+            ),
         ],
     )
     def test_strict_params_exit_two(self, capsys, family, params, problem):
@@ -273,6 +288,12 @@ class TestBasisAndVerify:
         )
         assert code == 0
         assert all(line.startswith("PASS") for line in out.splitlines())
+
+    def test_basis_on_a_non_catalog_quiver_exit_two(self, capsys):
+        a2 = '{"vertices": ["a", "b"], "arrows": [{"src": "a", "tgt": "b"}]}'
+        code, out, err = run_cli(capsys, "basis", "--kind", "B", "--max-n", "1", "--quiver", a2)
+        assert (code, out) == (2, "")
+        assert err == "error: UnsupportedQuiver: not a catalog affine quiver\n"
 
     def test_basis_negative_max_n_exit_two(self, capsys):
         code, out, err = run_cli(

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +31,28 @@ from clusterchar.quiver import (
     unit_vector,
     zero_rep,
 )
+
+TUBE_MEMBERS = [
+    *(make(n, point) for make in (homogeneous, a21_homogeneous)
+      for n in range(1, 6) for point in (0, 1, -2)),
+    *(a21_tube(index, n) for index in (1, 2) for n in range(1, 9)),
+]
+
+
+def _coxeter(quiver):
+    """Phi = -E^-1 E^T, with E_ij = <S_i, S_j>, by Gauss-Jordan over Q."""
+    m = len(quiver.vertices)
+    units = [unit_vector(quiver, i) for i in range(m)]
+    e = [[Fraction(euler_form(quiver, units[i], units[j])) for j in range(m)] for i in range(m)]
+    rows = [e[i] + [-e[j][i] for j in range(m)] for i in range(m)]  # [E | -E^T]
+    for c in range(m):
+        pivot = next(r for r in range(c, m) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(m):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[m:] for row in rows]
 
 
 class TestQuiverValidation:
@@ -117,13 +141,20 @@ class TestCatalog:
         assert r2.dim == (0, 1, 0)
 
     def test_tube_dims_sum_quasi_factors(self):
-        for fam in [a21_tube(1, 3), a21_tube(2, 4), homogeneous(3, 1), a21_homogeneous(2, 1)]:
+        for fam in TUBE_MEMBERS:
             rep = catalog_module(fam)
             total = [0] * len(rep.dim)
             for g in quasi_factors(fam):
                 for i, v in enumerate(catalog_module(g).dim):
                     total[i] += v
-            assert tuple(total) == rep.dim
+            assert tuple(total) == rep.dim, fam.describe()
+
+    @pytest.mark.parametrize("fam", TUBE_MEMBERS, ids=lambda f: f.describe())
+    def test_tau_acts_on_dims_by_the_coxeter_matrix(self, fam):
+        rep = catalog_module(fam)
+        phi = _coxeter(rep.quiver)
+        want = tuple(sum(p * d for p, d in zip(row, rep.dim)) for row in phi)
+        assert catalog_module(tau_translate(fam)).dim == want
 
     def test_tau_swaps_tube_index(self):
         assert tau_translate(a21_tube(1, 3)) == a21_tube(2, 3)
@@ -248,6 +279,22 @@ class TestJson:
         rep = module_from_json({"family": "kronecker_homogeneous", "params": {"n": 2, "point": 1}})
         assert rep == catalog_module(homogeneous(2, 1))
 
+    @pytest.mark.parametrize(
+        "family, params, want",
+        [
+            ("kronecker_homogeneous", {"n": 2, "lam": 3}, homogeneous(2, 3)),
+            ("affineA21_homogeneous", {"lambda": -2}, a21_homogeneous(1, -2)),
+            ("kronecker_preprojective", {"k": 2}, preprojective(2)),
+            ("kronecker_preinjective", {"k": 0}, preinjective(0)),
+            ("affineA21_tube", {"n": 3}, a21_tube(1, 3)),
+            ("affineA21_tube", {"index": 2, "n": 3}, a21_tube(2, 3)),
+        ],
+    )
+    def test_each_family_reads_its_own_params(self, family, params, want):
+        rep = module_from_json({"family": family, "params": params})
+        assert rep == catalog_module(want)
+        assert rep.label == want.describe()
+
     def test_module_explicit_json(self, kronecker):
         obj = {
             "quiver": kronecker.to_json_obj(),
@@ -260,6 +307,34 @@ class TestJson:
     def test_malformed_module(self):
         with pytest.raises(InvalidArgument):
             module_from_json({"dim": {"1": 1}})
+
+    @pytest.mark.parametrize(
+        "obj, problem",
+        [
+            ({"family": "kronecker_preprojective", "parms": {"k": 2}}, "unknown key 'parms'"),
+            ({"family": "kronecker_preprojective", "label": "P"}, "unknown key 'label'"),
+            (
+                {"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1]], "1": [[1]]}, "spectrm": [1]},
+                "unknown key 'spectrm'",
+            ),
+            (
+                {"dim": {"1": 1, "2": 1, "3": 0}, "matrices": {"0": [[1]], "1": [[1]]}},
+                "unknown dim key '3'",
+            ),
+            (
+                {"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1]], "1": [[1]], "7": [[1]]}},
+                "unknown matrices key '7'",
+            ),
+            (
+                {"family": "affineA21_tube", "params": {"n": 2, "lam": 1}},
+                "affineA21_tube does not read params key 'lam'",
+            ),
+        ],
+    )
+    def test_unread_keys_refused(self, kronecker, obj, problem):
+        with pytest.raises(InvalidArgument) as info:
+            module_from_json(obj, kronecker if "dim" in obj else None)
+        assert str(info.value) == f"malformed module JSON: {problem}"
 
     @pytest.mark.parametrize(
         "obj, field",
