@@ -4,8 +4,16 @@ characteristics via counting-polynomial interpolation.
 Subspaces are enumerated through reduced row-echelon bases (one canonical
 representative each).  The walk proceeds in topological order with early
 pruning: at each vertex only superspaces of the span of the incoming
-images are generated.  The final vertex (a sink) is never enumerated,
-only counted by a Gaussian binomial in the dimension of its incoming span.
+images are generated.  It is incremental: every receiving vertex keeps one
+running echelon basis of its incoming span, the superspaces at a vertex
+form a tree whose nodes each add one echelon row (left of the rows before
+it, which never change), and a node pushes only that row's images into
+the running bases, popping their new pivots on the way back.  Sibling rows
+share their images' affine span of matrix columns, reduced once modulo
+the running bases for all of them.
+
+The final vertex (a sink) is never enumerated, only counted by a Gaussian
+binomial in the dimension of its incoming span.
 The vertex before it is counted in closed form too when at most one arrow
 leaves it (all its arrows end at the sink): with W its incoming span, A
 that arrow and C the span of the other arrows' images at the sink, the
@@ -42,7 +50,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -78,84 +85,56 @@ def _primes(rep: IntRep, bound: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_p (vectors are tuples of ints in [0, p))
+# linear algebra over F_p (vectors are lists of ints in [0, p))
 
 
-def _extend(basis: dict[int, list[int]], vectors: Sequence[Sequence[int]], p: int) -> int:
+def _reduce(basis: dict[int, list[int]], vec: list[int], p: int) -> list[int]:
+    """The vector minus the element of the basis's span that agrees with it
+    at every pivot column: 0 at the pivots, and linear in the vector."""
+    for c in sorted(basis):
+        x = vec[c]
+        if x:
+            vec = [(u - x * v) % p for u, v in zip(vec, basis[c])]
+    return vec
+
+
+def _push(basis: dict[int, list[int]], vec: list[int], p: int) -> int | None:
     """Grow an echelon basis (pivot column -> row that is 1 there and 0
-    before it) by the given vectors; returns the rank of the grown span."""
-    for vec in vectors:
-        row = list(vec)
-        for c in range(len(row)):
-            x = row[c]
-            if not x:
-                continue
-            pivot = basis.get(c)
-            if pivot is None:
-                inv = pow(x, p - 2, p)
-                basis[c] = [v * inv % p for v in row]
-                break
-            row = [(u - x * v) % p for u, v in zip(row, pivot)]
-    return len(basis)
+    before it) by the vector; returns the new pivot, or None if the vector
+    lies in the span.  Deleting that pivot undoes the push."""
+    for c in range(len(vec)):
+        x = vec[c]
+        if x:
+            row = basis.get(c)
+            if row is None:
+                inv = pow(x, -1, p)
+                basis[c] = [u * inv % p for u in vec]
+                return c
+            vec = [(u - x * v) % p for u, v in zip(vec, row)]
+    return None
 
 
-def _apply(matrix: Sequence[Sequence[int]], basis: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]]:
-    """Images of basis row-vectors under the matrix (acting on columns)."""
-    return [tuple(sum(map(operator.mul, row, v)) % p for row in matrix) for v in basis]
+def _combine(cols: Sequence[list[int]], x: Sequence[int], p: int) -> list[int]:
+    """The linear combination sum x_j cols_j of at least one vector."""
+    out = [0] * len(cols[0])
+    for c, col in zip(x, cols):
+        if c:
+            out = [(u + c * v) % p for u, v in zip(out, col)]
+    return out
 
 
-def _echelon_subspaces(d: int, k: int, p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All k-dimensional subspaces of F_p^d as RREF bases, each exactly once."""
-    if k < 0 or k > d:
+def _affine_span(base: list[int], gens: Sequence[list[int]], p: int) -> Iterator[list[int]]:
+    """Every base + sum x_j gens_j over x in F_p^len(gens), one vector add
+    each, holding no more than one vector per generator."""
+    if not gens:
+        yield base
         return
-    if k == 0:
-        yield ()
-        return
-    for pivots in itertools.combinations(range(d), k):
-        pivot_set = set(pivots)
-        free_cells = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, d)
-            if j not in pivot_set
-        ]
-        for values in itertools.product(range(p), repeat=len(free_cells)):
-            rows = [[0] * d for _ in range(k)]
-            for i in range(k):
-                rows[i][pivots[i]] = 1
-            for (i, j), v in zip(free_cells, values):
-                rows[i][j] = v
-            yield tuple(tuple(r) for r in rows)
-
-
-def _superspaces(
-    w_rows: tuple[tuple[int, ...], ...],
-    w_pivots: tuple[int, ...],
-    d: int,
-    k: int,
-    p: int,
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Bases of the k-dimensional subspaces containing the span W of the
-    echelon rows ``w_rows``.
-
-    Subspaces above W correspond to subspaces of the quotient, coordinates
-    taken on the non-pivot columns of W; each lift is joined to W's rows.
-    """
-    w = len(w_rows)
-    if k < w or k > d:
-        return
-    if k == w:
-        yield w_rows
-        return
-    non_pivot = [j for j in range(d) if j not in w_pivots]
-    for qbasis in _echelon_subspaces(len(non_pivot), k - w, p):
-        lifted = []
-        for qrow in qbasis:
-            vec = [0] * d
-            for pos, val in zip(non_pivot, qrow):
-                vec[pos] = val
-            lifted.append(tuple(vec))
-        yield w_rows + tuple(lifted)
+    *outer, inner = gens
+    for vec in _affine_span(base, outer, p):
+        yield vec
+        for _ in range(p - 1):
+            vec = [(u + v) % p for u, v in zip(vec, inner)]
+            yield vec
 
 
 @functools.lru_cache(maxsize=None)
@@ -276,57 +255,106 @@ def _walk(rep: IntRep, p: int) -> dict[tuple, int]:
     the sink, else (dims, s) with s the rank of the incoming span at the
     sink; ``dims`` holds the dimensions at the enumerated vertices and 0
     elsewhere.
+
+    Every receiving vertex keeps one running echelon basis of its incoming
+    span, so a leaf's ranks are read off, not recomputed.  The subspaces
+    above the incoming span W at an enumerated vertex form a tree: a node
+    adds one row in reduced echelon form on the columns that are not
+    pivots of W, with its pivot left of every earlier row's pivot, so rows
+    already chosen never change.  The node pushes only that row's images
+    and pops their pivots on the way back.  Siblings differ only in the
+    row's free entries, so their images are one affine span of matrix
+    columns, reduced modulo the running bases once for all of them.
     """
     explicit, tail, sink = _walk_plan(rep.quiver)
-    in_arrows: dict[int, list[tuple[tuple[tuple[int, ...], ...], int]]] = {
-        v: [] for v in range(len(rep.dim))
-    }
-    for (s, t), m in zip(rep.quiver.arrow_indices(), rep.matrices):
-        in_arrows[t].append((tuple(tuple(v % p for v in row) for row in m), s))
-
-    chosen: dict[int, tuple[tuple[int, ...], ...]] = {}
-    dims: list[int] = [0] * len(rep.dim)
-    leaves: dict[tuple, int] = {}
-
-    def images(arrows: list) -> list[tuple[int, ...]]:
-        return [img for mat, s in arrows for img in _apply(mat, chosen[s], p)]
-
+    dim = rep.dim
+    at = {v: i for i, v in enumerate(explicit)}
+    bases: list[dict[int, list[int]]] = [{} for _ in explicit]
+    arrows = [
+        (s, t, [[row[j] % p for row in m] for j in range(dim[s])])
+        for (s, t), m in zip(rep.quiver.arrow_indices(), rep.matrices)
+    ]
+    # feeds[v]: (running basis, length of its vectors, images of v's unit vectors)
+    feeds: dict[int, list[tuple[int, int, list[list[int]]]]] = {v: [] for v in explicit}
     if tail is None:
-
-        def leaf_ranks() -> tuple[int, ...]:
-            return (_extend({}, images(in_arrows[sink]), p),)
-
+        ranked = [len(bases)]
+        bases.append({})
+        for s, t, cols in arrows:
+            feeds[s].append((at.get(t, ranked[0]), dim[t], cols))
     else:
         # With W the incoming span at the tail, C the span the other arrows
-        # give at the sink and A the arrow tail -> sink (zero if absent):
-        # w = dim W, r_w = dim(C + AW), r_v = dim(C + A V_tail).
-        a_mat = next((mat for mat, s in in_arrows[sink] if s == tail), None)
-        others = [(mat, s) for mat, s in in_arrows[sink] if s != tail]
-        columns = list(zip(*a_mat)) if a_mat else []
+        # give at the sink and A the arrow tail -> sink (zero if absent), the
+        # bases span W, C + AW and C + A V_tail: w, r_w and r_v.
+        ranked = [len(bases), len(bases) + 1, len(bases) + 2]
+        w_b, cw_b, cv_b = ranked
+        bases += [{}, {}, {}]
+        a_cols = next((cols for s, _, cols in arrows if s == tail), [])
+        for col in a_cols:
+            _push(bases[cv_b], col, p)
+        for s, t, cols in arrows:
+            if t == tail:
+                feeds[s].append((w_b, dim[tail], cols))
+                if a_cols:
+                    composite = [_combine(a_cols, col, p) for col in cols]
+                    feeds[s].append((cw_b, dim[sink], composite))
+            elif t == sink and s != tail:
+                feeds[s] += [(cw_b, dim[sink], cols), (cv_b, dim[sink], cols)]
+            elif s != tail:
+                feeds[s].append((at[t], dim[t], cols))
 
-        def leaf_ranks() -> tuple[int, ...]:
-            gens = images(in_arrows[tail])
-            basis: dict[int, list[int]] = {}
-            r_w = _extend(basis, images(others) + (_apply(a_mat, gens, p) if a_mat else []), p)
-            return _extend({}, gens, p), r_w, _extend(basis, columns, p)
+    # Per enumerated vertex, the stacked images of its unit vectors under
+    # every feed, and each feed's segment of the stack.
+    stacks = []
+    for v in explicit:
+        segs, lo = [], 0
+        for b, length, _ in feeds[v]:
+            segs.append((b, lo, lo + length))
+            lo += length
+        stacks.append(([sum((f[j] for _, _, f in feeds[v]), []) for j in range(dim[v])], segs))
 
-    def recurse(i: int) -> None:
+    dims: list[int] = [0] * len(dim)
+    leaves: dict[tuple, int] = {}
+
+    def push(segs: list, img: list[int]) -> list[tuple[int, int]]:
+        added = []
+        for b, lo, hi in segs:
+            pivot = _push(bases[b], img[lo:hi], p)
+            if pivot is not None:
+                added.append((b, pivot))
+        return added
+
+    def pop(added: list[tuple[int, int]]) -> None:
+        for b, pivot in added:
+            del bases[b][pivot]
+
+    def reduced(segs: list, col: list[int]) -> list[int]:
+        return sum((_reduce(bases[b], col[lo:hi], p) for b, lo, hi in segs), [])
+
+    def enter(i: int) -> None:
         if i == len(explicit):
-            key = (tuple(dims), *leaf_ranks())
+            key = (tuple(dims), *[len(bases[b]) for b in ranked])
             leaves[key] = leaves.get(key, 0) + 1
             return
         v = explicit[i]
-        span: dict[int, list[int]] = {}
-        w = _extend(span, images(in_arrows[v]), p)
-        w_rows = tuple(tuple(row) for row in span.values())
-        for k in range(w, rep.dim[v] + 1):
-            dims[v] = k
-            for basis in _superspaces(w_rows, tuple(span), rep.dim[v], k, p):
-                chosen[v] = basis
-                recurse(i + 1)
-        chosen.pop(v, None)
+        cols, segs = stacks[i]
+        span = bases[i]
+        added = [a for row in span.values() for a in push(segs, _combine(cols, row, p))]
+        free = [cols[c] for c in range(dim[v]) if c not in span]
+        grow(i, v, free, segs, len(free), (), len(span))
+        pop(added)
 
-    recurse(0)
+    def grow(i: int, v: int, free: list, segs: list, lowest: int, taken: tuple, k: int) -> None:
+        # one node: the rows taken so far have pivots `taken`, all at least lowest
+        dims[v] = k
+        enter(i + 1)
+        for c in range(lowest):
+            rest = [reduced(segs, free[j]) for j in range(c + 1, len(free)) if j not in taken]
+            for img in _affine_span(reduced(segs, free[c]), rest, p):
+                added = push(segs, img)
+                grow(i, v, free, segs, c, taken + (c,), k + 1)
+                pop(added)
+
+    enter(0)
     return leaves
 
 

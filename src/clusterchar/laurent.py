@@ -505,8 +505,8 @@ class LaurentPoly:
         """The coefficient of the monomial ``prod family_i^{e[i-1]}``.
 
         The result is a polynomial in the remaining variables; summing
-        ``family^e * graded_coefficient(p, e)`` over the graded support
-        reconstructs ``p``.
+        ``family^e * graded_coefficient(p, e)`` over the exponent vectors
+        of the family in ``p``'s terms reconstructs ``p``.
         """
         target = tuple(e)
         width = len(target)
@@ -515,20 +515,6 @@ class LaurentPoly:
             for m, c in self._terms.items()
             if self._family_vector(m, family, width) == target
         )
-
-    def graded_support(self, family: Family = Family.Y) -> set[tuple[int, ...]]:
-        """All exponent vectors of the family occurring in the polynomial,
-        padded to the largest family index present."""
-        width = 0
-        for m in self._terms:
-            for v, _ in m._exps:
-                if v.family == family and v.index > width:
-                    width = v.index
-        out: set[tuple[int, ...]] = set()
-        for m in self._terms:
-            vec = self._family_vector(m, family, width)
-            out.add(vec if vec is not None else ())
-        return out
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises NonLaurentResult if a remainder is left.

@@ -66,12 +66,6 @@ class Seed:
     def principal(self) -> bool:
         return len(self.exchange_matrix) == 2 * self.rank
 
-    def principal_part(self) -> Matrix:
-        return self.exchange_matrix[: self.rank]
-
-    def coefficient_part(self) -> Matrix:
-        return self.exchange_matrix[self.rank :]
-
 
 def initial_seed(quiver: Quiver, principal: bool = True) -> Seed:
     """Cluster (x_1, ..., x_m); B from the quiver; coefficient rows are the

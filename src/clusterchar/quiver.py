@@ -14,7 +14,7 @@ families reads the entry, so a new family is one entry.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -373,7 +373,8 @@ class ModuleFamily:
     """A catalog module family plus its parameters: ``n`` is the quasi-length
     (or the preprojective / preinjective step k), ``point`` an integer parameter
     of a homogeneous tube, ``index`` a quasi-simple on the rank-2 tube.  Each
-    family reads the fields its catalog entry names and ignores the others."""
+    family reads the fields its catalog entry names; the others must keep
+    their defaults, so two members that build the same module are equal."""
 
     family: str
     n: int = 1
@@ -390,6 +391,10 @@ class ModuleFamily:
             raise InvalidParams("preprojective/preinjective step must be >= 0")
         if entry.tube == _RANK2 and self.index not in (1, 2):
             raise InvalidParams("tube index must be 1 or 2 on the rank-2 tube")
+        for param in fields(self)[1:]:
+            value = getattr(self, param.name)
+            if param.name not in entry.reads and value != param.default:
+                raise InvalidParams(f"{self.family} does not read {param.name}, given {value}")
 
     def describe(self) -> str:
         return _CATALOG[self.family].label.format(n=self.n, point=self.point, index=self.index)

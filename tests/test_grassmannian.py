@@ -101,9 +101,15 @@ def assert_box_matches_oracle(rep, p):
 
 # The vertex before the sink has one arrow into it (counted in closed form),
 # none (closed form, zero arrow) or a double arrow (enumerated), or it is the
-# only other vertex (A2: nothing enumerated; Kronecker: enumerated).
+# only other vertex (A2: nothing enumerated; Kronecker: enumerated).  On the
+# diamond, an enumerated vertex with an incoming span feeds both the closed-form
+# vertex and the sink.
 WALK_QUIVERS = {
     "affineA2": (affine_a2_quiver(), ((0,), 1, 2)),
+    "diamond": (
+        Quiver(("1", "2", "3", "4"), (("1", "2"), ("1", "3"), ("2", "3"), ("2", "4"), ("3", "4"))),
+        ((0, 1), 2, 3),
+    ),
     "no-arrow": (Quiver(("1", "2", "3"), (("1", "2"), ("1", "3"))), ((0,), 1, 2)),
     "double-arrow": (
         Quiver(("1", "2", "3"), (("1", "2"), ("2", "3"), ("2", "3"))),
@@ -122,6 +128,32 @@ def explicit_modules(draw, quiver):
         for s, t in quiver.arrow_indices()
     )
     return IntRep(quiver, dim, mats)
+
+
+def _matmul(a, b):
+    """The product ab of matrices given as row tuples, a being rows x n and
+    b being n x cols; a product with no rows is ()."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+@st.composite
+def unimodular(draw, d):
+    """An integer d x d matrix of determinant +-1 and its integer inverse,
+    a product of elementary row additions and sign changes."""
+    g = [[int(i == j) for j in range(d)] for i in range(d)]
+    g_inv = [row[:] for row in g]
+    for _ in range(draw(st.integers(0, 4)) if d > 1 else 0):
+        i, j = draw(st.permutations(range(d)))[:2]
+        c = draw(st.integers(-3, 3))
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]  # row_i += c row_j, so the
+        for row in g_inv:  # inverse gains column_j -= c column_i
+            row[j] -= c * row[i]
+    for i in range(d):
+        if draw(st.booleans()):
+            g[i] = [-a for a in g[i]]
+            for row in g_inv:
+                row[i] = -row[i]
+    return tuple(map(tuple, g)), tuple(map(tuple, g_inv))
 
 
 class TestClosedFormVertex:
@@ -149,6 +181,35 @@ class TestClosedFormVertex:
         for p in (2, 3):
             assert_box_matches_oracle(rep, p)
             assert_box_matches_oracle(dual_rep(rep), p)
+
+    @pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_zero_module_walks_every_leaf(self, name, p):
+        # with all matrices zero no incoming span prunes anything
+        quiver = WALK_QUIVERS[name][0]
+        for dim in ((2,) * len(quiver.vertices), (3, 1, 2, 1)[: len(quiver.vertices)]):
+            mats = tuple(
+                tuple((0,) * dim[s] for _ in range(dim[t])) for s, t in quiver.arrow_indices()
+            )
+            rep = IntRep(quiver, dim, mats)
+            assert sum(gr._walk(rep, p).values()) == gr._walk_cost(rep, p), dim
+
+    @pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_tallies_are_isomorphism_invariants(self, name, data):
+        rep = data.draw(explicit_modules(WALK_QUIVERS[name][0]))
+        v = data.draw(st.integers(0, len(rep.dim) - 1))
+        d = rep.dim[v]
+        g, g_inv = data.draw(unimodular(d))
+        assert _matmul(g, g_inv) == tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        mats = tuple(
+            _matmul(g, m) if t == v else _matmul(m, g_inv) if s == v else m
+            for (s, t), m in zip(rep.quiver.arrow_indices(), rep.matrices)
+        )
+        conjugate = IntRep(rep.quiver, rep.dim, mats)
+        for p in (2, 3):
+            assert gr._walk(conjugate, p) == gr._walk(rep, p), (v, g)
 
     def test_walk_cost_counts_enumerated_vertices_at_the_walk_prime(self):
         rep = catalog_module(a21_homogeneous(2, 1))

@@ -27,8 +27,8 @@ from clusterchar.quiver import (
 class TestInitialSeed:
     def test_kronecker_matrix(self, kronecker):
         seed = initial_seed(kronecker, principal=True)
-        assert seed.principal_part() == ((0, 2), (-2, 0))
-        assert seed.coefficient_part() == ((1, 0), (0, 1))
+        assert seed.exchange_matrix[: seed.rank] == ((0, 2), (-2, 0))
+        assert seed.exchange_matrix[seed.rank :] == ((1, 0), (0, 1))
 
     def test_cluster_is_initial_variables(self, kronecker):
         seed = initial_seed(kronecker, principal=False)
@@ -227,7 +227,7 @@ class TestExchangeMemo:
         # binomials differ only in their y-factors, so neither may reuse the
         # other's variable.
         seed = initial_seed(kronecker_quiver(), principal=True)
-        bare = Seed(seed.principal_part() + ((0, 0), (0, 0)), seed.cluster)
+        bare = Seed(seed.exchange_matrix[: seed.rank] + ((0, 0), (0, 0)), seed.cluster)
         exchanges = {}
         got = [mutate(s, 0, exchanges=exchanges).cluster[0] for s in (seed, bare)]
         assert len(exchanges) == 2

@@ -170,6 +170,30 @@ class TestCatalog:
         with pytest.raises(InvalidParams):
             ModuleFamily("no_such_family")
 
+    @pytest.mark.parametrize(
+        "family, params, field",
+        [
+            ("kronecker_homogeneous", {"n": 2, "point": 1, "index": 3}, "index"),
+            ("kronecker_preprojective", {"n": 2, "point": 5}, "point"),
+            ("affineA21_tube", {"n": 2, "index": 1, "point": -1}, "point"),
+        ],
+    )
+    def test_unread_field_refused(self, family, params, field):
+        with pytest.raises(InvalidParams, match=f"{family} does not read {field}"):
+            ModuleFamily(family, **params)
+
+    @pytest.mark.parametrize("fam", TUBE_MEMBERS, ids=lambda f: f.describe())
+    def test_translate_and_quasi_factors_on_the_catalog(self, fam):
+        if fam.family == "affineA21_tube":
+            swap = {1: 2, 2: 1}
+            assert tau_translate(fam) == a21_tube(swap[fam.index], fam.n)
+            parts = [a21_tube(fam.index if j % 2 == 0 else swap[fam.index], 1) for j in range(fam.n)]
+        else:
+            make = homogeneous if fam.family == "kronecker_homogeneous" else a21_homogeneous
+            assert tau_translate(fam) == fam
+            parts = [make(1, fam.point)] * fam.n
+        assert quasi_factors(fam) == parts
+
     def test_excluded_primes_from_spectrum(self):
         rep = catalog_module(homogeneous(1, 6))
         assert rep.excluded_primes() == {2, 3}
