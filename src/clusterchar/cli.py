@@ -10,6 +10,7 @@ example a requested substitution that is provably not subtraction-free),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -258,6 +259,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clusterchar",

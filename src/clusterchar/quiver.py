@@ -2,7 +2,8 @@
 catalog of module families used as concrete test subjects.
 
 Representations carry plain integer matrices and are reduced mod p on
-demand, so a single object serves every prime during point counting.
+demand, so a single object serves every prime during point counting.  The
+primes a module excludes are read off its matrices, not declared.
 The Auslander-Reiten translate is not implemented as a functor; tube
 families expose it combinatorially (an index shift on the catalog).
 
@@ -172,19 +173,16 @@ class IntRep:
     """A representation by integer matrices, one per arrow, of shape
     dim(target) x dim(source).
 
-    ``spectrum`` records the integer parameter points baked into the
-    matrices (Jordan eigenvalues).  Counting excludes the primes at which
-    the mod-p reduction is visibly a different module: those dividing a
-    nonzero point or a nonzero difference of points, and those at which an
-    arrow matrix or a composition along a path loses rank.  The rule is
-    necessary, not sufficient; the held-out primes of interpolation catch
-    the rest.
+    Counting excludes the primes at which the mod-p reduction is visibly a
+    different module: those at which an arrow matrix, a composition along
+    a path, or the map whose kernel is End(M) loses rank (so dim End jumps).
+    The rule is necessary, not sufficient; the held-out primes of
+    interpolation catch the rest.
     """
 
     quiver: Quiver
     dim: DimVector
     matrices: tuple[IntMatrix, ...]
-    spectrum: tuple[int, ...] = ()
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
@@ -206,15 +204,14 @@ class IntRep:
 
     @functools.cached_property
     def _excluded_primes(self) -> frozenset[int]:
-        pts = self.spectrum
-        values = [*pts, *(a - b for i, a in enumerate(pts) for b in pts[i + 1:])]
-        for mat in self._path_maps():
-            values += _diagonal_entries(mat)
-        return frozenset(p for v in values for p in _prime_factors(abs(v)))
+        values = [v for mat in self._rank_matrices() for v in _diagonal_entries(mat)]
+        return frozenset(p for v in values for p in _prime_factors(v))
 
-    def _path_maps(self) -> Iterator[IntMatrix]:
-        """The matrix of every arrow and of every composition along a path,
-        except compositions through a zero map (they are zero too)."""
+    def _rank_matrices(self) -> Iterator[IntMatrix]:
+        """The matrices whose rank must not drop mod p: every arrow, every
+        composition along a path (except through a zero map), and the map
+        (phi_v) -> (M_a phi_s - phi_t M_a) over arrows a: s -> t, whose
+        kernel is End(M)."""
         pairs = self.quiver.arrow_indices()
         stack = [(t, m) for (_, t), m in zip(pairs, self.matrices)]
         while stack:
@@ -224,6 +221,14 @@ class IntRep:
                 stack.extend(
                     (t, _matmul(m, mat)) for (s, t), m in zip(pairs, self.matrices) if s == end
                 )
+        phis = [(v, i, j) for v, d in enumerate(self.dim) for i in range(d) for j in range(d)]
+        yield tuple(
+            tuple((m[r][i] if (v, j) == (s, c) else 0) - (m[j][c] if (v, i) == (t, r) else 0)
+                  for v, i, j in phis)
+            for (s, t), m in zip(pairs, self.matrices)
+            for r in range(self.dim[t])
+            for c in range(self.dim[s])
+        )
 
 
 def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -318,7 +323,7 @@ def direct_sum(a: IntRep, b: IntRep) -> IntRep:
             rows.append((0,) * a.dim[s] + tuple(r))
         mats.append(tuple(rows))
     label = f"{a.label or 'M'} + {b.label or 'N'}"
-    return IntRep(a.quiver, dim, tuple(mats), a.spectrum + b.spectrum, label=label)
+    return IntRep(a.quiver, dim, tuple(mats), label=label)
 
 
 def dual_rep(rep: IntRep) -> IntRep:
@@ -334,7 +339,7 @@ def dual_rep(rep: IntRep) -> IntRep:
     for (s, t), m in zip(pairs, rep.matrices):
         rows, cols = rep.dim[t], rep.dim[s]
         transposed.append(tuple(tuple(m[i][j] for i in range(rows)) for j in range(cols)))
-    return IntRep(opp, rep.dim, tuple(transposed), rep.spectrum, label=f"dual({rep.label})")
+    return IntRep(opp, rep.dim, tuple(transposed), label=f"dual({rep.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +425,14 @@ def a21_homogeneous(n: int, point: int = 1) -> ModuleFamily:
     return ModuleFamily(AFFINE_A21_HOMOGENEOUS, n=n, point=point)
 
 
-_Matrices = tuple[DimVector, tuple[IntMatrix, ...], tuple[int, ...]]
+_Matrices = tuple[DimVector, tuple[IntMatrix, ...]]
 
 
 def _homogeneous_member(f: ModuleFamily, vertices: int) -> _Matrices:
     """Dimension n at each vertex, the identity on each arrow but the last and
     J_n(point) on the last (both catalog quivers have as many arrows as vertices)."""
     eye = _shift(f.n, f.n, 0)
-    return (f.n,) * vertices, (eye,) * (vertices - 1) + (_jordan(f.n, f.point),), (f.point,)
+    return (f.n,) * vertices, (eye,) * (vertices - 1) + (_jordan(f.n, f.point),)
 
 
 def _a21_tube_member(f: ModuleFamily) -> _Matrices:
@@ -445,7 +450,7 @@ def _a21_tube_member(f: ModuleFamily) -> _Matrices:
     # index 2: a: u_c -> v_c, b: v_c -> w_{c-1} (v_0 -> 0)
     a = _shift(m_count, s_count, 2 - f.index)
     b = _shift(s_count, m_count, f.index - 1)
-    return (s_count, m_count, s_count), (a, b, _shift(s_count, s_count, 0)), ()
+    return (s_count, m_count, s_count), (a, b, _shift(s_count, s_count, 0))
 
 
 _HOMOGENEOUS, _RANK2 = "homogeneous", "rank-2"
@@ -457,7 +462,7 @@ class _Family(NamedTuple):
     quiver: Quiver
     reads: tuple[str, ...]  # the ModuleFamily fields it reads
     label: str  # describe() format over n, point and index
-    member: Callable[[ModuleFamily], _Matrices]  # dim, matrices, spectrum
+    member: Callable[[ModuleFamily], _Matrices]  # dim, matrices
     tube: str | None  # _HOMOGENEOUS, _RANK2, or None for a transient family
 
 
@@ -468,11 +473,11 @@ _CATALOG: dict[str, _Family] = {
     ),
     KRONECKER_PREPROJECTIVE: _Family(
         kronecker_quiver(), ("n",), "kronecker_preprojective(k={n})",
-        lambda f: ((f.n + 1, f.n), (_shift(f.n, f.n + 1, 0), _shift(f.n, f.n + 1, 1)), ()), None,
+        lambda f: ((f.n + 1, f.n), (_shift(f.n, f.n + 1, 0), _shift(f.n, f.n + 1, 1))), None,
     ),
     KRONECKER_PREINJECTIVE: _Family(
         kronecker_quiver(), ("n",), "kronecker_preinjective(k={n})",
-        lambda f: ((f.n, f.n + 1), (_shift(f.n + 1, f.n, 0), _shift(f.n + 1, f.n, -1)), ()), None,
+        lambda f: ((f.n, f.n + 1), (_shift(f.n + 1, f.n, 0), _shift(f.n + 1, f.n, -1))), None,
     ),
     AFFINE_A21_TUBE: _Family(
         affine_a2_quiver(), ("n", "index"), "affineA21_tube(index={index}, n={n})",
@@ -575,7 +580,7 @@ def _refuse_unknown(keys: Iterable[str], known: Sequence[str], what: str) -> Non
 
 def module_from_json(obj: dict, quiver: Quiver | None = None) -> IntRep:
     """Accepts either {"family": ..., "params": {...}} or an explicit {"quiver": ...,
-    "dim": {...}, "matrices": {"0": [[...]], ...}, "spectrum": [...], "label": ...}.
+    "dim": {...}, "matrices": {"0": [[...]], ...}, "label": ...}.
     A key that the format, or the family, does not read is refused.  A given
     ``quiver`` must be the module's own."""
     if "family" in obj:
@@ -599,7 +604,7 @@ def module_from_json(obj: dict, quiver: Quiver | None = None) -> IntRep:
             kwargs.setdefault("index", 1)
         rep = catalog_module(ModuleFamily(fam, **kwargs))
     else:
-        _refuse_unknown(obj, ("quiver", "dim", "matrices", "spectrum", "label"), "key")
+        _refuse_unknown(obj, ("quiver", "dim", "matrices", "label"), "key")
         own = quiver_from_json(obj["quiver"]) if "quiver" in obj else quiver
         if own is None:
             raise InvalidArgument("explicit module JSON needs a quiver")
@@ -609,12 +614,11 @@ def module_from_json(obj: dict, quiver: Quiver | None = None) -> IntRep:
             for i in range(len(own.arrows)):
                 raw, name = obj["matrices"][str(i)], f"matrices.{i} entry"
                 mats.append(tuple(tuple(_json_int(x, name) for x in row) for row in raw))
-            spectrum = tuple(_json_int(v, "spectrum entry") for v in obj.get("spectrum", ()))
             _refuse_unknown(obj["dim"], own.vertices, "dim key")
             _refuse_unknown(obj.get("matrices", ()), [str(i) for i in range(len(mats))], "matrices key")
         except (KeyError, TypeError) as exc:
             raise InvalidArgument(f"malformed module JSON: {exc}") from exc
-        rep = IntRep(own, dim, tuple(mats), spectrum, label=str(obj.get("label", "")))
+        rep = IntRep(own, dim, tuple(mats), label=str(obj.get("label", "")))
     if quiver is not None and quiver != rep.quiver:
         raise QuiverMismatch(
             f"the module is over the quiver {rep.quiver.to_json_obj()}, "

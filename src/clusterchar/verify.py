@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from . import bases, grassmannian, mutation
+from . import bases, mutation
 from .character import (
     char_table,
     char_via_chebyshev,
@@ -162,23 +162,15 @@ def char_cheb(max_n: int = 3) -> list[CheckLine]:
 def char_mutation() -> list[CheckLine]:
     """Mutation-produced variables match characters of rigid catalog modules."""
     out = []
-    kq = kronecker_quiver()
-    cf_vars = set(mutation.cluster_variables_up_to(kq, 3, principal=False))
-    for mk, fam in (
-        ("preprojective", preprojective),
-        ("preinjective", preinjective),
+    for principal, depth, prefix, char in (
+        (False, 3, "coefficient-free", cf_cluster_char),
+        (True, 2, "principal", cluster_char),
     ):
-        for k in range(0, 3):
-            val = cf_cluster_char(catalog_module(fam(k)))
-            out.append(_line(f"coefficient-free {mk}({k}) from mutation", val in cf_vars))
-    pr_vars = set(mutation.cluster_variables_up_to(kq, 2, principal=True))
-    for mk, fam in (
-        ("preprojective", preprojective),
-        ("preinjective", preinjective),
-    ):
-        for k in range(0, 2):
-            val = cluster_char(catalog_module(fam(k)))
-            out.append(_line(f"principal {mk}({k}) from mutation", val in pr_vars))
+        found = set(mutation.cluster_variables_up_to(kronecker_quiver(), depth, principal=principal))
+        for mk, fam in (("preprojective", preprojective), ("preinjective", preinjective)):
+            for k in range(depth):
+                val = char(catalog_module(fam(k)))
+                out.append(_line(f"{prefix} {mk}({k}) from mutation", val in found))
     return out
 
 
@@ -219,12 +211,12 @@ def graded_chi(max_entry: int = 3) -> list[CheckLine]:
         if max(rep.dim) > max_entry:
             continue
         table = char_table(rep)
-        ok = True
-        for e, _ in table.terms:
-            coeff = table.total.graded_coefficient(e).specialize_ones(Family.X)
-            if coeff.constant_value() != grassmannian.euler_char(rep, e):
-                ok = False
-                break
+        # each term L(M, e) is chi(Gr_e(M)) times one monomial
+        ok = all(
+            table.total.graded_coefficient(e).specialize_ones(Family.X).constant_value()
+            == val.single_term()[1]
+            for e, val in table.terms
+        )
         out.append(_line(f"graded chi recovery {fam.describe()}", ok))
     return out
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -90,6 +91,7 @@ class TestCheb:
 
 
 MODULE_QUASI = '{"family": "kronecker_homogeneous", "params": {"n": 1, "point": 1}}'
+HOMOGENEOUS_2_1 = '{"family": "kronecker_homogeneous", "params": {"n": 2, "point": 1}}'
 
 
 class TestChar:
@@ -245,6 +247,26 @@ class TestGrass:
             assert code == 2 and out == ""
             assert err.startswith("error: NonPolynomialCount:") and factor in err
 
+    @pytest.mark.parametrize("corner", [2, 6])
+    def test_jordan_block_in_another_basis(self, capsys, corner):
+        # conjugate to (I, J_2(1)) over Q; dim End jumps at the primes of the corner
+        _, want, _ = run_cli(capsys, "char", "--module", HOMOGENEOUS_2_1)
+        mod = '{"dim": {"1": 2, "2": 2}, "matrices": {"0": [[1, 0], [0, 1]], "1": [[1, %d], [0, 1]]}}'
+        code, out, _ = run_cli(capsys, "char", "--quiver", "kronecker", "--module", mod % corner)
+        assert (code, out) == (0, want)
+
+    def test_two_rational_points_exit_two(self, capsys):
+        mod = '{"dim": {"1": 2, "2": 2}, "matrices": {"0": [[1, 0], [0, 1]], "1": [[3, 1], [0, 5]]}}'
+        code, out, err = run_cli(capsys, "char", "--quiver", "kronecker", "--module", mod)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: NonPolynomialCount:")
+
+    def test_spectrum_key_exit_two(self, capsys):
+        mod = '{"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1]], "1": [[1]]}, "spectrum": [1]}'
+        code, out, err = run_cli(capsys, "grass", "--quiver", "kronecker", "--module", mod, "--e", "1,1")
+        assert (code, out) == (2, "")
+        assert err == "error: InvalidArgument: malformed module JSON: unknown key 'spectrum'\n"
+
     def test_out_of_range_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "grass", "--module", MODULE_QUASI, "--e", "3,0")
         assert code == 2
@@ -380,6 +402,20 @@ def test_byte_stable_against_goldens(capsys, key):
     code, out, _ = run_cli(capsys, *_golden_argv(key))
     assert code == GOLDENS[key]["exit"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDENS[key]["sha256"]
+
+
+def test_two_calls_share_one_parser(capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    run_cli(capsys, "cheb", "--kind", "F", "--n", "2")
+    run_cli(capsys, "cheb", "--kind", "S", "--n", "2")
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 class TestConsoleEntry:

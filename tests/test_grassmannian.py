@@ -130,6 +130,53 @@ def explicit_modules(draw, quiver):
     return IntRep(quiver, dim, mats)
 
 
+def _end_complex(rep):
+    """The matrix of (phi_v) -> (M_a phi_s - phi_t M_a), one row per entry
+    of each Hom(M_s, M_t) over the arrows a: s -> t; its kernel is End(M)."""
+    unknowns = [(v, i, j) for v, d in enumerate(rep.dim) for i in range(d) for j in range(d)]
+    rows = []
+    for (s, t), m in zip(rep.quiver.arrow_indices(), rep.matrices):
+        for r, c in itertools.product(range(rep.dim[t]), range(rep.dim[s])):
+            row = dict.fromkeys(unknowns, 0)
+            for k in range(rep.dim[s]):
+                row[s, k, c] += m[r][k]
+            for k in range(rep.dim[t]):
+                row[t, r, k] -= m[k][c]
+            rows.append([row[u] for u in unknowns])
+    return rows
+
+
+def _rank(rows, p=None):
+    """Rank by Gauss-Jordan elimination over F_p, or over Q if p is None."""
+    rows = [[Fraction(v) if p is None else v % p for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][c] if p is None else pow(rows[rank][c], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] * inv
+                rows[r] = [x - f * y if p is None else (x - f * y) % p
+                           for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_end_keeps_its_dimension_at_admitted_primes(name, data):
+    rep = data.draw(explicit_modules(WALK_QUIVERS[name][0]))
+    delta = _end_complex(rep)
+    over_q = _rank(delta)
+    for p in (2, 3, 5, 7):
+        if p not in rep.excluded_primes():
+            assert _rank(delta, p) == over_q, p
+
+
 def _matmul(a, b):
     """The product ab of matrices given as row tuples, a being rows x n and
     b being n x cols; a product with no rows is ()."""

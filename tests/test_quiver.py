@@ -194,14 +194,22 @@ class TestCatalog:
             parts = [make(1, fam.point)] * fam.n
         assert quasi_factors(fam) == parts
 
-    def test_excluded_primes_from_spectrum(self):
+    def test_excluded_primes_from_arrows_and_endomorphisms(self, kronecker, affine_a2):
         rep = catalog_module(homogeneous(1, 6))
         assert rep.excluded_primes() == {2, 3}
+        # 3 from the arrow diag(1, 3); at 2 the points 1 and 3 meet and dim End jumps
         both = direct_sum(catalog_module(homogeneous(1, 1)), catalog_module(homogeneous(1, 3)))
-        assert both.excluded_primes() == {2, 3}  # 3 and the difference 2
+        assert both.excluded_primes() == {2, 3}
+        # every arrow keeps its rank at 11, but dim End is 1 over Q and 3 over F_11
+        jump = IntRep(affine_a2, (2, 2, 1), (((1, 1), (2, 0)), ((-1, -2),), ((1, -2),)))
+        assert jump.excluded_primes() == {2, 11}
+        # conjugate to (I, J_2(1)) over Q; mod a prime of the corner both are I, and End jumps
+        for corner, primes in ((2, {2}), (6, {2, 3})):
+            jordan = IntRep(kronecker, (2, 2), (((1, 0), (0, 1)), ((1, corner), (0, 1))))
+            assert jordan.excluded_primes() == primes
 
     def test_excluded_primes_from_matrices(self, kronecker, affine_a2):
-        # rank of [[0, 2], [0, 0]] drops mod 2; no spectrum is declared
+        # rank of [[0, 2], [0, 0]] drops mod 2
         rep = IntRep(kronecker, (2, 2), (((1, 0), (0, 1)), ((0, 2), (0, 0))))
         assert rep.excluded_primes() == {2}
         assert rep.excluded_primes() is rep.excluded_primes()
@@ -259,6 +267,21 @@ def test_diagonal_entries_give_rank_mod_p(mat):
     # 1000003 exceeds every minor here, so it stands for the rank over Q
     for p in (2, 3, 5, 7, 1000003):
         assert sum(1 for d in entries if d % p) == _rank_mod(mat, p)
+
+
+CATALOG_GRID = [
+    *(make(n, point) for make in (homogeneous, a21_homogeneous)
+      for n in range(1, 5) for point in range(-12, 13)),
+    *(make(k) for make in (preprojective, preinjective) for k in range(6)),
+    *(a21_tube(index, n) for index in (1, 2) for n in range(1, 9)),
+]
+
+
+@pytest.mark.parametrize("fam", CATALOG_GRID, ids=lambda f: f.describe())
+def test_catalog_excludes_the_primes_of_its_point(fam):
+    # every member but the homogeneous ones has point 0, and so excludes nothing
+    want = {p for p in (2, 3, 5, 7, 11) if fam.point and fam.point % p == 0}
+    assert catalog_module(fam).excluded_primes() == want
 
 
 class TestIntRep:
@@ -342,6 +365,10 @@ class TestJson:
                 "unknown key 'spectrm'",
             ),
             (
+                {"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1]], "1": [[1]]}, "spectrum": "ab"},
+                "unknown key 'spectrum'",
+            ),
+            (
                 {"dim": {"1": 1, "2": 1, "3": 0}, "matrices": {"0": [[1]], "1": [[1]]}},
                 "unknown dim key '3'",
             ),
@@ -369,10 +396,6 @@ class TestJson:
             ({"dim": {"1": 1, "2": 1.0}, "matrices": {"0": [[1]], "1": [[1]]}}, "dim.2"),
             ({"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1.9]], "1": [[1]]}}, "matrices.0"),
             ({"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1]], "1": [["1"]]}}, "matrices.1"),
-            (
-                {"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1]], "1": [[1]]}, "spectrum": "ab"},
-                "spectrum",
-            ),
         ],
     )
     def test_non_integer_numbers_refused(self, kronecker, obj, field):
