@@ -10,21 +10,23 @@ terms by total degree descending, then lexicographically on the variable
 order (family rank, then index), a larger exponent first.  Within a printed
 monomial, factors appear in descending variable order, e.g. ``t2*t1 - q2``.
 
-``VarId`` is a named tuple (family, index), so variables hash, compare and
-order as plain tuples.  Sorting, multiplication and exact division work in a
-*frame*: the sorted variables v_1 < ... < v_n that occur in the operands.
-In a frame a monomial packs into one integer key, the dense vector
-``(-degree, -e_1, ..., -e_n)`` written as balanced signed digits in bit
-fields, the degree most significant.  Integer order on keys is the
-canonical order above: the lexicographic order of the dense exponent
-vectors, graded by degree.  Variables a monomial lacks sit at 0, so a larger
-frame orders the same.  A product of monomials is the sum of their keys, a
-quotient the difference, as long as every exponent involved fits the field
-width; each operation derives that width from a bound on its own exponents.
-Multiplication adds keys; exact division takes the leading remainder term
-from a heap of them, its fields holding digits up to 2n(a + d) for n frame
-variables and largest |exponent| a and d of dividend and divisor (proved in
-``LaurentPoly.exact_div``).
+A polynomial stores its *frame*, the sorted variables v_1 < ... < v_n that
+occur in it, and its terms as packed integer keys over that frame: the
+vector ``(-degree, -e_1, ..., -e_n)`` in balanced signed fields of one fixed
+width ``_BITS`` under an unbounded degree field.  With every |e_i| at most
+``_LIMIT``, integer order on keys is the canonical order, and keys add under
+multiplication.  ``*``, ``+`` and ``exact_div`` work on the stored keys and
+re-key, moving fields, only an operand whose frame is not the union frame;
+``Monomial`` objects are made at the API boundary alone.  Each polynomial
+also stores the least and greatest exponent of each frame variable.  Over Z
+the Newton polytope of a product is the Minkowski sum of the factors', so a
+product's bounds are the sums of theirs and an exact quotient's the
+differences; a sum takes the hull, rescanning only when a term cancels.  A
+variable bounded by 0 on both sides leaves the frame, so equal polynomials
+have equal frames and keys whatever built them, and every operation knows
+before it forms a key whether an exponent could pass ``_LIMIT``, which
+raises InvalidArgument.  Exact division takes the leading remainder term
+from a heap of keys (its bound is proved in ``LaurentPoly.exact_div``).
 
 Values are immutable after construction and safe to share between
 concurrent tasks; all operations are pure functions.
@@ -34,10 +36,11 @@ from __future__ import annotations
 
 import heapq
 from enum import IntEnum
-from itertools import chain
+from functools import lru_cache
+from operator import add, neg, or_, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .errors import NonInvertibleImage, NonLaurentResult
+from .errors import InvalidArgument, NonInvertibleImage, NonLaurentResult
 
 __all__ = [
     "Family",
@@ -107,14 +110,13 @@ def zid(i: int = 1) -> VarId:
 class Monomial:
     """A Laurent monomial: a finite map VarId -> nonzero integer exponent."""
 
-    __slots__ = ("_exps", "_degree", "_hash")
+    __slots__ = ("_exps", "_degree")
 
     def __init__(self, exps: dict[VarId, int] | Iterable[tuple[VarId, int]] = ()):
         items = exps.items() if isinstance(exps, dict) else exps
         cleaned = tuple(sorted((v, e) for v, e in items if e != 0))
         self._exps = cleaned
         self._degree = sum(e for _, e in cleaned)
-        self._hash = hash(cleaned)
 
     @staticmethod
     def _of(exps: tuple[tuple[VarId, int], ...], degree: int) -> "Monomial":
@@ -123,7 +125,6 @@ class Monomial:
         m = Monomial.__new__(Monomial)
         m._exps = exps
         m._degree = degree
-        m._hash = hash(exps)
         return m
 
     def exponent(self, v: VarId) -> int:
@@ -143,16 +144,10 @@ class Monomial:
         return not self._exps
 
     def mul(self, other: "Monomial") -> "Monomial":
-        if not self._exps:
-            return other
-        if not other._exps:
-            return self
         acc = dict(self._exps)
         for v, e in other._exps:
             acc[v] = acc.get(v, 0) + e
-        return Monomial._of(
-            tuple(sorted(p for p in acc.items() if p[1])), self._degree + other._degree
-        )
+        return Monomial(acc)
 
     def inverse(self) -> "Monomial":
         return Monomial(tuple((v, -e) for v, e in self._exps))
@@ -161,111 +156,169 @@ class Monomial:
         return isinstance(other, Monomial) and self._exps == other._exps
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._exps)
 
     def text(self) -> str:
-        if not self._exps:
-            return "1"
-        parts = []
-        for v, e in reversed(self._exps):
-            parts.append(v.name if e == 1 else f"{v.name}^{e}")
-        return "*".join(parts)
+        return _factors([(v.name, e) for v, e in self._exps]) if self._exps else "1"
 
     def __repr__(self) -> str:
         return f"Monomial({self.text()})"
 
 
-_MONO_ONE = Monomial(())
+_BITS = 32  # the width of every exponent field of a key
+_LIMIT = (1 << (_BITS - 2)) - 1  # the largest |exponent| a polynomial holds
+_MASK = (1 << _BITS) - 1
+
+Frame = tuple[VarId, ...]
+Bounds = Sequence[int]
 
 
-def _frame(monomials: Iterable[Monomial]) -> tuple[VarId, ...]:
-    """The sorted variables that occur in the monomials."""
-    return tuple(sorted({v for m in monomials for v, _ in m._exps}))
+@lru_cache(maxsize=None)
+def _ones(n: int) -> int:
+    """A 1 in each of n fields."""
+    return ((1 << (_BITS * n)) - 1) // _MASK
 
 
-def _max_exponent(monomials: Iterable[Monomial]) -> int:
-    """The largest |exponent| in the monomials (0 if there is none)."""
-    return max((abs(e) for m in monomials for _, e in m._exps), default=0)
+def _key(exps: Sequence[int]) -> int:
+    """The key of a dense exponent vector (e_1, ..., e_n), every |e_i| at
+    most ``_LIMIT``.  Integer order on these keys is the canonical order:
+    two keys differ in their first differing field by at least 1, and in
+    each field below it by at most 2 * _LIMIT < 2**_BITS - 1."""
+    k = 0
+    for e in exps:
+        k = (k << _BITS) - e
+    return k - (sum(exps) << (_BITS * len(exps)))
 
 
-def _packing(frame: Sequence[VarId], bound: int):
-    """Order-preserving packed keys over the frame's variables v_1 < ... < v_n.
-
-    A monomial packs into one integer with n fields of ``bits`` bits under a
-    top field: the top holds ``-degree``, the field of v_i holds ``-e_i``, v_1
-    the most significant.  A field holds a balanced signed digit, so keys add
-    like exponent vectors.  When every exponent lies in [-bound, bound],
-    ``2**(bits - 1) > 2 * bound`` makes the fields read back one-to-one and
-    integer order equal to the canonical order (the top field has no bound):
-    the first differing field outweighs every field below it.
-
-    Returns ``pack``, ``unpack`` and ``guards``, the top bit of every field.
-    For a floor monomial f, field i of ``guards + pack(f) - key`` holds
-    ``2**(bits - 1) + e_i - f_i``, which lies in [0, 2**bits) as both
-    exponents lie in [-bound, bound].  So ``(guards + pack(f) - key) & guards``
-    keeps the guard of field i exactly when e_i >= f_i: one subtraction
-    tests every field.
-    """
-    bits = (2 * bound).bit_length() + 1
-    top = bits * len(frame)
-    shift = {v: top - bits * i for i, v in enumerate(frame, 1)}
-    ones = ((1 << top) - 1) // ((1 << bits) - 1)  # a 1 in every field
-    bias = bound * ones
-    guards = ones << (bits - 1)
-    mask = (1 << bits) - 1
-    tail = frame[::-1]
-
-    def pack(m: Monomial) -> int:
-        k = m._degree << top
-        for v, e in m._exps:
-            k += e << shift[v]
-        return -k
-
-    def unpack(k: int) -> Monomial:
-        k = bias - k  # fields e_i + bound >= 0 under the degree
-        exps = []
-        for v in tail:
-            e = (k & mask) - bound
-            k >>= bits
-            if e:
-                exps.append((v, e))
-        exps.reverse()
-        return Monomial._of(tuple(exps), k)
-
-    return pack, unpack, guards
+def _decode(keys: Iterable[int], n: int) -> Iterator[tuple[int, list[int]]]:
+    """The degree and the dense exponent vector of each key over n fields."""
+    bias, top = _LIMIT * _ones(n), _BITS * n  # fields of bias - key hold e_i + _LIMIT
+    shifts = range(top - _BITS, -1, -_BITS)
+    for key in keys:
+        k = bias - key
+        yield k >> top, [(k >> s & _MASK) - _LIMIT for s in shifts]
 
 
-def _drop_zeros(acc: dict[Monomial, int]) -> dict[Monomial, int]:
-    """Delete the zero coefficients of a term map in place; returns it."""
-    for m in [m for m, c in acc.items() if not c]:
-        del acc[m]
-    return acc
+def _pairs(labels: Sequence, keys: Iterable[int]) -> Iterator[tuple[list[tuple], int]]:
+    """For each key over a frame, the (label of the frame variable, exponent)
+    pairs of its nonzero exponents in variable order, and its degree."""
+    n = len(labels)
+    bias, top = _LIMIT * _ones(n), _BITS * n
+    fields = tuple(zip(labels, range(top - _BITS, -1, -_BITS)))
+    for key in keys:
+        k = bias - key
+        yield [(v, e) for v, s in fields if (e := (k >> s & _MASK) - _LIMIT)], k >> top
+
+
+def _factors(pairs: Sequence[tuple[str, int]]) -> str:
+    """The text of a monomial's (name, exponent) pairs, given in variable
+    order: factors print in descending order, e.g. ``t2*t1^-1``."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in reversed(pairs))
+
+
+def _monomials(frame: Frame, keys: Iterable[int]) -> Iterator[Monomial]:
+    return (Monomial._of(tuple(pairs), degree) for pairs, degree in _pairs(frame, keys))
+
+
+@lru_cache(maxsize=256)
+def _plan(src: Frame, dst: Frame) -> tuple:
+    """How keys over frame ``src`` move to frame ``dst``: each field of
+    ``bias - key`` holds e_i + _LIMIT >= 0, so no borrow crosses a field,
+    and fields that stay adjacent move as one block.  Also gives the
+    position in ``dst`` of each variable of ``src`` (None if absent)."""
+    n, m = len(src), len(dst)
+    at = {v: j for j, v in enumerate(dst)}
+    slots = tuple(at.get(v) for v in src)
+    blocks: list[list[int]] = []  # [first, last] field of src, last of dst
+    for i, j in enumerate(slots):
+        if j is not None and blocks and blocks[-1][1:] == [i - 1, j - 1]:
+            blocks[-1][1:] = i, j
+        elif j is not None:
+            blocks.append([i, i, j])
+    moves = [(_BITS * (n - 1 - i1), _ones(i1 - i0 + 1), _BITS * (m - 1 - j1)) for i0, i1, j1 in blocks]
+    base = sum(_LIMIT * ones << d for _, ones, d in moves)
+    moves = tuple((s, ones * _MASK, d) for s, ones, d in moves)
+    return _LIMIT * _ones(n), _BITS * n, _BITS * m, base, moves, slots
+
+
+def _rekey(terms: dict[int, int], plan: tuple) -> dict[int, int]:
+    """Terms re-keyed by a ``_plan`` to a frame that holds every variable
+    that they carry."""
+    bias, top, new_top, base, moves, _ = plan
+    out = {}
+    for k, c in terms.items():
+        b = bias - k
+        k = base - (b >> top << new_top)
+        for s, mask, d in moves:
+            k -= (b >> s & mask) << d
+        out[k] = c
+    return out
+
+
+@lru_cache(maxsize=256)
+def _names(frame: Frame) -> tuple[str, ...]:
+    return tuple(v.name for v in frame)
+
+
+@lru_cache(maxsize=256)
+def _union(a: Frame, b: Frame) -> Frame:
+    return a if a == b else tuple(sorted({*a, *b}))
+
+
+def _check(frame: Frame, lo: Bounds, hi: Bounds) -> None:
+    """Raise InvalidArgument if an exponent bound leaves the field."""
+    if frame and (min(lo) < -_LIMIT or max(hi) > _LIMIT):
+        v, e = next((v, e) for v, *b in zip(frame, lo, hi) for e in b if abs(e) > _LIMIT)
+        raise InvalidArgument(
+            f"exponent {e} of {v.name} is outside the supported range ±{_LIMIT}"
+        )
 
 
 PolyLike = Union["LaurentPoly", int]
 
 
 class LaurentPoly:
-    """Exact Laurent polynomial: a map from monomials to nonzero ints."""
+    """Exact Laurent polynomial: a frame, a map from packed keys to nonzero
+    ints, and the least and greatest exponent of each frame variable (see
+    the module docstring)."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_vars", "_terms", "_lo", "_hi", "_hash")
 
     def __init__(self, terms: dict[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
         items = terms.items() if isinstance(terms, dict) else terms
-        acc: dict[Monomial, int] = {}
-        for m, c in items:
-            acc[m] = acc.get(m, 0) + c
-        self._terms = _drop_zeros(acc)
-        self._hash = None
+        p = LaurentPoly._sum([LaurentPoly.from_monomial(m, c) for m, c in items])
+        self._vars, self._terms, self._lo, self._hi, self._hash = p._vars, p._terms, p._lo, p._hi, None
 
     @staticmethod
-    def _of(acc: dict[Monomial, int]) -> "LaurentPoly":
-        """Wrap a term map that the caller hands over, without copying it;
-        its zero coefficients are deleted in place."""
+    def _wrap(frame: Frame, terms: dict[int, int], lo: Bounds, hi: Bounds) -> "LaurentPoly":
         out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = _drop_zeros(acc)
-        out._hash = None
+        out._vars, out._terms, out._lo, out._hi, out._hash = frame, terms, lo, hi, None
         return out
+
+    @staticmethod
+    def _exact(frame: Frame, terms: dict[int, int], lo: Bounds, hi: Bounds) -> "LaurentPoly":
+        """Wrap nonzero terms with exact bounds; a variable bounded by 0 on
+        both sides leaves the frame."""
+        if 0 in map(or_, lo, hi):
+            keep = [i for i, b in enumerate(map(or_, lo, hi)) if b]
+            small = tuple(frame[i] for i in keep)
+            terms, frame = _rekey(terms, _plan(frame, small)), small
+            lo, hi = tuple(lo[i] for i in keep), tuple(hi[i] for i in keep)
+        return LaurentPoly._wrap(frame, terms, lo, hi)
+
+    def _lift(self, frame: Frame) -> tuple[dict[int, int], Bounds, Bounds]:
+        """The terms and bounds over a frame that holds this one."""
+        if frame == self._vars:
+            return self._terms, self._lo, self._hi
+        if len(self._terms) == 1:  # one term: its bounds are its exponents
+            at = dict(zip(self._vars, self._lo))
+            exps = tuple([at.get(v, 0) for v in frame])
+            return {_key(exps): next(iter(self._terms.values()))}, exps, exps
+        plan = _plan(self._vars, frame)
+        lo, hi = [0] * len(frame), [0] * len(frame)
+        for j, l, h in zip(plan[5], self._lo, self._hi):
+            lo[j], hi[j] = l, h
+        return _rekey(self._terms, plan), lo, hi
 
     # -- constructors -------------------------------------------------
 
@@ -279,15 +332,25 @@ class LaurentPoly:
 
     @staticmethod
     def constant(c: int) -> "LaurentPoly":
-        return LaurentPoly({_MONO_ONE: c})
+        return LaurentPoly._wrap((), {0: int(c)} if c else {}, (), ())
 
     @staticmethod
     def variable(v: VarId) -> "LaurentPoly":
-        return LaurentPoly({Monomial(((v, 1),)): 1})
+        return LaurentPoly._wrap((v,), {_key((1,)): 1}, (1,), (1,))
 
     @staticmethod
     def from_monomial(m: Monomial, c: int = 1) -> "LaurentPoly":
-        return LaurentPoly({m: c})
+        return LaurentPoly._single(m._exps, c)
+
+    @staticmethod
+    def _single(pairs: Sequence[tuple[VarId, int]], c: int) -> "LaurentPoly":
+        """c times the monomial of the (variable, nonzero exponent) pairs, in
+        variable order; no key is formed before the exponents are checked."""
+        if not c or not pairs:
+            return LaurentPoly.constant(c)
+        frame, exps = zip(*pairs)
+        _check(frame, exps, exps)
+        return LaurentPoly._wrap(frame, {_key(exps): int(c)}, exps, exps)
 
     # -- inspection ----------------------------------------------------
 
@@ -295,37 +358,32 @@ class LaurentPoly:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {_MONO_ONE: 1}
+        return not self._vars and self._terms == {0: 1}
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
-        return iter(self._terms.items())
+        return zip(_monomials(self._vars, self._terms), self._terms.values())
 
     def canonical_terms(self) -> list[tuple[Monomial, int]]:
-        terms = self._terms
-        if len(terms) < 2:
-            return list(terms.items())
-        pack = _packing(_frame(terms), _max_exponent(terms))[0]
-        return [(m, terms[m]) for m in sorted(terms, key=pack)]
+        keys = sorted(self._terms)
+        return list(zip(_monomials(self._vars, keys), map(self._terms.__getitem__, keys)))
 
     def single_term(self) -> tuple[Monomial, int] | None:
         """The (monomial, coefficient) pair if this has exactly one term."""
         if len(self._terms) != 1:
             return None
-        return next(iter(self._terms.items()))
+        return next(self.terms())
 
     def support(self) -> tuple[VarId, ...]:
-        return _frame(self._terms)
+        return self._vars
 
     def constant_value(self) -> int | None:
         """The integer value if the polynomial is constant, else None."""
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1 and _MONO_ONE in self._terms:
-            return self._terms[_MONO_ONE]
-        return None
+        if self._vars:
+            return None
+        return self._terms.get(0, 0)
 
     # -- ring structure -------------------------------------------------
 
@@ -337,21 +395,43 @@ class LaurentPoly:
             return LaurentPoly.constant(v)
         raise TypeError(f"cannot coerce {type(v).__name__} to LaurentPoly")
 
+    @staticmethod
+    def _sum(parts: Iterable["LaurentPoly"]) -> "LaurentPoly":
+        """The sum of the parts: the first is copied and the rest are merged
+        into it, so the first should be the largest."""
+        parts = [p for p in parts if p._terms]
+        if len(parts) < 2:
+            return parts[0] if parts else _ZERO
+        frame = parts[0]._vars
+        for p in parts:
+            if p._vars != frame:
+                frame = _union(frame, p._vars)
+        acc, lo, hi = parts[0]._lift(frame)
+        acc = dict(acc)
+        get = acc.get
+        for p in parts[1:]:
+            terms, plo, phi = p._lift(frame)
+            for k, c in terms.items():
+                acc[k] = get(k, 0) + c
+            lo = [a if a < b else b for a, b in zip(lo, plo)]
+            hi = [a if a > b else b for a, b in zip(hi, phi)]
+        if 0 not in acc.values():  # no term cancelled, so the hull is exact
+            return LaurentPoly._wrap(frame, acc, tuple(lo), tuple(hi))
+        for k in [k for k, c in acc.items() if not c]:
+            del acc[k]
+        if not acc:
+            return _ZERO
+        cols = list(zip(*(exps for _, exps in _decode(acc, len(frame)))))
+        return LaurentPoly._exact(frame, acc, tuple(map(min, cols)), tuple(map(max, cols)))
+
     def __add__(self, other: PolyLike) -> "LaurentPoly":
         other = self._coerce(other)
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            acc[m] = acc.get(m, 0) + c
-        return LaurentPoly._of(acc)
+        return LaurentPoly._sum((self, other) if len(self._terms) >= len(other._terms) else (other, self))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._of({m: -c for m, c in self._terms.items()})
+        return LaurentPoly._wrap(self._vars, {k: -c for k, c in self._terms.items()}, self._lo, self._hi)
 
     def __sub__(self, other: PolyLike) -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -360,25 +440,34 @@ class LaurentPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other: PolyLike) -> "LaurentPoly":
-        other = self._coerce(other)
-        if not self._terms or not other._terms:
+        f, g = self, self._coerce(other)
+        if not f._terms or not g._terms:
             return _ZERO
-        a, b = self._terms, other._terms
+        if not f._vars:
+            f, g = g, f
+        if not g._vars:  # a constant factor scales the terms
+            c = g._terms[0]
+            if c == 1:
+                return f
+            return LaurentPoly._wrap(f._vars, {k: c * v for k, v in f._terms.items()}, f._lo, f._hi)
+        frame = f._vars if f._vars == g._vars else _union(f._vars, g._vars)
+        (a, alo, ahi), (b, blo, bhi) = f._lift(frame), g._lift(frame)
+        lo, hi = tuple(map(add, alo, blo)), tuple(map(add, ahi, bhi))
+        _check(frame, lo, hi)
         if len(a) > len(b):
             a, b = b, a
         if len(a) == 1:
-            ((ma, ca),) = a.items()
-            return LaurentPoly._of({ma.mul(mb): ca * cb for mb, cb in b.items()})
-        # Every product exponent lies within the sum of the factors' bounds.
-        pack, unpack, _ = _packing(_frame(chain(a, b)), _max_exponent(a) + _max_exponent(b))
-        eb = [(pack(mb), cb) for mb, cb in b.items()]
+            ((ka, ca),) = a.items()
+            return LaurentPoly._exact(frame, {ka + kb: ca * cb for kb, cb in b.items()}, lo, hi)
         acc: dict[int, int] = {}
-        for ma, ca in a.items():
-            ka = pack(ma)
-            for kb, cb in eb:
+        get = acc.get
+        for ka, ca in a.items():
+            for kb, cb in b.items():
                 k = ka + kb
-                acc[k] = acc.get(k, 0) + ca * cb
-        return LaurentPoly._of({unpack(k): c for k, c in acc.items() if c})
+                acc[k] = get(k, 0) + ca * cb
+        for k in [k for k, c in acc.items() if not c]:
+            del acc[k]
+        return LaurentPoly._exact(frame, acc, lo, hi)
 
     __rmul__ = __mul__
 
@@ -400,15 +489,12 @@ class LaurentPoly:
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._vars == other._vars and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
+        if self._hash is None:  # a constant equals its int, so hashes as it
             value = self.constant_value()
-            if value is not None:  # equal to that int, so hashed as it
-                self._hash = hash(value)
-            else:
-                self._hash = hash(tuple(sorted((m._hash, c) for m, c in self._terms.items())))
+            self._hash = hash((self._vars, frozenset(self._terms.items())) if value is None else value)
         return self._hash
 
     # -- the operations the rest of the package is built on --------------
@@ -424,56 +510,51 @@ class LaurentPoly:
         power_cache: dict[tuple[VarId, int], LaurentPoly] = {}
 
         def image_power(v: VarId, e: int) -> LaurentPoly:
-            key = (v, e)
-            got = power_cache.get(key)
+            got = power_cache.get((v, e))
             if got is None:
                 img = images[v]
-                if e < 0:
-                    img = img.inverse() ** (-e)
-                else:
-                    img = img ** e
-                power_cache[key] = got = img
+                got = power_cache[v, e] = img.inverse() ** -e if e < 0 else img ** e
             return got
 
-        acc: dict[Monomial, int] = {}
-        for m, c in self._terms.items():
-            fixed: list[tuple[VarId, int]] = []
-            factors: list[tuple[VarId, int]] = []
-            for v, e in m._exps:
+        parts = []
+        for (pairs, _), c in zip(_pairs(self._vars, self._terms), self._terms.values()):
+            term = LaurentPoly._single([(v, e) for v, e in pairs if v not in images], c)
+            for v, e in pairs:
                 if v in images:
-                    factors.append((v, e))
-                else:
-                    fixed.append((v, e))
-            term = LaurentPoly({Monomial(fixed): c})
-            for v, e in factors:
-                term = term * image_power(v, e)
-            for tm, tc in term._terms.items():
-                acc[tm] = acc.get(tm, 0) + tc
-        return LaurentPoly._of(acc)
+                    term = term * image_power(v, e)
+            parts.append(term)
+        return LaurentPoly._sum(parts)
 
     def inverse(self) -> "LaurentPoly":
         """Invert a unit: a single term with coefficient ±1."""
-        single = self.single_term()
-        if single is None or single[1] not in (1, -1):
+        if len(self._terms) != 1 or next(iter(self._terms.values())) not in (1, -1):
             raise NonInvertibleImage(
                 f"not an invertible Laurent monomial: {self}"
             )
-        m, c = single
-        return LaurentPoly({m.inverse(): c})
+        ((k, c),) = self._terms.items()
+        return LaurentPoly._wrap(self._vars, {-k: c}, tuple(map(neg, self._hi)), tuple(map(neg, self._lo)))
 
     def partial_derivative(self, v: VarId) -> "LaurentPoly":
         """Formal partial derivative d/dv with the rule d(v^n) = n v^(n-1)."""
-        down = Monomial(((v, -1),))
-        return LaurentPoly(
-            (m.mul(down), c * e) for m, c in self._terms.items() if (e := m.exponent(v))
-        )
+        parts = []
+        for (pairs, _), c in zip(_pairs(self._vars, self._terms), self._terms.values()):
+            e = dict(pairs).get(v, 0)
+            shifted = [(w, k - 1 if w == v else k) for w, k in pairs]
+            parts.append(LaurentPoly._single([(w, k) for w, k in shifted if k], c * e))
+        return LaurentPoly._sum(parts)
+
+    def _project(self, family: Family, take=lambda pairs: True) -> "LaurentPoly":
+        """The terms whose (variable, exponent) pairs ``take`` accepts, with
+        the family's variables dropped."""
+        return LaurentPoly._sum([
+            LaurentPoly._single([(v, e) for v, e in pairs if v.family != family], c)
+            for (pairs, _), c in zip(_pairs(self._vars, self._terms), self._terms.values())
+            if take(pairs)
+        ])
 
     def specialize_ones(self, family: Family) -> "LaurentPoly":
         """Set every variable of the given family to 1."""
-        return LaurentPoly(
-            (Monomial([(v, e) for v, e in m._exps if v.family != family]), c)
-            for m, c in self._terms.items()
-        )
+        return self._project(family)
 
     def is_subtraction_free(self) -> bool:
         """True iff every coefficient is strictly positive (zero counts)."""
@@ -482,24 +563,7 @@ class LaurentPoly:
     def min_family_exponent(self, family: Family) -> int:
         """The smallest exponent carried by any variable of the family
         anywhere in the polynomial (0 if the family does not occur)."""
-        lo = 0
-        for m in self._terms:
-            for v, e in m._exps:
-                if v.family == family and e < lo:
-                    lo = e
-        return lo
-
-    def _family_vector(self, m: Monomial, family: Family, width: int) -> tuple[int, ...] | None:
-        """Exponents of family variables with indices 1..width; None if the
-        monomial carries a family variable outside that index range."""
-        vec = [0] * width
-        for v, e in m._exps:
-            if v.family == family:
-                if 1 <= v.index <= width:
-                    vec[v.index - 1] = e
-                else:
-                    return None
-        return tuple(vec)
+        return min([lo for v, lo in zip(self._vars, self._lo) if v.family == family] + [0])
 
     def graded_coefficient(self, e: Sequence[int], family: Family = Family.Y) -> "LaurentPoly":
         """The coefficient of the monomial ``prod family_i^{e[i-1]}``.
@@ -509,12 +573,17 @@ class LaurentPoly:
         of the family in ``p``'s terms reconstructs ``p``.
         """
         target = tuple(e)
-        width = len(target)
-        return LaurentPoly(
-            (Monomial([(v, k) for v, k in m._exps if v.family != family]), c)
-            for m, c in self._terms.items()
-            if self._family_vector(m, family, width) == target
-        )
+
+        def take(pairs: list[tuple[VarId, int]]) -> bool:
+            vec = [0] * len(target)
+            for v, k in pairs:
+                if v.family == family:
+                    if not 1 <= v.index <= len(target):
+                        return False
+                    vec[v.index - 1] = k
+            return tuple(vec) == target
+
+        return self._project(family, take)
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises NonLaurentResult if a remainder is left.
@@ -533,42 +602,49 @@ class LaurentPoly:
         holds finitely many monomials and degrees are bounded below, so the
         descent ends.
 
-        Keys are packed over the n frame variables with the field bound
-        M = 2n(a + d), a and d the largest |exponent| of the dividend and
-        of the divisor.  Each remainder term sorts at or after the
-        dividend's leading term, so a lead r has deg r <= n*a; if r passes
-        the floor check, every e_i(r) >= -a, so deg r >= -n*a and
-        e_i(r) = deg r - sum_{j != i} e_j(r) <= (2n - 1)*a.  A quotient term
-        r / d then has |e_i| <= (2n - 1)*a + d, and a product of it with a
-        divisor term |e_i| <= (2n - 1)*a + 2d <= M.  Every key formed, the
-        dividend's, the divisor's, quotients and products, lies within M,
-        the lead that fails the floor check included.
+        Keys are formed over the n variables of both frames, with
+        exponents bounded by M = 2n(a + d), a and d the largest |exponent|
+        of the dividend and of the divisor; InvalidArgument is raised before
+        any key is formed if M exceeds ``_LIMIT``.  Each remainder term
+        sorts at or after the dividend's leading term, so a lead r has
+        deg r <= n*a; if r passes the floor check, every e_i(r) >= -a, so
+        deg r >= -n*a and e_i(r) = deg r - sum_{j != i} e_j(r) <= (2n - 1)*a.
+        A quotient term r / d then has |e_i| <= (2n - 1)*a + d, and a
+        product of it with a divisor term |e_i| <= (2n - 1)*a + 2d <= M.
+        Every key formed, the dividend's, the divisor's, quotients and
+        products, lies within M, the lead that fails the floor check
+        included.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return _ZERO
-        # Work on packed keys in the frame of both operands.  The remainder is
-        # a key -> coefficient map with a heap of its keys; a key that cancels
-        # leaves the map, and its heap entry is skipped when popped.  Every
-        # product qk + d sorts after the lead it was made from, so a popped
-        # key never returns.
-        frame = _frame(chain(self._terms, divisor._terms))
-        bound = 2 * len(frame) * (_max_exponent(self._terms) + _max_exponent(divisor._terms))
-        pack, unpack, guards = _packing(frame, bound)
-        dterms = sorted((pack(m), c) for m, c in divisor._terms.items())
+        frame = _union(self._vars, divisor._vars)
+        n = len(frame)
+        (rem, alo, ahi), (dterms, dlo, dhi) = self._lift(frame), divisor._lift(frame)
+        a = max(map(abs, (*alo, *ahi)), default=0)
+        d = max(map(abs, (*dlo, *dhi)), default=0)
+        if 2 * n * (a + d) > _LIMIT:
+            raise InvalidArgument(
+                f"exact division over {n} variables with exponents up to {a} and {d}"
+                f" needs the bound {2 * n * (a + d)}, past ±{_LIMIT}"
+            )
+        # The remainder is a key -> coefficient map with a heap of its keys;
+        # a key that cancels leaves the map, and its heap entry is skipped
+        # when popped.  Every product qk + d sorts after the lead it was made
+        # from, so a popped key never returns.
+        # Field i of gate - key holds 2**(_BITS - 1) + e_i - f_i for the floor
+        # f, in [0, 2**_BITS) as |e_i - f_i| <= 2M < 2**(_BITS - 1): its top
+        # bit survives exactly when e_i >= f_i, one subtraction for all fields.
+        guards = _ones(n) << (_BITS - 1)
+        gate = guards + _key([min(lo, 0) for lo in alo])
+        dterms = sorted(dterms.items())
         (dk, dc), rest = dterms[0], dterms[1:]
-        rem = {pack(m): c for m, c in self._terms.items()}
-        floor: dict[VarId, int] = {}
-        for m in self._terms:
-            for v, e in m._exps:
-                if e < floor.get(v, 0):
-                    floor[v] = e
-        gate = guards + pack(Monomial(floor))
+        rem = dict(rem)
         heap = list(rem)
         heapq.heapify(heap)
-        quot: dict[Monomial, int] = {}
+        quot: dict[int, int] = {}
         while heap:
             lead = heapq.heappop(heap)
             c = rem.pop(lead, 0)
@@ -579,12 +655,13 @@ class LaurentPoly:
                     f"leading coefficient {c} not divisible by {dc}"
                 )
             if (gate - lead) & guards != guards:
+                ((pairs, _),) = _pairs(_names(frame), (lead,))
                 raise NonLaurentResult(
-                    f"remainder term {unpack(lead).text()} lies below the dividend's floor"
+                    f"remainder term {_factors(pairs)} lies below the dividend's floor"
                 )
             qk = lead - dk
             qc = c // dc
-            quot[unpack(qk)] = qc
+            quot[qk] = qc
             for k2, c2 in rest:
                 key = qk + k2
                 nc = rem.get(key, 0) - qc * c2
@@ -594,22 +671,30 @@ class LaurentPoly:
                     rem[key] = nc
                 else:
                     del rem[key]
-        return LaurentPoly._of(quot)
+        return LaurentPoly._exact(frame, quot, tuple(map(sub, alo, dlo)), tuple(map(sub, ahi, dhi)))
 
     # -- serialization ----------------------------------------------------
+
+    def _named_terms(self) -> Iterator[tuple[list[tuple[str, int]], int]]:
+        """In canonical order, each term's (variable name, exponent) pairs,
+        ascending, and its coefficient."""
+        keys = sorted(self._terms)
+        for (pairs, _), k in zip(_pairs(_names(self._vars), keys), keys):
+            yield pairs, self._terms[k]
 
     def to_text(self) -> str:
         if not self._terms:
             return "0"
         pieces: list[str] = []
-        for i, (m, c) in enumerate(self.canonical_terms()):
+        for i, (pairs, c) in enumerate(self._named_terms()):
             mag = abs(c)
-            if m.is_one():
+            text = _factors(pairs)
+            if not pairs:
                 body = str(mag)
             elif mag == 1:
-                body = m.text()
+                body = text
             else:
-                body = f"{mag}*{m.text()}"
+                body = f"{mag}*{text}"
             if i == 0:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
@@ -617,13 +702,7 @@ class LaurentPoly:
         return "".join(pieces)
 
     def to_json_obj(self) -> list[dict]:
-        return [
-            {
-                "exponents": {v.name: e for v, e in m._exps},
-                "coeff": str(c),
-            }
-            for m, c in self.canonical_terms()
-        ]
+        return [{"exponents": dict(pairs), "coeff": str(c)} for pairs, c in self._named_terms()]
 
     def __str__(self) -> str:
         return self.to_text()
@@ -632,8 +711,8 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()})"
 
 
-_ZERO = LaurentPoly(())
-_ONE = LaurentPoly({_MONO_ONE: 1})
+_ZERO = LaurentPoly._wrap((), {}, (), ())
+_ONE = LaurentPoly._wrap((), {0: 1}, (), ())
 
 
 def x(i: int) -> LaurentPoly:

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from clusterchar.errors import NonInvertibleImage, NonLaurentResult
+from clusterchar.errors import InvalidArgument, NonInvertibleImage, NonLaurentResult
 from clusterchar.laurent import (
+    _BITS,
+    _LIMIT,
     Family,
     LaurentPoly,
     Monomial,
     VarId,
-    _frame,
-    _max_exponent,
-    _packing,
+    _decode,
+    _key,
+    _ones,
     q,
     qid,
     t,
@@ -255,6 +257,24 @@ def _dense_cmp(a, b):
 _DENSE_KEY = functools.cmp_to_key(_dense_cmp)
 
 
+def _dense(m, frame):
+    return [m.exponent(v) for v in frame]
+
+
+def _key_of(m, frame):
+    return _key(_dense(m, frame))
+
+
+def _reach(p):
+    """The largest |exponent| in p's terms (0 if there is none)."""
+    return max((abs(m.exponent(v)) for m, _ in p.terms() for v in m.variables()), default=0)
+
+
+EDGE_EXPONENTS = st.one_of(
+    st.integers(-_LIMIT, _LIMIT), st.sampled_from([-_LIMIT, -_LIMIT + 1, 0, _LIMIT - 1, _LIMIT])
+)
+
+
 def _sparse_mul(ma, mb):
     """Monomial product on sparse exponent maps."""
     acc = {v: ma.exponent(v) for v in ma.variables()}
@@ -329,20 +349,21 @@ class TestDenseKeys:
         assume(not b.is_zero())
         assert _outcome(lambda: n.exact_div(b)) == _outcome(lambda: _scan_div(n, b))
 
-    @given(bound=st.integers(0, 40), data=st.data())
-    def test_packing_at_its_bound(self, bound, data):
-        """The packing contract at the edge of its field bound: round trip,
-        the canonical order, and the one-subtraction floor test."""
-        row = st.lists(st.integers(-bound, bound), min_size=len(WIDE_POOL), max_size=len(WIDE_POOL))
+    @given(data=st.data())
+    def test_packing_at_its_bound(self, data):
+        """The key codec at the edge of its field bound: round trip, the
+        canonical order, and the one-subtraction floor test."""
+        n = len(WIDE_POOL)
+        row = st.lists(EDGE_EXPONENTS, min_size=n, max_size=n)
         a, b, f = (Monomial(dict(zip(WIDE_POOL, data.draw(row)))) for _ in range(3))
-        pack, unpack, guards = _packing(tuple(WIDE_POOL), bound)
-        ka, kb = pack(a), pack(b)
-        assert unpack(ka) == a and unpack(ka).degree == a.degree
+        guards = _ones(n) << (_BITS - 1)
+        ka, kb = _key_of(a, WIDE_POOL), _key_of(b, WIDE_POOL)
+        assert next(_decode([ka], n)) == (a.degree, _dense(a, WIDE_POOL))
         assert (ka > kb) - (ka < kb) == _dense_cmp(a, b)
         below = Monomial({v: min(a.exponent(v), f.exponent(v)) for v in WIDE_POOL})
         for floor in (f, below):
             above = all(a.exponent(v) >= floor.exponent(v) for v in WIDE_POOL)
-            assert ((guards + pack(floor) - ka) & guards == guards) == above
+            assert ((guards + _key_of(floor, WIDE_POOL) - ka) & guards == guards) == above
 
     @given(a=wide_polys(3), b=wide_polys(3), r=wide_polys(2))
     @example(a=_corner(1) + 3, b=_corner(-1) - 2, r=LaurentPoly.zero())  # exact
@@ -352,17 +373,17 @@ class TestDenseKeys:
     def test_wide_exponents_match_sparse_reference(self, a, b, r):
         """Up to 8 frame variables, exponents up to 40 in magnitude: the
         packed division agrees with the reference, refusals included, and
-        every monomial the reference forms lies within the field bound
-        M = 2n(a + d) that the packed keys are sized by (the packing itself
-        is checked at its bound by ``test_packing_at_its_bound``)."""
+        every monomial the reference forms lies within the bound
+        M = 2n(a + d) that the division checks against the field (the key
+        codec itself is checked at its bound by ``test_packing_at_its_bound``)."""
         assume(not b.is_zero())
         n = a * b + r
         trace = []
         assert _outcome(lambda: n.exact_div(b)) == _outcome(lambda: _scan_div(n, b, trace))
-        dividend, divisor = [m for m, _ in n.terms()], [m for m, _ in b.terms()]
-        frame = _frame(dividend + divisor)
-        k, ea = len(frame), _max_exponent(dividend)
-        bound = 2 * k * (ea + _max_exponent(divisor))
+        frame = sorted(set(n.support()) | set(b.support()))
+        k, ea = len(frame), _reach(n)
+        bound = 2 * k * (ea + _reach(b))
+        assert bound <= _LIMIT  # the division's field check let it through
         for kind, m in trace:
             exps = [m.exponent(v) for v in frame]
             assert max(map(abs, exps), default=0) <= bound
@@ -387,6 +408,71 @@ class TestDenseKeys:
         want = (NonLaurentResult, message)
         assert _outcome(lambda: dividend.exact_div(divisor)) == want
         assert _outcome(lambda: _scan_div(dividend, divisor)) == want
+
+
+def _unit(m, sign):
+    return LaurentPoly.from_monomial(m, sign)
+
+
+class TestCanonicalForm:
+    """One polynomial, one frame and one set of keys, whatever built it."""
+
+    @pytest.mark.parametrize(
+        "draw_poly, draw_mono",
+        [(polys(ORDER_POOL), monomials(ORDER_POOL)), (wide_polys(3), monomials(WIDE_POOL))],
+        ids=["order-pool", "wide-pool"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_routes_agree(self, draw_poly, draw_mono, data):
+        p, q, r = (data.draw(draw_poly) for _ in range(3))
+        unit = _unit(data.draw(draw_mono), data.draw(st.sampled_from([1, -1])))
+        direct = LaurentPoly(list(r.terms()))
+        routes = [p * q - p * q + r, unit * unit.inverse() * r, r + unit - unit]
+        if not q.is_zero():
+            routes.append((r * q).exact_div(q))
+        for got in routes:
+            assert got == direct and hash(got) == hash(direct)
+            assert got.support() == tuple(sorted({v for m, _ in got.terms() for v in m.variables()}))
+        assert unit * unit.inverse() == 1 and hash(unit * unit.inverse()) == hash(1)
+        value = direct.constant_value()
+        if value is not None:
+            assert hash(direct) == hash(value)
+
+    def test_cancelled_variable_leaves_the_frame(self):
+        assert (x(1) * y(1) + 1 - x(1) * y(1)).support() == ()
+        assert ((x(1) + y(1)) * x(2)).exact_div(x(2)).support() == (xid(1), yid(1))
+        assert (x(1) * t(2) ** 2 * x(1).inverse()).support() == (tid(2),)
+
+
+class TestFieldEdge:
+    """Exponents up to ``_LIMIT`` are held; one step past it is refused by a
+    typed error, never wrapped into another monomial."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_largest_exponent(self, sign):
+        edge = x(1) ** (sign * _LIMIT)
+        assert edge == _unit(Monomial({xid(1): sign * _LIMIT}), 1)
+        assert str(edge) == f"x1^{sign * _LIMIT}"
+        assert x(1) ** (sign * (_LIMIT - 1)) * x(1) ** sign == edge
+        assert str(edge * y(1) * edge.inverse()) == "y1"
+        past = [
+            lambda: x(1) ** (sign * (_LIMIT + 1)),
+            lambda: edge * x(1) ** sign,
+            lambda: edge * (x(1) ** sign + y(1)),
+            lambda: edge.exact_div(x(1) ** -sign),
+            lambda: _unit(Monomial({xid(1): sign * (_LIMIT + 1)}), 1),
+        ]
+        for step in past:
+            with pytest.raises(InvalidArgument):
+                step()
+
+    def test_division_checks_its_bound(self):
+        # M = 2n(a + d) with n = 1, d = 1: the largest a it accepts.
+        a = _LIMIT // 2 - 1
+        assert (x(1) ** a).exact_div(x(1)) == x(1) ** (a - 1)
+        with pytest.raises(InvalidArgument):
+            (x(1) ** (a + 1)).exact_div(x(1))
 
 
 class TestSerialization:
@@ -422,21 +508,24 @@ class TestSerialization:
     )
     def test_term_key_is_the_dense_order(self, a, b, c, extra):
         ms = [a, b, c]
-        bound = 2 * _max_exponent(ms)  # products of two of them fit as well
-        key, unpack, _ = _packing(_frame(ms), bound)
+        frame = sorted({v for m in ms for v in m.variables()})
         want = _dense_cmp(a, b)
-        ka, kb = key(a), key(b)
+        ka, kb = _key_of(a, frame), _key_of(b, frame)
         assert (ka > kb) - (ka < kb) == want
-        assert sorted(ms, key=key) == sorted(ms, key=_DENSE_KEY)
-        assert unpack(ka) == a and unpack(ka).degree == a.degree
+        assert sorted(ms, key=lambda m: _key_of(m, frame)) == sorted(ms, key=_DENSE_KEY)
+        assert next(_decode([ka], len(frame))) == (a.degree, _dense(a, frame))
         if want < 0:  # compatible with multiplication, which adds keys
-            assert key(a.mul(c)) == ka + key(c)
-            assert key(a.mul(c)) < key(b.mul(c))
-            assert unpack(ka + key(c)) == a.mul(c)
+            kc = _key_of(c, frame)
+            assert _key_of(a.mul(c), frame) == ka + kc
+            assert _key_of(a.mul(c), frame) < _key_of(b.mul(c), frame)
+            assert next(_decode([ka + kc], len(frame)))[1] == _dense(a.mul(c), frame)
         # Variables that no monomial carries do not change the order.
-        wide = _packing(tuple(sorted(set(_frame(ms)) | set(extra))), bound)[0]
-        wa, wb = wide(a), wide(b)
+        wide = sorted(set(frame) | set(extra))
+        wa, wb = _key_of(a, wide), _key_of(b, wide)
         assert (wa > wb) - (wa < wb) == want
+        # A polynomial stores the key over its own support.
+        p = LaurentPoly.from_monomial(a, 3)
+        assert p.support() == a.variables() and p._terms == {_key_of(a, a.variables()): 3}
 
     def test_var_ordering(self):
         assert VarId(Family.X, 2) < VarId(Family.Y, 1)
@@ -451,6 +540,18 @@ class TestHash:
         p = LaurentPoly.constant(c)
         assert p == c and hash(p) == hash(c)
         assert c in {p} and p in {c}
+
+    def test_bool_coefficients_are_stored_as_ints(self):
+        made = [
+            LaurentPoly.constant(True),
+            LaurentPoly.constant(True) * 1,
+            LaurentPoly.from_monomial(Monomial({xid(1): 1}), True),
+        ]
+        for p in made:
+            assert [type(c) for _, c in p.terms()] == [int]
+        assert _outcome(lambda: made[0].exact_div(3)) == (
+            NonLaurentResult, "leading coefficient 1 not divisible by 3"
+        )
 
     def test_equal_polys_hash_equal(self):
         assert hash(x(1) + 1) == hash(1 + x(1))
