@@ -140,6 +140,8 @@ class PositivityReport:
 
 
 def _offending_term(p: LaurentPoly) -> str:
+    if p.is_subtraction_free():
+        return ""
     for m, c in p.canonical_terms():
         if c < 0:
             coeff = str(c) if m.is_one() else f"{c}*{m.text()}"

@@ -88,18 +88,14 @@ class CharTermTable:
     def middle(self) -> LaurentPoly:
         """Sum of L(M, e) over e different from 0 and dim M."""
         zero = (0,) * len(self.rep.dim)
-        out = LaurentPoly.zero()
-        for f, val in self.terms:
-            if f != zero and f != self.rep.dim:
-                out = out + val
-        return out
+        return LaurentPoly.sum([val for f, val in self.terms if f != zero and f != self.rep.dim])
 
 
 @functools.lru_cache(maxsize=None)
 def char_table(rep: IntRep) -> CharTermTable:
     profiles = sorted(grassmannian.box_profiles(rep).items())
     terms = tuple((e, _term(rep, e, prof.chi)) for e, prof in profiles if prof.chi)
-    return CharTermTable(rep, terms, sum((val for _, val in terms), LaurentPoly.zero()))
+    return CharTermTable(rep, terms, LaurentPoly.sum([val for _, val in terms]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -31,12 +31,12 @@ class DimOutOfRange(ClusterCharError):
 
 
 class ExcludedPrime(ClusterCharError):
-    """Counting was requested at a prime on the representation's
-    exclusion list."""
+    """Counting was requested over a field whose characteristic is on the
+    representation's exclusion list."""
 
 
 class NonPolynomialCount(ClusterCharError):
-    """Held-out primes contradict the interpolated counting polynomial;
+    """Held-out nodes contradict the interpolated counting polynomial;
     the module is outside the tool's validity envelope."""
 
 

@@ -1,5 +1,16 @@
-"""Quiver Grassmannian point counting over prime fields and Euler
+"""Quiver Grassmannian point counting over finite fields and Euler
 characteristics via counting-polynomial interpolation.
+
+Counts are taken over F_q for q a power of an admissible prime p (one
+whose reduction keeps the module's ranks; see IntRep.excluded_primes).
+Katz's theorem (appendix to Hausel and Rodriguez-Villegas, Mixed Hodge
+polynomials of character varieties) turns a count that is one polynomial
+in q over every F_q into the E-polynomial, whose value at 1 is the Euler
+characteristic; prime powers also see points that every sampled prime
+misses, such as a quadratic point that is rational over F_{p^2}.  F_q is
+held in tables (sum, difference and product of every pair, and inverses),
+built the first time a walk over F_q runs: an element's base-p digits are
+its coordinates over F_p in powers of a generator of F_q^*.
 
 Subspaces are enumerated through reduced row-echelon bases (one canonical
 representative each).  The walk proceeds in topological order with early
@@ -25,24 +36,25 @@ The walk therefore only tallies its leaves by stratum: the dimensions at
 the enumerated vertices plus the few ranks the closed forms need.  The
 closing of a stratum, the number of ways to finish a leaf at the
 closed-form vertices for each dimension vector e, is an integer
-polynomial in q, and the count at p is the sum over strata of tally times
-closing at q = p.
+polynomial in q, and the count over F_q is the sum over strata of tally
+times closing at q.
 
 The Euler characteristic is defined operationally as the counting
 polynomial evaluated at 1.  All but e is decided once per module: the side
-walked at every prime (the module or its transpose-dual, whichever has the
+walked at every node (the module or its transpose-dual, whichever has the
 smaller stratum degree B; orthogonal complements carry the counts back
-exactly), the sample primes (the first B+3 admissible ones, B the sum over
-enumerated vertices of floor(d/2)*ceil(d/2)), and whether the strata
-interpolate.  Each stratum's tally is interpolated through the first b+1
-primes, b the sum of k(d-k) over its dims, and checked against all later
-primes (at least two); the closings then give the counting polynomial of
-every e at once, checked against every sample.  If a stratum fails, each e
-of the module is interpolated alone through the first D+3 primes, D the
-ambient product-of-Grassmannians degree bound.  Disagreement on a held-out
-prime raises instead of guessing, and so does a Kronecker module with a
-point that is not rational, whose counts cannot be a polynomial in p.
-One walk per (module, prime) is cached, with the counts of every e.
+exactly), the nodes (the first B+3 admissible prime powers 2, 3, 4, 5, 7,
+8, 9, ..., B the sum over enumerated vertices of floor(d/2)*ceil(d/2)),
+and whether the strata interpolate.  Each stratum's tally is interpolated
+through the first b+1 nodes, b the sum of k(d-k) over its dims, and
+checked against all later nodes (at least two); the closings then give the
+counting polynomial of every e at once, checked against every sample.  If
+a stratum fails, each e of the module is interpolated alone through the
+first D+3 nodes, D the ambient product-of-Grassmannians degree bound.
+Disagreement on a held-out node raises instead of guessing, and so does a
+Kronecker module with a point that is not rational, whose counts cannot be
+a polynomial in q.  One walk per (module, node) is cached, with the counts
+of every e.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import DimOutOfRange, ExcludedPrime, NonPolynomialCount
+from .errors import DimOutOfRange, ExcludedPrime, InvalidArgument, NonPolynomialCount
 from .quiver import DimVector, IntRep, Quiver, _prime_factors, dual_rep
 
 __all__ = [
@@ -68,84 +80,172 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# primes
+# interpolation nodes
 
 
-def admissible_primes(rep: IntRep) -> Iterator[int]:
-    """The primes in increasing order, skipping the module's excluded ones."""
+def admissible_nodes(rep: IntRep) -> Iterator[int]:
+    """The prime powers in increasing order, skipping the powers of the
+    module's excluded primes (an integer matrix has the same rank over
+    F_{p^k} as over F_p)."""
     excluded = rep.excluded_primes()
     for n in itertools.count(2):
-        if _prime_factors(n) == {n} and n not in excluded:
+        factors = _prime_factors(n)
+        if len(factors) == 1 and not factors & excluded:
             yield n
 
 
-def _primes(rep: IntRep, bound: int) -> list[int]:
-    """Interpolation nodes for degree ``bound`` plus two held-out primes."""
-    return list(itertools.islice(admissible_primes(rep), bound + 3))
+def _nodes(rep: IntRep, bound: int) -> list[int]:
+    """Interpolation nodes for degree ``bound`` plus two held-out nodes."""
+    return list(itertools.islice(admissible_nodes(rep), bound + 3))
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_p (vectors are lists of ints in [0, p))
+# the field F_q (elements are the ints 0..q-1, vectors lists of them)
+
+_FIELD_LIMIT = 256
 
 
-def _reduce(basis: dict[int, list[int]], vec: list[int], p: int) -> list[int]:
+def _characteristic(q: int) -> int:
+    """The prime p of which q is a power; InvalidArgument unless q is a prime
+    power of at most _FIELD_LIMIT (the tables hold q^2 entries each)."""
+    factors = _prime_factors(q) if q > 1 else set()
+    if len(factors) != 1:
+        raise InvalidArgument(f"q={q} is not a prime power, so there is no field F_q")
+    if q > _FIELD_LIMIT:
+        raise InvalidArgument(f"q={q} exceeds the largest field order {_FIELD_LIMIT}")
+    return min(factors)
+
+
+class _Field:
+    """F_q for q = p^k by tables.  An element's base-p digits are its
+    coordinates in the basis 1, a, ..., a^(k-1), with a a generator of
+    F_q^*, so 0..p-1 is the prime field and digit-wise addition mod p is
+    the field's addition; products go through the powers of a."""
+
+    __slots__ = ("char", "add", "sub", "mul", "inv", "scalings")
+
+    def __init__(self, q: int) -> None:
+        p = self.char = _characteristic(q)
+        k = next(k for k in itertools.count(1) if p**k == q)
+        turn = [list(range(a, p)) + list(range(a)) for a in range(p)]
+        add = turn  # a + b for a = a_0 + p a', b = b_0 + p b': low digit, then the rest
+        for _ in range(k - 1):
+            add = [[lo + p * hi for hi in rest for lo in turn[a0]] for rest in add for a0 in range(p)]
+        neg = [row.index(0) for row in add]
+        powers = _generator_powers(p, k, add)
+        log = [0] * q
+        for i, x in enumerate(powers):
+            log[x] = i
+        twice = powers * 2
+        self.add = add
+        self.sub = [list(map(row.__getitem__, neg)) for row in add]
+        self.mul = [[0] * q] + [
+            [0, *map(twice[log[a]:].__getitem__, log[1:])] for a in range(1, q)
+        ]
+        self.inv = [0] + [powers[-log[a]] for a in range(1, q)]
+        self.scalings = [self.mul[p**i] for i in range(k)]  # times 1, a, ..., a^(k-1)
+
+    def of(self, n: int) -> int:
+        """The integer n in the prime field."""
+        return n % self.char
+
+
+def _generator_powers(p: int, k: int, add: list[list[int]]) -> list[int]:
+    """1, a, ..., a^(q-2) for a generator a of F_q^*, q = p^k: the first r
+    in 1..q-1 for which a with a^k = r (as a polynomial of degree below k)
+    has order q - 1, so that F_p[a] is a field and a generates it."""
+    q, top = p**k, p ** (k - 1)
+    for r in range(1, q):
+        scaled = [sum(t * (r // p**i) % p * p**i for i in range(k)) for t in range(p)]
+        powers, x = [], 1
+        for _ in range(q - 1):
+            powers.append(x)
+            high, low = divmod(x, top)
+            x = add[low * p][scaled[high]]  # a*x: shift the digits up, a^k = r
+            if x == 1:
+                break
+        if x == 1 and len(powers) == q - 1:
+            return powers
+    raise AssertionError(f"F_{q}^* has no generator")
+
+
+@functools.lru_cache(maxsize=None)
+def _field(q: int) -> _Field:
+    """The tables of F_q, built the first time a walk over F_q runs."""
+    return _Field(q)
+
+
+def _reduce(basis: dict[int, list[int]], vec: list[int], field: _Field) -> list[int]:
     """The vector minus the element of the basis's span that agrees with it
     at every pivot column: 0 at the pivots, and linear in the vector."""
+    sub, mul = field.sub, field.mul
     for c in sorted(basis):
         x = vec[c]
         if x:
-            vec = [(u - x * v) % p for u, v in zip(vec, basis[c])]
+            scale = mul[x]
+            vec = [sub[u][scale[v]] for u, v in zip(vec, basis[c])]
     return vec
 
 
-def _push(basis: dict[int, list[int]], vec: list[int], p: int) -> int | None:
+def _push(basis: dict[int, list[int]], vec: list[int], field: _Field) -> int | None:
     """Grow an echelon basis (pivot column -> row that is 1 there and 0
     before it) by the vector; returns the new pivot, or None if the vector
     lies in the span.  Deleting that pivot undoes the push."""
+    sub, mul = field.sub, field.mul
     for c in range(len(vec)):
         x = vec[c]
         if x:
             row = basis.get(c)
             if row is None:
-                inv = pow(x, -1, p)
-                basis[c] = [u * inv % p for u in vec]
+                scale = mul[field.inv[x]]
+                basis[c] = [scale[u] for u in vec]
                 return c
-            vec = [(u - x * v) % p for u, v in zip(vec, row)]
+            scale = mul[x]
+            vec = [sub[u][scale[v]] for u, v in zip(vec, row)]
     return None
 
 
-def _combine(cols: Sequence[list[int]], x: Sequence[int], p: int) -> list[int]:
+def _combine(cols: Sequence[list[int]], x: Sequence[int], field: _Field) -> list[int]:
     """The linear combination sum x_j cols_j of at least one vector."""
+    add, mul = field.add, field.mul
     out = [0] * len(cols[0])
     for c, col in zip(x, cols):
         if c:
-            out = [(u + c * v) % p for u, v in zip(out, col)]
+            scale = mul[c]
+            out = [add[u][scale[v]] for u, v in zip(out, col)]
     return out
 
 
-def _affine_span(base: list[int], gens: Sequence[list[int]], p: int) -> Iterator[list[int]]:
-    """Every base + sum x_j gens_j over x in F_p^len(gens), one vector add
-    each, holding no more than one vector per generator."""
-    if not gens:
-        yield base
-        return
-    *outer, inner = gens
-    for vec in _affine_span(base, outer, p):
-        yield vec
-        for _ in range(p - 1):
-            vec = [(u + v) % p for u, v in zip(vec, inner)]
+def _affine_span(base: list[int], gens: Sequence[list[int]], field: _Field) -> Iterator[list[int]]:
+    """Every base + sum x_j gens_j over x in F_q^len(gens), one vector add
+    each: over F_p, x_j gens_j runs through the span of a^i gens_j for
+    i < k, and each of those steps is added p - 1 times in turn."""
+    add, p = field.add, field.char
+    steps = [[scale[u] for u in g] for g in gens for scale in field.scalings]
+
+    def span(n: int) -> Iterator[list[int]]:
+        if not n:
+            yield base
+            return
+        step = steps[n - 1]
+        for vec in span(n - 1):
             yield vec
+            for _ in range(p - 1):
+                vec = [add[u][v] for u, v in zip(vec, step)]
+                yield vec
+
+    return span(len(steps))
 
 
 @functools.lru_cache(maxsize=None)
-def gaussian_binomial(n: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of F_p^n."""
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of F_q^n."""
     if k < 0 or k > n:
         return 0
     num = den = 1
     for i in range(k):
-        num *= p ** (n - i) - 1
-        den *= p ** (k - i) - 1
+        num *= q ** (n - i) - 1
+        den *= q ** (k - i) - 1
     return num // den
 
 
@@ -213,12 +313,12 @@ def _walk_plan(quiver: Quiver) -> tuple[tuple[int, ...], int | None, int]:
     return order[:-1], None, order[-1]
 
 
-def _walk_cost(rep: IntRep, p: int) -> int:
-    """Number of leaves of the walk over F_p: subspace tuples at the
+def _walk_cost(rep: IntRep, q: int) -> int:
+    """Number of leaves of the walk over F_q: subspace tuples at the
     enumerated vertices, before pruning."""
     cost = 1
     for v in _walk_plan(rep.quiver)[0]:
-        cost *= sum(gaussian_binomial(rep.dim[v], k, p) for k in range(rep.dim[v] + 1))
+        cost *= sum(gaussian_binomial(rep.dim[v], k, q) for k in range(rep.dim[v] + 1))
     return cost
 
 
@@ -238,17 +338,17 @@ def _walk_degree(rep: IntRep) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _module_plan(rep: IntRep) -> tuple[IntRep, bool, tuple[int, ...]]:
-    """The counting state of a module: the side walked at every prime, the
+    """The counting state of a module: the side walked at every node, the
     module or its transpose-dual, whichever has the smaller stratum degree B
     (ties to the fewer leaves over F_2, then the module); whether that is
-    the dual; and the sample primes, the first B + 3 admissible ones."""
+    the dual; and the nodes, the first B + 3 admissible prime powers."""
     dual = dual_rep(rep)
     walked = min((rep, dual), key=lambda side: (_walk_degree(side), _walk_cost(side, 2)))
-    return walked, walked is dual, tuple(_primes(rep, _walk_degree(walked)))
+    return walked, walked is dual, tuple(_nodes(rep, _walk_degree(walked)))
 
 
-def _walk(rep: IntRep, p: int) -> dict[tuple, int]:
-    """Leaf tallies of the walk over F_p, by stratum.
+def _walk(rep: IntRep, q: int) -> dict[tuple, int]:
+    """Leaf tallies of the walk over F_q, by stratum.
 
     Each leaf fixes subspaces at the enumerated vertices.  Its stratum is
     (dims, w, r_w, r_v) when a vertex is counted in closed form ahead of
@@ -267,11 +367,12 @@ def _walk(rep: IntRep, p: int) -> dict[tuple, int]:
     columns, reduced modulo the running bases once for all of them.
     """
     explicit, tail, sink = _walk_plan(rep.quiver)
+    field = _field(q)
     dim = rep.dim
     at = {v: i for i, v in enumerate(explicit)}
     bases: list[dict[int, list[int]]] = [{} for _ in explicit]
     arrows = [
-        (s, t, [[row[j] % p for row in m] for j in range(dim[s])])
+        (s, t, [[field.of(row[j]) for row in m] for j in range(dim[s])])
         for (s, t), m in zip(rep.quiver.arrow_indices(), rep.matrices)
     ]
     # feeds[v]: (running basis, length of its vectors, images of v's unit vectors)
@@ -290,12 +391,12 @@ def _walk(rep: IntRep, p: int) -> dict[tuple, int]:
         bases += [{}, {}, {}]
         a_cols = next((cols for s, _, cols in arrows if s == tail), [])
         for col in a_cols:
-            _push(bases[cv_b], col, p)
+            _push(bases[cv_b], col, field)
         for s, t, cols in arrows:
             if t == tail:
                 feeds[s].append((w_b, dim[tail], cols))
                 if a_cols:
-                    composite = [_combine(a_cols, col, p) for col in cols]
+                    composite = [_combine(a_cols, col, field) for col in cols]
                     feeds[s].append((cw_b, dim[sink], composite))
             elif t == sink and s != tail:
                 feeds[s] += [(cw_b, dim[sink], cols), (cv_b, dim[sink], cols)]
@@ -318,7 +419,7 @@ def _walk(rep: IntRep, p: int) -> dict[tuple, int]:
     def push(segs: list, img: list[int]) -> list[tuple[int, int]]:
         added = []
         for b, lo, hi in segs:
-            pivot = _push(bases[b], img[lo:hi], p)
+            pivot = _push(bases[b], img[lo:hi], field)
             if pivot is not None:
                 added.append((b, pivot))
         return added
@@ -328,7 +429,7 @@ def _walk(rep: IntRep, p: int) -> dict[tuple, int]:
             del bases[b][pivot]
 
     def reduced(segs: list, col: list[int]) -> list[int]:
-        return sum((_reduce(bases[b], col[lo:hi], p) for b, lo, hi in segs), [])
+        return sum((_reduce(bases[b], col[lo:hi], field) for b, lo, hi in segs), [])
 
     def enter(i: int) -> None:
         if i == len(explicit):
@@ -338,7 +439,7 @@ def _walk(rep: IntRep, p: int) -> dict[tuple, int]:
         v = explicit[i]
         cols, segs = stacks[i]
         span = bases[i]
-        added = [a for row in span.values() for a in push(segs, _combine(cols, row, p))]
+        added = [a for row in span.values() for a in push(segs, _combine(cols, row, field))]
         free = [cols[c] for c in range(dim[v]) if c not in span]
         grow(i, v, free, segs, len(free), (), len(span))
         pop(added)
@@ -349,7 +450,7 @@ def _walk(rep: IntRep, p: int) -> dict[tuple, int]:
         enter(i + 1)
         for c in range(lowest):
             rest = [reduced(segs, free[j]) for j in range(c + 1, len(free)) if j not in taken]
-            for img in _affine_span(reduced(segs, free[c]), rest, p):
+            for img in _affine_span(reduced(segs, free[c]), rest, field):
                 added = push(segs, img)
                 grow(i, v, free, segs, c, taken + (c,), k + 1)
                 pop(added)
@@ -394,16 +495,16 @@ def _closing(
     return tuple((e, tuple(poly)) for e, poly in out.items())
 
 
-def _count_side(rep: IntRep, p: int) -> tuple[dict[tuple, int], dict[DimVector, int]]:
-    """The walk over F_p on this side: its leaf tallies by stratum, and the
+def _count_side(rep: IntRep, q: int) -> tuple[dict[tuple, int], dict[DimVector, int]]:
+    """The walk over F_q on this side: its leaf tallies by stratum, and the
     count of every dimension vector at once, each stratum's tally times its
-    closing at q = p."""
+    closing at q."""
     _, tail, sink = _walk_plan(rep.quiver)
-    tallies = _walk(rep, p)
+    tallies = _walk(rep, q)
     counts: dict[DimVector, int] = {}
     for stratum, mult in tallies.items():
         for e, ways in _closing(rep.dim, tail, sink, stratum):
-            counts[e] = counts.get(e, 0) + mult * _eval_poly(ways, p)
+            counts[e] = counts.get(e, 0) + mult * _eval_poly(ways, q)
     return tallies, counts
 
 
@@ -414,12 +515,13 @@ def _flip(dim: DimVector, dual: bool, e: DimVector) -> DimVector:
 
 
 @functools.lru_cache(maxsize=None)
-def _count_box(rep: IntRep, p: int) -> tuple[dict[tuple, int], dict[DimVector, int]]:
-    """The walk's tallies over F_p, and the counts on the module's side."""
+def _count_box(rep: IntRep, q: int) -> tuple[dict[tuple, int], dict[DimVector, int]]:
+    """The walk's tallies over F_q, and the counts on the module's side."""
+    p = _characteristic(q)
     if p in rep.excluded_primes():
         raise ExcludedPrime(f"prime {p} is excluded for {rep.label or 'this module'}")
     walked, dual, _ = _module_plan(rep)
-    tallies, counts = _count_side(walked, p)
+    tallies, counts = _count_side(walked, q)
     return tallies, {_flip(rep.dim, dual, e): c for e, c in counts.items()}
 
 
@@ -432,10 +534,11 @@ def _check_e(rep: IntRep, e: Sequence[int]) -> DimVector:
     return e
 
 
-def count_subreps(rep: IntRep, e: Sequence[int], p: int) -> int:
-    """Exact number of subrepresentations of dimension vector e over F_p."""
+def count_subreps(rep: IntRep, e: Sequence[int], q: int) -> int:
+    """Exact number of subrepresentations of dimension vector e over F_q,
+    for q a prime power."""
     e = _check_e(rep, e)
-    return _count_box(rep, p)[1].get(e, 0)
+    return _count_box(rep, q)[1].get(e, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +695,11 @@ def _interpolate(points: Sequence[tuple[int, int]], bound: int, what: str) -> tu
         coeffs = _newton_coefficients(points[: bound + 1])
     except NonPolynomialCount as exc:
         raise NonPolynomialCount(f"{what}: {exc}") from None
-    checked = [(p, c, _eval_poly(coeffs, p)) for p, c in points[bound + 1 :]]
-    bad = [(p, c, v) for p, c, v in checked if v != c]
+    checked = [(q, c, _eval_poly(coeffs, q)) for q, c in points[bound + 1 :]]
+    bad = [(q, c, v) for q, c, v in checked if v != c]
     if bad:
         raise NonPolynomialCount(
-            f"held-out primes {[p for p, _, _ in bad]} disagree for {what}: "
+            f"held-out primes {[q for q, _, _ in bad]} disagree for {what}: "
             f"counts {[c for _, c, _ in bad]} vs interpolant {[v for _, _, v in bad]}"
         )
     return coeffs
@@ -604,8 +707,8 @@ def _interpolate(points: Sequence[tuple[int, int]], bound: int, what: str) -> tu
 
 @dataclass(frozen=True)
 class CountProfile:
-    """Per-prime counts, the interpolated counting polynomial (ascending
-    coefficients), and the Euler characteristic it yields at 1."""
+    """Counts at the nodes q, the interpolated counting polynomial
+    (ascending coefficients), and the Euler characteristic it yields at 1."""
 
     rep: IntRep
     e: DimVector
@@ -614,11 +717,9 @@ class CountProfile:
     chi: int
 
     def __post_init__(self) -> None:
-        for p, c in self.samples:
-            if _eval_poly(self.coefficients, p) != c:
-                raise NonPolynomialCount(
-                    f"sample at p={p} disagrees with the interpolant"
-                )
+        for q, c in self.samples:
+            if _eval_poly(self.coefficients, q) != c:
+                raise NonPolynomialCount(f"sample at q={q} disagrees with the interpolant")
         if _eval_poly(self.coefficients, 1) != self.chi:
             raise NonPolynomialCount("chi must be the polynomial value at 1")
 
@@ -629,15 +730,15 @@ def _box_polynomials(rep: IntRep) -> dict[DimVector, tuple[int, ...]] | NonPolyn
     the error of the first stratum that fails.
 
     Each stratum's tally is interpolated with the degree bound of its own
-    dims; every later prime is held out.  Its closing polynomials then give
+    dims; every later node is held out.  Its closing polynomials then give
     each e's share.  The walks were done (and cached) by count_subreps.
     """
-    walked, dual, primes = _module_plan(rep)
+    walked, dual, nodes = _module_plan(rep)
     _, tail, sink = _walk_plan(walked.quiver)
-    tallies = [_count_box(rep, p)[0] for p in primes]
+    tallies = [_count_box(rep, q)[0] for q in nodes]
     totals: dict[DimVector, list[int]] = {}
     for stratum in sorted(set().union(*tallies)):
-        points = [(p, t.get(stratum, 0)) for p, t in zip(primes, tallies)]
+        points = [(q, t.get(stratum, 0)) for q, t in zip(nodes, tallies)]
         bound = _grassmannian_dim(walked.dim, stratum[0])
         try:
             count = _interpolate(points, bound, f"stratum {stratum}")
@@ -649,10 +750,10 @@ def _box_polynomials(rep: IntRep) -> dict[DimVector, tuple[int, ...]] | NonPolyn
 
 
 def _per_e_profile(rep: IntRep, e: DimVector) -> CountProfile:
-    """The fallback: interpolate e's count alone, through the first primes
+    """The fallback: interpolate e's count alone, through the first nodes
     of the ambient product-of-Grassmannians degree bound."""
     bound = _grassmannian_dim(rep.dim, e)
-    samples = tuple((p, count_subreps(rep, e, p)) for p in _primes(rep, bound))
+    samples = tuple((q, count_subreps(rep, e, q)) for q in _nodes(rep, bound))
     coeffs = _interpolate(samples, bound, f"e={e}")
     return CountProfile(rep, e, samples, coeffs, _eval_poly(coeffs, 1))
 
@@ -662,8 +763,8 @@ def profile(rep: IntRep, e: Sequence[int]) -> CountProfile:
     The samples come first, so each walk runs inside count_subreps."""
     e = _check_e(rep, e)
     _check_spectrum(rep)
-    _, _, primes = _module_plan(rep)
-    samples = tuple((p, count_subreps(rep, e, p)) for p in primes)
+    _, _, nodes = _module_plan(rep)
+    samples = tuple((q, count_subreps(rep, e, q)) for q in nodes)
     box = _box_polynomials(rep)
     if isinstance(box, NonPolynomialCount):
         return _per_e_profile(rep, e)
@@ -682,6 +783,6 @@ def euler_char(rep: IntRep, e: Sequence[int]) -> int:
 
 
 def box_profiles(rep: IntRep) -> dict[DimVector, CountProfile]:
-    """Profiles for every 0 <= e <= dim, sharing the per-prime walks."""
+    """Profiles for every 0 <= e <= dim, sharing the walk at each node."""
     ranges = [range(d + 1) for d in rep.dim]
     return {e: profile(rep, e) for e in itertools.product(*ranges)}

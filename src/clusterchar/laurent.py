@@ -286,7 +286,7 @@ class LaurentPoly:
 
     def __init__(self, terms: dict[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
         items = terms.items() if isinstance(terms, dict) else terms
-        p = LaurentPoly._sum([LaurentPoly.from_monomial(m, c) for m, c in items])
+        p = LaurentPoly.sum([LaurentPoly.from_monomial(m, c) for m, c in items])
         self._vars, self._terms, self._lo, self._hi, self._hash = p._vars, p._terms, p._lo, p._hi, None
 
     @staticmethod
@@ -396,9 +396,10 @@ class LaurentPoly:
         raise TypeError(f"cannot coerce {type(v).__name__} to LaurentPoly")
 
     @staticmethod
-    def _sum(parts: Iterable["LaurentPoly"]) -> "LaurentPoly":
-        """The sum of the parts: the first is copied and the rest are merged
-        into it, so the first should be the largest."""
+    def sum(parts: Iterable["LaurentPoly"]) -> "LaurentPoly":
+        """The sum of the parts over the union of their frames, each lifted
+        once: the first is copied and the rest are merged into it, so the
+        first should be the largest."""
         parts = [p for p in parts if p._terms]
         if len(parts) < 2:
             return parts[0] if parts else _ZERO
@@ -426,7 +427,7 @@ class LaurentPoly:
 
     def __add__(self, other: PolyLike) -> "LaurentPoly":
         other = self._coerce(other)
-        return LaurentPoly._sum((self, other) if len(self._terms) >= len(other._terms) else (other, self))
+        return LaurentPoly.sum((self, other) if len(self._terms) >= len(other._terms) else (other, self))
 
     __radd__ = __add__
 
@@ -523,7 +524,7 @@ class LaurentPoly:
                 if v in images:
                     term = term * image_power(v, e)
             parts.append(term)
-        return LaurentPoly._sum(parts)
+        return LaurentPoly.sum(parts)
 
     def inverse(self) -> "LaurentPoly":
         """Invert a unit: a single term with coefficient ±1."""
@@ -541,12 +542,12 @@ class LaurentPoly:
             e = dict(pairs).get(v, 0)
             shifted = [(w, k - 1 if w == v else k) for w, k in pairs]
             parts.append(LaurentPoly._single([(w, k) for w, k in shifted if k], c * e))
-        return LaurentPoly._sum(parts)
+        return LaurentPoly.sum(parts)
 
     def _project(self, family: Family, take=lambda pairs: True) -> "LaurentPoly":
         """The terms whose (variable, exponent) pairs ``take`` accepts, with
         the family's variables dropped."""
-        return LaurentPoly._sum([
+        return LaurentPoly.sum([
             LaurentPoly._single([(v, e) for v, e in pairs if v.family != family], c)
             for (pairs, _), c in zip(_pairs(self._vars, self._terms), self._terms.values())
             if take(pairs)

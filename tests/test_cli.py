@@ -212,9 +212,9 @@ class TestGrass:
     @pytest.mark.parametrize(
         "family, point, e, primes",
         [
-            ("kronecker_homogeneous", 2, "1,1", [3, 5, 7, 11]),
+            ("kronecker_homogeneous", 2, "1,1", [3, 5, 7, 9]),
             ("kronecker_homogeneous", 6, "1,1", [5, 7, 11, 13]),
-            ("affineA21_homogeneous", 3, "1,1,1", [2, 5, 7, 11]),
+            ("affineA21_homogeneous", 3, "1,1,1", [2, 4, 5, 7]),
         ],
     )
     def test_samples_skip_excluded_primes(self, capsys, family, point, e, primes):
@@ -246,6 +246,17 @@ class TestGrass:
             code, out, err = run_cli(capsys, *argv, "--quiver", "kronecker", "--module", mod)
             assert code == 2 and out == ""
             assert err.startswith("error: NonPolynomialCount:") and factor in err
+
+    def test_quadratic_point_refused_at_a_square_node(self, capsys):
+        # over C the points are the 2 roots of lambda^2 + 190; every admissible
+        # prime below 29 sees none, F_9 sees both
+        mod = '{"dim":{"1":2,"2":2,"3":2},"matrices":{"0":[[1,0],[0,1]],"1":[[1,0],[0,1]],"2":[[0,-190],[1,0]]}}'
+        code, out, err = run_cli(capsys, "grass", "--quiver", "affineA2", "--module", mod, "--e", "1,1,1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: NonPolynomialCount: e=(1, 1, 1): divided difference over nodes "
+            "[7, 9, 11] is -2/4, not an integer\n"
+        )
 
     @pytest.mark.parametrize("corner", [2, 6])
     def test_jordan_block_in_another_basis(self, capsys, corner):

@@ -4,6 +4,7 @@ none of the production walk's shortcuts (no pruning, no closed-form sink,
 no dual switch)."""
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clusterchar import grassmannian as gr
-from clusterchar.errors import DimOutOfRange, ExcludedPrime, NonPolynomialCount
+from clusterchar.errors import DimOutOfRange, ExcludedPrime, InvalidArgument, NonPolynomialCount
 from clusterchar.quiver import (
     IntRep,
     Quiver,
@@ -230,9 +231,10 @@ class TestClosedFormVertex:
             assert_box_matches_oracle(dual_rep(rep), p)
 
     @pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 4, 8, 9])
     def test_zero_module_walks_every_leaf(self, name, p):
-        # with all matrices zero no incoming span prunes anything
+        # with all matrices zero no incoming span prunes anything, and every
+        # tuple of subspaces is a subrepresentation
         quiver = WALK_QUIVERS[name][0]
         for dim in ((2,) * len(quiver.vertices), (3, 1, 2, 1)[: len(quiver.vertices)]):
             mats = tuple(
@@ -240,6 +242,9 @@ class TestClosedFormVertex:
             )
             rep = IntRep(quiver, dim, mats)
             assert sum(gr._walk(rep, p).values()) == gr._walk_cost(rep, p), dim
+            for e in itertools.product(*[range(d + 1) for d in dim]):
+                grassmannians = [gr.gaussian_binomial(d, k, p) for d, k in zip(dim, e)]
+                assert gr.count_subreps(rep, e, p) == math.prod(grassmannians), (dim, e)
 
     @pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
     @given(data=st.data())
@@ -301,10 +306,10 @@ class TestStratifiedInterpolation:
 
     def test_catalog_samples_fewer_primes(self):
         rep = catalog_module(homogeneous(3, 1))
-        walked, dual, primes = gr._module_plan(rep)
-        assert not dual and gr._walk_degree(walked) == 2 and primes == (2, 3, 5, 7, 11)
+        walked, dual, nodes = gr._module_plan(rep)
+        assert not dual and gr._walk_degree(walked) == 2 and nodes == (2, 3, 4, 5, 7)
         prof = gr.profile(rep, (1, 2))
-        assert [p for p, _ in prof.samples] == [2, 3, 5, 7, 11]
+        assert [q for q, _ in prof.samples] == [2, 3, 4, 5, 7]
         assert prof.coefficients == gr._per_e_profile(rep, (1, 2)).coefficients
 
     def test_walks_the_side_of_smaller_degree(self):
@@ -313,7 +318,7 @@ class TestStratifiedInterpolation:
 
     def test_non_polynomial_stratum_falls_back(self):
         rep = NON_POLYNOMIAL_STRATUM
-        stratum = re.escape("held-out primes [5, 7] disagree for stratum ((1, 0, 0), 0, 1, 1)")
+        stratum = re.escape("held-out primes [4, 5] disagree for stratum ((1, 0, 0), 0, 1, 1)")
         error = gr._box_polynomials(rep)
         assert isinstance(error, NonPolynomialCount)
         assert re.search(stratum, str(error))
@@ -325,11 +330,11 @@ class TestStratifiedInterpolation:
     def test_fallback_is_decided_once_per_module(self, monkeypatch):
         rep = NON_POLYNOMIAL_STRATUM
         calls = {"primes": 0, "strata": 0}
-        primes, interpolate = gr._primes, gr._interpolate
+        nodes, interpolate = gr._nodes, gr._interpolate
 
         def count_primes(*args):
             calls["primes"] += 1
-            return primes(*args)
+            return nodes(*args)
 
         def count_strata(points, bound, what):
             calls["strata"] += what.startswith("stratum")
@@ -337,7 +342,7 @@ class TestStratifiedInterpolation:
 
         gr._module_plan.cache_clear()
         gr._box_polynomials.cache_clear()
-        monkeypatch.setattr(gr, "_primes", count_primes)
+        monkeypatch.setattr(gr, "_nodes", count_primes)
         monkeypatch.setattr(gr, "_interpolate", count_strata)
         gr.box_profiles(rep)
         assert gr._box_polynomials.cache_info().misses == 1
@@ -346,7 +351,7 @@ class TestStratifiedInterpolation:
     def test_module_consumes_its_primes_once(self, monkeypatch):
         rep = catalog_module(a21_tube(1, 3))
         calls = []
-        admissible = gr.admissible_primes
+        admissible = gr.admissible_nodes
 
         def count_calls(rep):
             calls.append(rep)
@@ -354,7 +359,7 @@ class TestStratifiedInterpolation:
 
         gr._module_plan.cache_clear()
         gr._box_polynomials.cache_clear()
-        monkeypatch.setattr(gr, "admissible_primes", count_calls)
+        monkeypatch.setattr(gr, "admissible_nodes", count_calls)
         gr.box_profiles(rep)
         assert not isinstance(gr._box_polynomials(rep), NonPolynomialCount)
         assert calls == [rep]
@@ -536,8 +541,8 @@ class TestPrimeConfiguration:
     )
     def test_admissible_primes_skip_exclusions(self, fam):
         rep = catalog_module(fam)
-        expected = [p for p in FIRST_PRIMES if p not in rep.excluded_primes()]
-        got = list(itertools.islice(gr.admissible_primes(rep), len(expected)))
+        expected = [q for q in FIRST_PRIME_POWERS if _base_prime(q) not in rep.excluded_primes()]
+        got = list(itertools.islice(gr.admissible_nodes(rep), len(expected)))
         assert got == expected
 
     def test_gaussian_binomial(self):
@@ -545,6 +550,95 @@ class TestPrimeConfiguration:
         assert gr.gaussian_binomial(3, 1, 5) == 31
         assert gr.gaussian_binomial(2, 3, 5) == 0
         assert gr.gaussian_binomial(3, 0, 7) == 1
+
+
+PRIME_POWERS_TO_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+
+
+class TestFiniteField:
+    @pytest.mark.parametrize("q", PRIME_POWERS_TO_32)
+    def test_field_axioms(self, q):
+        f = gr._field(q)
+        add, sub, mul, inv, p = f.add, f.sub, f.mul, f.inv, f.char
+        assert q % p == 0 and _base_prime(q) == p
+        elems = range(q)
+        for a in elems:
+            assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+            if a:
+                assert mul[a][inv[a]] == 1
+            for b in elems:
+                assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+                assert add[sub[a][b]][b] == a
+                for c in elems:
+                    assert add[add[a][b]][c] == add[a][add[b][c]]
+                    assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                    assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+        for a in range(p):  # 0..p-1 is the prime field
+            assert [f.of(a + p * n) for n in (-2, 0, 3)] == [a, a, a]
+            for b in range(p):
+                assert (add[a][b], mul[a][b]) == ((a + b) % p, a * b % p)
+        assert all(sorted(row) == list(elems) for row in mul[1:])  # no zero divisors
+
+    @pytest.mark.parametrize("q, count", [(2, 1), (3, 1), (4, 1), (5, 1), (9, 1)])
+    def test_counts_over_prime_powers(self, q, count):
+        rep = catalog_module(homogeneous(2, 1))
+        assert gr.count_subreps(rep, (1, 1), q) == count
+
+    @pytest.mark.parametrize("q", [0, 1, 6, -4, 12])
+    def test_modulus_that_is_not_a_prime_power(self, q):
+        rep = catalog_module(homogeneous(2, 1))
+        with pytest.raises(InvalidArgument, match=f"q={q} is not a prime power"):
+            gr.count_subreps(rep, (1, 1), q)
+
+    def test_field_past_the_table_limit(self):
+        rep = catalog_module(homogeneous(1, 1))
+        assert gr.count_subreps(rep, (0, 1), gr._FIELD_LIMIT) == 1
+        with pytest.raises(InvalidArgument, match="exceeds the largest field order 256"):
+            gr.count_subreps(rep, (0, 1), 257)
+
+    def test_excluded_prime_excludes_its_powers(self):
+        rep = catalog_module(homogeneous(1, 6))
+        assert gr.count_subreps(rep, (0, 1), 25) == 1
+        for q in (4, 9, 27):
+            with pytest.raises(ExcludedPrime, match=f"prime {_base_prime(q)} is excluded"):
+                gr.count_subreps(rep, (1, 1), q)
+
+
+def _assert_polynomials_hold_at_primes(rep):
+    """The counting polynomial of every e, built from the prime-power nodes,
+    gives the count at every admissible prime up to 13."""
+    primes = [p for p in (2, 3, 5, 7, 11, 13) if p not in rep.excluded_primes()]
+    for e in itertools.product(*[range(d + 1) for d in rep.dim]):
+        coeffs = gr.counting_polynomial(rep, e)
+        for p in primes:
+            assert gr._eval_poly(coeffs, p) == gr.count_subreps(rep, e, p), (rep.label, e, p)
+
+
+class TestPrimePowerNodes:
+    @pytest.mark.parametrize("fam", desk_affine_catalog(), ids=lambda f: f.describe())
+    def test_catalog_polynomials_hold_at_primes(self, fam):
+        _assert_polynomials_hold_at_primes(catalog_module(fam))
+
+    @pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_explicit_polynomials_hold_at_primes(self, name, data):
+        rep = data.draw(explicit_modules(WALK_QUIVERS[name][0]))
+        assume(_spectrum_ok(rep))
+        try:
+            _assert_polynomials_hold_at_primes(rep)
+        except NonPolynomialCount:
+            assume(False)
+
+    def test_a_square_node_sees_the_quadratic_point(self):
+        # the two paths 1 -> 3 differ by [[0, -190], [1, 0]], whose points are
+        # the roots of lambda^2 + 190; -190 is a square in F_9 but not in F_7
+        # or F_11, so the counts at 7, 9, 11 are no polynomial
+        rep = IntRep(affine_a2_quiver(), (2, 2, 2), (((1, 0), (0, 1)), ((1, 0), (0, 1)), ((0, -190), (1, 0))))
+        assert [gr.count_subreps(rep, (1, 1, 1), q) for q in (7, 9, 11)] == [0, 2, 0]
+        message = "e=(1, 1, 1): divided difference over nodes [7, 9, 11] is -2/4, not an integer"
+        with pytest.raises(NonPolynomialCount, match=re.escape(message)):
+            gr.profile(rep, (1, 1, 1))
 
 
 class TestDirectSumCounts:
@@ -563,6 +657,11 @@ class TestDirectSumCounts:
 
 
 FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+FIRST_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37)
+
+
+def _base_prime(q):
+    return next(d for d in range(2, q + 1) if q % d == 0)
 
 
 def _fraction_solve(points):
