@@ -16,6 +16,7 @@ coefficients by construction, checked symbolically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .character import cf_cluster_char
@@ -88,18 +89,21 @@ def basis_element(
         raise InvalidArgument(f"kind must be one of {KINDS}")
     if n < 0:
         raise InvalidArgument("n must be >= 0")
-    xd = x_delta(quiver)
-    if n == 0:
-        head = LaurentPoly.one()
-    elif kind == "B":
-        head = cheb_first_kind(n).substitute({zid(): xd})
-    elif kind == "C":
-        head = cheb_second_kind(n).substitute({zid(): xd})
-    else:
-        head = xd ** n
+    head = _head(kind, n, x_delta(quiver))
     if regular_part is not None:
         head = head * cf_cluster_char(catalog_module(regular_part))
     return BasisElement(kind, n, regular_part, head)
+
+
+def _head(kind: str, n: int, xd: LaurentPoly) -> LaurentPoly:
+    """F_n(X_delta), S_n(X_delta) or X_delta^n for kind B, C or G."""
+    if n == 0:
+        return LaurentPoly.one()
+    if kind == "B":
+        return cheb_first_kind(n).substitute({zid(): xd})
+    if kind == "C":
+        return cheb_second_kind(n).substitute({zid(): xd})
+    return xd ** n
 
 
 def cluster_monomials(quiver: Quiver, depth: int) -> list[LaurentPoly]:
@@ -149,36 +153,40 @@ def _offending_term(p: LaurentPoly) -> str:
     return ""
 
 
+def _positivity_line(description: str, value: LaurentPoly) -> PositivityLine:
+    return PositivityLine(description, value.is_subtraction_free(), _offending_term(value))
+
+
+@functools.lru_cache(maxsize=2)  # one entry per catalog affine quiver
+def _monomial_lines(quiver: Quiver, depth: int) -> tuple[PositivityLine, ...]:
+    return tuple(
+        _positivity_line(f"cluster monomial #{i}", mono)
+        for i, mono in enumerate(cluster_monomials(quiver, depth))
+    )
+
+
 def verify_positivity(kind: str, max_n: int, quiver: Quiver) -> PositivityReport:
     """Expand every element of the basis stratum with n <= max_n over the
     catalog regular rigid modules, plus the cluster monomials of the seeds
-    within 4 mutations, and report subtraction-freeness of each."""
+    within 4 mutations, and report subtraction-freeness of each.
+
+    Each head F_n/S_n/X_delta^n is expanded once and multiplied by every
+    regular part; the cluster monomial lines are kept per quiver."""
     if kind not in KINDS:
         raise InvalidArgument(f"kind must be one of {KINDS}")
     if max_n < 0:
         raise InvalidArgument("max_n must be >= 0")
-    lines: list[PositivityLine] = []
     regulars: list[ModuleFamily | None] = [None]
     regulars.extend(regular_rigid_catalog(quiver))
+    xd = x_delta(quiver)
+    parts = [None if reg is None else cf_cluster_char(catalog_module(reg)) for reg in regulars]
+    lines: list[PositivityLine] = []
     for n in range(1, max_n + 1):
-        for reg in regulars:
-            elem = basis_element(kind, n, quiver, reg)
-            lines.append(
-                PositivityLine(
-                    elem.describe(),
-                    elem.value.is_subtraction_free(),
-                    _offending_term(elem.value),
-                )
-            )
-    for i, mono in enumerate(cluster_monomials(quiver, 4)):
-        lines.append(
-            PositivityLine(
-                f"cluster monomial #{i}",
-                mono.is_subtraction_free(),
-                _offending_term(mono),
-            )
-        )
-    return PositivityReport(kind, tuple(lines))
+        head = _head(kind, n, xd)
+        for reg, part in zip(regulars, parts):
+            value = head if part is None else head * part
+            lines.append(_positivity_line(BasisElement(kind, n, reg, value).describe(), value))
+    return PositivityReport(kind, (*lines, *_monomial_lines(quiver, 4)))
 
 
 def power_in_second_kind(n: int) -> list[int]:

@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import bases, grassmannian, mutation, verify
 from .character import CharTermTable, char_table, cf_cluster_char, cluster_char
@@ -42,11 +43,13 @@ class UsageError(Exception):
     pass
 
 
-def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
+def _emit(args: argparse.Namespace, text: Callable[[], str], payload: Callable[[], dict]) -> None:
+    """Print the JSON payload under ``--json`` and the text otherwise; each
+    is built only when it is printed."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        print(text)
+        print(text())
 
 
 def _load_json_arg(value: str) -> dict:
@@ -84,7 +87,7 @@ def _resolve_module(args: argparse.Namespace) -> IntRep:
 def _cmd_gencheb(args: argparse.Namespace) -> int:
     w = ChebWindow(args.start, args.n)
     value = gen_cheb_det(w) if args.det else gen_cheb(w)
-    _emit(args, value.to_text(), {"n": args.n, "start": args.start, "value": value.to_json_obj()})
+    _emit(args, value.to_text, lambda: {"n": args.n, "start": args.start, "value": value.to_json_obj()})
     return 0
 
 
@@ -98,15 +101,14 @@ def _cmd_delta(args: argparse.Namespace) -> int:
     if args.coefficient_free:
         value = value.specialize_ones(Family.Q)
     positive = value.is_subtraction_free()
-    payload = {
+    _emit(args, value.to_text, lambda: {
         "l": args.l,
         "p": args.p,
         "substitute": args.substitute,
         "coefficient_free": args.coefficient_free,
         "value": value.to_json_obj(),
         "subtraction_free": positive,
-    }
-    _emit(args, value.to_text(), payload)
+    })
     if args.substitute != "none" and not positive:
         return 1  # a verified non-positivity witness
     return 0
@@ -114,7 +116,7 @@ def _cmd_delta(args: argparse.Namespace) -> int:
 
 def _cmd_cheb(args: argparse.Namespace) -> int:
     value = cheb_first_kind(args.n) if args.kind == "F" else cheb_second_kind(args.n)
-    _emit(args, value.to_text(), {"kind": args.kind, "n": args.n, "value": value.to_json_obj()})
+    _emit(args, value.to_text, lambda: {"kind": args.kind, "n": args.n, "value": value.to_json_obj()})
     return 0
 
 
@@ -133,7 +135,7 @@ def _cmd_char(args: argparse.Namespace) -> int:
     rep = _resolve_module(args)
     table = char_table(rep)
     total = cf_cluster_char(rep) if args.coefficient_free else cluster_char(rep)
-    _emit(args, total.to_text(), _char_payload(table, total))
+    _emit(args, total.to_text, lambda: _char_payload(table, total))
     return 0
 
 
@@ -144,17 +146,12 @@ def _cmd_grass(args: argparse.Namespace) -> int:
     except ValueError:
         raise UsageError(f"bad dimension vector: {args.e!r}")
     prof = grassmannian.profile(rep, e)
-    text = (
-        f"e={list(e)} samples={[[p, c] for p, c in prof.samples]} "
-        f"coefficients={list(prof.coefficients)} chi={prof.chi}"
+    samples = [[p, c] for p, c in prof.samples]
+    _emit(
+        args,
+        lambda: f"e={list(e)} samples={samples} coefficients={list(prof.coefficients)} chi={prof.chi}",
+        lambda: {"e": list(e), "samples": samples, "coefficients": list(prof.coefficients), "chi": prof.chi},
     )
-    payload = {
-        "e": list(e),
-        "samples": [[p, c] for p, c in prof.samples],
-        "coefficients": list(prof.coefficients),
-        "chi": prof.chi,
-    }
-    _emit(args, text, payload)
     return 0
 
 
@@ -176,39 +173,39 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     seed = mutation.initial_seed(quiver, principal=args.principal)
     for k in _parse_sequence(args.sequence, quiver):
         seed = mutation.mutate(seed, k)
-    lines = [f"x[{v}] = {poly.to_text()}" for v, poly in zip(quiver.vertices, seed.cluster)]
-    payload = {
-        "sequence": args.sequence,
-        "principal": args.principal,
-        "matrix": [list(r) for r in seed.exchange_matrix],
-        "cluster": [p.to_json_obj() for p in seed.cluster],
-    }
-    _emit(args, "\n".join(lines), payload)
+    _emit(
+        args,
+        lambda: "\n".join(f"x[{v}] = {poly.to_text()}" for v, poly in zip(quiver.vertices, seed.cluster)),
+        lambda: {
+            "sequence": args.sequence,
+            "principal": args.principal,
+            "matrix": [list(r) for r in seed.exchange_matrix],
+            "cluster": [p.to_json_obj() for p in seed.cluster],
+        },
+    )
     return 0
 
 
 def _cmd_variables(args: argparse.Namespace) -> int:
     quiver = _resolve_quiver(args.quiver)
     variables = mutation.cluster_variables_up_to(quiver, args.depth, principal=args.principal)
-    payload = {
+    _emit(args, lambda: "\n".join(v.to_text() for v in variables), lambda: {
         "depth": args.depth,
         "principal": args.principal,
         "count": len(variables),
         "variables": [v.to_json_obj() for v in variables],
-    }
-    _emit(args, "\n".join(v.to_text() for v in variables), payload)
+    })
     return 0
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
     quiver = _resolve_quiver(args.quiver)
     report = bases.verify_positivity(args.kind, args.max_n, quiver)
-    lines = [
+    _emit(args, lambda: "\n".join(
         f"{'PASS' if line.positive else 'FAIL'} {line.description}"
         + (f" [offending {line.witness}]" if line.witness else "")
         for line in report.lines
-    ]
-    payload = {
+    ), lambda: {
         "kind": args.kind,
         "max_n": args.max_n,
         "all_positive": report.all_positive,
@@ -216,8 +213,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
             {"description": l.description, "positive": l.positive, "witness": l.witness}
             for l in report.lines
         ],
-    }
-    _emit(args, "\n".join(lines), payload)
+    })
     return 0 if report.all_positive else 1
 
 
@@ -233,25 +229,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"check {args.check!r} takes no --n bound")
     else:
         names = [args.check]
-    all_ok = True
     results = []
-    texts = []
     for name in names:
         lines = verify.run_check(name, args.n)
         if not lines:
             raise UsageError(f"--n {args.n} leaves check {name!r} nothing to check")
-        for line in lines:
-            ok = line.passed
-            all_ok = all_ok and ok
-            texts.append(
-                f"{'PASS' if ok else 'FAIL'} [{name}] {line.label}"
-                + (f" ({line.detail})" if line.detail and not ok else "")
-            )
-            results.append(
-                {"check": name, "label": line.label, "passed": ok, "detail": line.detail}
-            )
-    payload = {"all_passed": all_ok, "results": results}
-    _emit(args, "\n".join(texts), payload)
+        results.extend(
+            {"check": name, "label": line.label, "passed": line.passed, "detail": line.detail}
+            for line in lines
+        )
+    all_ok = all(r["passed"] for r in results)
+    _emit(args, lambda: "\n".join(
+        f"{'PASS' if r['passed'] else 'FAIL'} [{r['check']}] {r['label']}"
+        + (f" ({r['detail']})" if r["detail"] and not r["passed"] else "")
+        for r in results
+    ), lambda: {"all_passed": all_ok, "results": results})
     return 0 if all_ok else 1
 
 

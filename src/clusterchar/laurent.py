@@ -190,6 +190,14 @@ def _key(exps: Sequence[int]) -> int:
     return k - (sum(exps) << (_BITS * len(exps)))
 
 
+@lru_cache(maxsize=64)
+def _units(n: int) -> tuple[int, ...]:
+    """The key of each unit vector over n fields.  ``_key`` is linear, so
+    the key of (e_1, ..., e_n) is the sum of e_i times the i-th of these,
+    and subtracting the i-th from a key lowers its i-th exponent by 1."""
+    return tuple(-(1 << _BITS * (n - 1 - i)) - (1 << _BITS * n) for i in range(n))
+
+
 def _decode(keys: Iterable[int], n: int) -> Iterator[tuple[int, list[int]]]:
     """The degree and the dense exponent vector of each key over n fields."""
     bias, top = _LIMIT * _ones(n), _BITS * n  # fields of bias - key hold e_i + _LIMIT
@@ -274,6 +282,13 @@ def _check(frame: Frame, lo: Bounds, hi: Bounds) -> None:
         )
 
 
+def _nonzero(terms: dict[int, int]) -> dict[int, int]:
+    """The terms, with those that cancelled to 0 deleted in place."""
+    for k in [k for k, c in terms.items() if not c]:
+        del terms[k]
+    return terms
+
+
 PolyLike = Union["LaurentPoly", int]
 
 
@@ -305,6 +320,14 @@ class LaurentPoly:
             terms, frame = _rekey(terms, _plan(frame, small)), small
             lo, hi = tuple(lo[i] for i in keep), tuple(hi[i] for i in keep)
         return LaurentPoly._wrap(frame, terms, lo, hi)
+
+    @staticmethod
+    def _rescan(frame: Frame, terms: dict[int, int]) -> "LaurentPoly":
+        """Wrap nonzero terms over a frame, reading their bounds off the keys."""
+        if not terms:
+            return _ZERO
+        cols = list(zip(*(exps for _, exps in _decode(terms, len(frame)))))
+        return LaurentPoly._exact(frame, terms, tuple(map(min, cols)), tuple(map(max, cols)))
 
     def _lift(self, frame: Frame) -> tuple[dict[int, int], Bounds, Bounds]:
         """The terms and bounds over a frame that holds this one."""
@@ -418,12 +441,7 @@ class LaurentPoly:
             hi = [a if a > b else b for a, b in zip(hi, phi)]
         if 0 not in acc.values():  # no term cancelled, so the hull is exact
             return LaurentPoly._wrap(frame, acc, tuple(lo), tuple(hi))
-        for k in [k for k, c in acc.items() if not c]:
-            del acc[k]
-        if not acc:
-            return _ZERO
-        cols = list(zip(*(exps for _, exps in _decode(acc, len(frame)))))
-        return LaurentPoly._exact(frame, acc, tuple(map(min, cols)), tuple(map(max, cols)))
+        return LaurentPoly._rescan(frame, _nonzero(acc))
 
     def __add__(self, other: PolyLike) -> "LaurentPoly":
         other = self._coerce(other)
@@ -466,9 +484,7 @@ class LaurentPoly:
             for kb, cb in b.items():
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
-        for k in [k for k, c in acc.items() if not c]:
-            del acc[k]
-        return LaurentPoly._exact(frame, acc, lo, hi)
+        return LaurentPoly._exact(frame, _nonzero(acc), lo, hi)
 
     __rmul__ = __mul__
 
@@ -506,25 +522,57 @@ class LaurentPoly:
         Variables outside ``sigma`` are left fixed.  A variable occurring
         with a negative exponent must map to an invertible single-term
         image (unit coefficient), otherwise NonInvertibleImage is raised.
+
+        The result's frame is fixed first: the kept variables and those of
+        the images used.  Each image power is lifted to it once, and every
+        term expands by key addition into one map.  A term's bounds, its
+        kept exponents plus the bounds of its image powers, are checked
+        before any of its keys is formed.
         """
         images = {v: self._coerce(p) for v, p in sigma.items()}
-        power_cache: dict[tuple[VarId, int], LaurentPoly] = {}
-
-        def image_power(v: VarId, e: int) -> LaurentPoly:
-            got = power_cache.get((v, e))
-            if got is None:
-                img = images[v]
-                got = power_cache[v, e] = img.inverse() ** -e if e < 0 else img ** e
-            return got
-
-        parts = []
-        for (pairs, _), c in zip(_pairs(self._vars, self._terms), self._terms.values()):
-            term = LaurentPoly._single([(v, e) for v, e in pairs if v not in images], c)
-            for v, e in pairs:
-                if v in images:
-                    term = term * image_power(v, e)
-            parts.append(term)
-        return LaurentPoly.sum(parts)
+        frame = self._vars
+        moved = [(i, images[v]) for i, v in enumerate(frame) if v in images]
+        if not moved:
+            return self
+        kept = [v for v in frame if v not in images]
+        out = tuple(sorted({*kept, *(w for _, img in moved for w in img._vars)}))
+        units = _units(len(out))
+        kept_at = [(i, out.index(v)) for i, v in enumerate(frame) if v not in images]
+        powers: dict[tuple[int, int], tuple] = {}
+        acc: dict[int, int] = {}
+        get = acc.get
+        for (_, exps), c in zip(_decode(self._terms, len(frame)), self._terms.values()):
+            lo, key = [0] * len(out), 0
+            for i, j in kept_at:
+                if e := exps[i]:
+                    lo[j] = e
+                    key += e * units[j]
+            factors = []
+            for i, img in moved:
+                if e := exps[i]:
+                    got = powers.get((i, e))
+                    if got is None:
+                        p = img.inverse() ** -e if e < 0 else img ** e
+                        terms, plo, phi = p._lift(out)
+                        got = powers[i, e] = list(terms.items()), plo, phi
+                    factors.append(got)
+            if not all(terms for terms, _, _ in factors):
+                continue  # a zero image
+            hi = lo
+            for _, plo, phi in factors:
+                lo, hi = list(map(add, lo, plo)), list(map(add, hi, phi))
+            _check(out, lo, hi)
+            part = {key: c}
+            for terms, _, _ in factors:
+                step: dict[int, int] = {}
+                for k1, c1 in part.items():
+                    for k2, c2 in terms:
+                        k = k1 + k2
+                        step[k] = step.get(k, 0) + c1 * c2
+                part = step
+            for k, c1 in part.items():
+                acc[k] = get(k, 0) + c1
+        return LaurentPoly._rescan(out, _nonzero(acc))
 
     def inverse(self) -> "LaurentPoly":
         """Invert a unit: a single term with coefficient ±1."""
@@ -537,21 +585,45 @@ class LaurentPoly:
 
     def partial_derivative(self, v: VarId) -> "LaurentPoly":
         """Formal partial derivative d/dv with the rule d(v^n) = n v^(n-1)."""
-        parts = []
-        for (pairs, _), c in zip(_pairs(self._vars, self._terms), self._terms.values()):
-            e = dict(pairs).get(v, 0)
-            shifted = [(w, k - 1 if w == v else k) for w, k in pairs]
-            parts.append(LaurentPoly._single([(w, k) for w, k in shifted if k], c * e))
-        return LaurentPoly.sum(parts)
+        if v not in self._vars:
+            return _ZERO
+        n, i = len(self._vars), self._vars.index(v)
+        _check((v,), (self._lo[i] - 1,), (self._hi[i] - 1,))
+        bias, s, down = _LIMIT * _ones(n), _BITS * (n - 1 - i), -_units(n)[i]
+        out = {}
+        for k, c in self._terms.items():
+            if e := ((bias - k) >> s & _MASK) - _LIMIT:
+                out[k + down] = c * e
+        return LaurentPoly._rescan(self._vars, out)
 
-    def _project(self, family: Family, take=lambda pairs: True) -> "LaurentPoly":
-        """The terms whose (variable, exponent) pairs ``take`` accepts, with
-        the family's variables dropped."""
-        return LaurentPoly.sum([
-            LaurentPoly._single([(v, e) for v, e in pairs if v.family != family], c)
-            for (pairs, _), c in zip(_pairs(self._vars, self._terms), self._terms.values())
-            if take(pairs)
-        ])
+    def _project(self, family: Family, want: list[int] | None = None) -> "LaurentPoly":
+        """The terms whose exponents of the family's frame variables are
+        ``want`` (every term if None), with the family's variables dropped:
+        their fields are cleared in the key, which then moves to the
+        smaller frame."""
+        frame = self._vars
+        drop = [i for i, v in enumerate(frame) if v.family == family]
+        if not drop:
+            return self
+        n = len(frame)
+        bias, units = _LIMIT * _ones(n), _units(n)
+        fields = [(_BITS * (n - 1 - i), units[i]) for i in drop]
+        if want is not None:  # one mask compares every field of the family
+            mask = sum(_MASK << s for s, _ in fields)
+            target = sum(e + _LIMIT << s for (s, _), e in zip(fields, want))
+            offset = sum(e * unit for (_, unit), e in zip(fields, want))
+            acc = {k - offset: c for k, c in self._terms.items() if (bias - k) & mask == target}
+        else:
+            acc = {}
+            get = acc.get
+            for k, c in self._terms.items():
+                b = bias - k
+                for s, unit in fields:
+                    k -= ((b >> s & _MASK) - _LIMIT) * unit
+                acc[k] = get(k, 0) + c
+            _nonzero(acc)
+        small = tuple(v for v in frame if v.family != family)
+        return LaurentPoly._rescan(small, _rekey(acc, _plan(frame, small)))
 
     def specialize_ones(self, family: Family) -> "LaurentPoly":
         """Set every variable of the given family to 1."""
@@ -574,17 +646,16 @@ class LaurentPoly:
         of the family in ``p``'s terms reconstructs ``p``.
         """
         target = tuple(e)
-
-        def take(pairs: list[tuple[VarId, int]]) -> bool:
-            vec = [0] * len(target)
-            for v, k in pairs:
-                if v.family == family:
-                    if not 1 <= v.index <= len(target):
-                        return False
-                    vec[v.index - 1] = k
-            return tuple(vec) == target
-
-        return self._project(family, take)
+        present = {v.index for v in self._vars if v.family == family}
+        # no term holds an exponent past _LIMIT, and the mask of
+        # ``_project`` compares fields only within it
+        if any(c for i, c in enumerate(target, 1) if i not in present or abs(c) > _LIMIT):
+            return _ZERO
+        want = [
+            target[v.index - 1] if 1 <= v.index <= len(target) else 0
+            for v in self._vars if v.family == family
+        ]
+        return self._project(family, want)
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises NonLaurentResult if a remainder is left.

@@ -107,10 +107,20 @@ class Quiver:
         return self.vertices.index(vertex)
 
     def arrow_indices(self) -> tuple[tuple[int, int], ...]:
+        return self._arrow_indices
+
+    def topological_order(self) -> tuple[int, ...]:
+        return self._topological_order
+
+    # computed once per quiver, kept outside the fields, so equality and
+    # hashing are unchanged
+    @functools.cached_property
+    def _arrow_indices(self) -> tuple[tuple[int, int], ...]:
         idx = {v: i for i, v in enumerate(self.vertices)}
         return tuple((idx[s], idx[t]) for s, t in self.arrows)
 
-    def topological_order(self) -> tuple[int, ...]:
+    @functools.cached_property
+    def _topological_order(self) -> tuple[int, ...]:
         m = len(self.vertices)
         pairs = self.arrow_indices()
         indeg = [0] * m

@@ -29,7 +29,7 @@ from .chebyshev import (
     tail_substitution,
 )
 from .errors import IdentityFailed
-from .laurent import Family, q, t, tid
+from .laurent import Family, LaurentPoly, q, t, tid
 from .quiver import (
     a21_tube,
     affine_a2_quiver,
@@ -94,27 +94,39 @@ def _lp_pairs(max_lp: int) -> list[tuple[int, int]]:
 
 
 def delta_pos(max_lp: int = 6) -> list[CheckLine]:
-    """Delta_{l,p} under the periodic substitution is subtraction-free."""
+    """Delta_{l,p} under the periodic substitution is subtraction-free.
+
+    The outcome is computed once per distinct (Delta_{l,p}, lp), the inputs
+    of the computation, and printed for every (l, p)."""
     out = []
+    seen: dict[tuple[LaurentPoly, int], bool] = {}
     for l, p in _lp_pairs(max_lp):
-        lp = l * p
-        sigma = tail_substitution(lp, lambda i: (i - 2) % lp + 1, with_u=True)  # t_0 is t_lp
-        val = delta(l, p).substitute(sigma)
-        out.append(_line(f"periodic substitution positive l={l} p={p}", val.is_subtraction_free()))
+        lp, poly = l * p, delta(l, p)
+        ok = seen.get((poly, lp))
+        if ok is None:
+            sigma = tail_substitution(lp, lambda i: (i - 2) % lp + 1, with_u=True)  # t_0 is t_lp
+            ok = seen[poly, lp] = poly.substitute(sigma).is_subtraction_free()
+        out.append(_line(f"periodic substitution positive l={l} p={p}", ok))
     return out
 
 
 def delta_claim(max_lp: int = 6) -> list[CheckLine]:
     """d Delta_{l,p} / d t_i equals P_{lp-1} in the cyclically shifted
-    variables starting after i."""
+    variables starting after i.
+
+    The outcome is computed once per distinct (Delta_{l,p}, lp, i) and
+    printed for every (l, p, i)."""
     out = []
+    seen: dict[tuple[LaurentPoly, int, int], bool] = {}
     for l, p in _lp_pairs(max_lp):
-        lp = l * p
+        lp, poly = l * p, delta(l, p)
         for i in range(1, lp + 1):
-            lhs = delta(l, p).partial_derivative(tid(i))
-            order = list(range(i + 1, lp + 1)) + list(range(1, i))
-            rhs = gen_cheb_values([q(j) for j in order], [t(j) for j in order])
-            out.append(_line(f"delta derivative l={l} p={p} i={i}", lhs == rhs))
+            ok = seen.get((poly, lp, i))
+            if ok is None:
+                order = list(range(i + 1, lp + 1)) + list(range(1, i))
+                rhs = gen_cheb_values([q(j) for j in order], [t(j) for j in order])
+                ok = seen[poly, lp, i] = poly.partial_derivative(tid(i)) == rhs
+            out.append(_line(f"delta derivative l={l} p={p} i={i}", ok))
     return out
 
 

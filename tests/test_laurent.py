@@ -571,3 +571,185 @@ class TestPow:
         p = u(1) * u(2) + 1
         assert p.min_family_exponent(Family.U) == 0
         assert (u(1).inverse()).min_family_exponent(Family.U) == -1
+
+
+
+# -- term maps against a reference on terms() and Monomial ----------------
+
+MAP_POOL = [xid(1), xid(2), yid(1), yid(2), tid(1), qid(1)]
+
+
+def _from_terms(acc):
+    """The reference's result: the nonzero terms, through the constructor,
+    which refuses an exponent past ``_LIMIT``."""
+    return LaurentPoly([(m, c) for m, c in acc.items() if c])
+
+
+def _ref_product(a, b):
+    acc = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            k = m1.mul(m2)
+            acc[k] = acc.get(k, 0) + c1 * c2
+    return acc
+
+
+def _ref_power(img, e):
+    """img ** e as a Monomial -> coefficient map; a negative e needs a unit."""
+    terms = dict(img.terms())
+    if e < 0:
+        if len(terms) != 1 or set(terms.values()) - {1, -1}:
+            raise NonInvertibleImage("not a unit")
+        terms, e = {m.inverse(): c for m, c in terms.items()}, -e
+    if len(terms) == 1:  # one term powers exponentwise
+        ((m, c),) = terms.items()
+        return {Monomial({v: e * m.exponent(v) for v in m.variables()}): c**e}
+    acc = {Monomial(): 1}
+    for _ in range(e):
+        acc = _ref_product(acc, terms)
+    return acc
+
+
+def _ref_substitute(p, sigma):
+    images = {v: LaurentPoly._coerce(img) for v, img in sigma.items()}
+    acc = {}
+    for m, c in p.terms():
+        part = {Monomial({v: m.exponent(v) for v in m.variables() if v not in images}): c}
+        for power in [_ref_power(images[v], m.exponent(v)) for v in m.variables() if v in images]:
+            part = _ref_product(part, power)
+        for k, c1 in part.items():
+            acc[k] = acc.get(k, 0) + c1
+    return _from_terms(acc)
+
+
+def _ref_derivative(p, v):
+    acc = {}
+    for m, c in p.terms():
+        if e := m.exponent(v):
+            k = m.mul(Monomial({v: -1}))
+            acc[k] = acc.get(k, 0) + c * e
+    return _from_terms(acc)
+
+
+def _ref_project(p, family, target=None):
+    """specialize_ones(family), or graded_coefficient(target, family)."""
+    acc = {}
+    for m, c in p.terms():
+        grade = {v.index: m.exponent(v) for v in m.variables() if v.family == family}
+        if target is not None and (
+            any(not 1 <= i <= len(target) for i in grade)
+            or any(grade.get(i, 0) != e for i, e in enumerate(target, 1))
+        ):
+            continue
+        k = Monomial({v: m.exponent(v) for v in m.variables() if v.family != family})
+        acc[k] = acc.get(k, 0) + c
+    return _from_terms(acc)
+
+
+def _agree(got, want):
+    """Both refuse with one error type, or both give polynomials that are
+    equal, hash-equal and over the same frame, the variables of the terms."""
+    try:
+        want = want()
+    except (InvalidArgument, NonInvertibleImage) as exc:
+        with pytest.raises(type(exc)):
+            got()
+        return type(exc)
+    got = got()
+    assert got == want and hash(got) == hash(want)
+    assert got.support() == want.support()
+    assert got.support() == tuple(sorted({v for m, _ in got.terms() for v in m.variables()}))
+    return got
+
+
+@st.composite
+def images(draw):
+    """Substitution images: polynomials, units (which can cancel a variable
+    out of the frame), constants and zero."""
+    kind = draw(st.sampled_from(["poly", "unit", "constant"]))
+    if kind == "poly":
+        return draw(polys(MAP_POOL + [uid(1)]))
+    if kind == "unit":
+        return _unit(draw(monomials(MAP_POOL)), draw(st.sampled_from([1, -1])))
+    return draw(st.integers(-2, 2))
+
+
+_EDGE = 1 << 29  # (x^_EDGE)^2 is one past _LIMIT = 2 * _EDGE - 1
+REFERENCE = {
+    "substitute": _ref_substitute,
+    "partial_derivative": _ref_derivative,
+    "specialize_ones": _ref_project,
+    "graded_coefficient": lambda p, e: _ref_project(p, Family.Y, e),
+}
+EDGE_CASES = {  # id: (polynomial, method, argument, outcome)
+    "power-at-limit": (x(1) ** (_EDGE - 1), "substitute", {xid(1): y(1) ** 2}, None),
+    "power-past-limit": (x(1) ** _EDGE, "substitute", {xid(1): y(1) ** 2}, InvalidArgument),
+    "kept-at-limit": (x(1) * y(1) ** _LIMIT, "substitute", {xid(1): y(1).inverse() + t(1)}, None),
+    "kept-past-limit": (x(1) * y(1) ** _LIMIT, "substitute", {xid(1): y(1)}, InvalidArgument),
+    "kept-at-minus-limit": (
+        x(1).inverse() * y(1) ** -_LIMIT, "substitute", {xid(1): y(1).inverse()}, None
+    ),
+    "kept-past-minus-limit": (
+        x(1).inverse() * y(1) ** -_LIMIT, "substitute", {xid(1): -y(1)}, InvalidArgument
+    ),
+    "unit-constant": (x(1).inverse() + y(1), "substitute", {xid(1): -1}, None),
+    "non-unit-constant": (x(1).inverse() + y(1), "substitute", {xid(1): 2}, NonInvertibleImage),
+    "zero-inverted": (x(1).inverse() + y(1), "substitute", {xid(1): 0}, NonInvertibleImage),
+    "sum-inverted": (x(1) ** -2, "substitute", {xid(1): 1 + y(1)}, NonInvertibleImage),
+    "derivative-at-limit": (x(1) ** _LIMIT, "partial_derivative", xid(1), None),
+    "derivative-to-minus-limit": (
+        x(1) ** -(_LIMIT - 1) + y(1), "partial_derivative", xid(1), None
+    ),
+    "derivative-past-minus-limit": (
+        x(1) ** -_LIMIT + y(1), "partial_derivative", xid(1), InvalidArgument
+    ),
+    "specialize-at-limit": (
+        x(1) ** _LIMIT * y(1) ** -_LIMIT, "specialize_ones", Family.Y, None
+    ),
+    "graded-at-limit": (
+        x(1) ** _LIMIT * y(1) ** -_LIMIT + x(2), "graded_coefficient", (-_LIMIT,), None
+    ),
+    # a grade past the field that would carry into y1's field if compared
+    "graded-past-limit": (y(1) * y(2), "graded_coefficient", (0, (1 << _BITS) + 1), None),
+}
+
+
+class TestTermMapsMatchTerms:
+    """``substitute``, ``partial_derivative``, ``specialize_ones`` and
+    ``graded_coefficient`` re-key packed terms in one pass; each agrees
+    with the same map computed monomial by monomial over ``terms()``."""
+
+    @given(p=polys(MAP_POOL), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_substitute(self, p, data):
+        moved = data.draw(st.lists(st.sampled_from(MAP_POOL + [uid(1)]), unique=True, max_size=4))
+        sigma = {v: data.draw(images()) for v in moved}
+        _agree(lambda: p.substitute(sigma), lambda: _ref_substitute(p, sigma))
+
+    @given(p=polys(MAP_POOL), v=st.sampled_from(MAP_POOL + [uid(1)]))
+    @settings(max_examples=100, deadline=None)
+    def test_partial_derivative(self, p, v):
+        _agree(lambda: p.partial_derivative(v), lambda: _ref_derivative(p, v))
+
+    @given(p=polys(MAP_POOL), family=st.sampled_from(list(Family)), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_projections(self, p, family, data):
+        _agree(lambda: p.specialize_ones(family), lambda: _ref_project(p, family))
+        target = tuple(data.draw(st.lists(st.integers(-3, 3), max_size=3)))
+        _agree(
+            lambda: p.graded_coefficient(target, family), lambda: _ref_project(p, family, target)
+        )
+
+    def test_cancelled_variable_leaves_the_frame(self):
+        got = (x(1) * y(1) + t(1)).substitute({xid(1): y(1).inverse()})
+        assert got == 1 + t(1) and got.support() == (tid(1),)
+        assert (x(1) * y(1)).partial_derivative(xid(1)).support() == (yid(1),)
+        assert (x(1) * y(1) - x(1) * y(2)).specialize_ones(Family.Y) == 0
+
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_field_edge(self, case):
+        """Exponents that reach ±_LIMIT are held, one past is refused, and
+        an inverted variable needs a unit image."""
+        p, method, arg, outcome = EDGE_CASES[case]
+        got = _agree(lambda: getattr(p, method)(arg), lambda: REFERENCE[method](p, arg))
+        assert got is outcome if outcome else isinstance(got, LaurentPoly)
