@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from clusterchar.cli import main
+from clusterchar.laurent import LaurentPoly
 
 
 def run_cli(capsys, *argv):
@@ -306,6 +307,19 @@ class TestMutateAndVariables:
         assert "x1" in lines and "x2" in lines
         assert "x2^2*x1^-1 + x1^-1" in lines
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_only_the_printed_form_is_built(self, capsys, monkeypatch, json_mode):
+        built = []
+        for form in ("to_text", "to_json_obj"):
+            original = getattr(LaurentPoly, form)
+            monkeypatch.setattr(
+                LaurentPoly, form, lambda self, f=original, n=form: built.append(n) or f(self)
+            )
+        argv = ["variables", "--quiver", "kronecker", "--depth", "2"]
+        code, out, _ = run_cli(capsys, *argv, *(["--json"] if json_mode else []))
+        assert code == 0 and out
+        assert set(built) == {"to_json_obj" if json_mode else "to_text"}
 
     def test_variables_negative_depth_exit_two(self, capsys):
         code, out, err = run_cli(capsys, "variables", "--quiver", "kronecker", "--depth", "-1")

@@ -77,6 +77,13 @@ class TestQuiverValidation:
         last = order[-1]
         assert all(s != last for s, _ in affine_a2.arrow_indices())
 
+    def test_derived_tuples_are_kept_outside_the_fields(self, affine_a2):
+        again = Quiver(affine_a2.vertices, affine_a2.arrows)
+        assert affine_a2.arrow_indices() is affine_a2.arrow_indices()
+        assert affine_a2.topological_order() is affine_a2.topological_order()
+        assert again == affine_a2 and hash(again) == hash(affine_a2)
+        assert repr(again) == f"Quiver(vertices={again.vertices!r}, arrows={again.arrows!r})"
+
     def test_opposite_reverses(self, kronecker):
         opp = kronecker.opposite()
         assert opp.arrows == (("2", "1"), ("2", "1"))
