@@ -420,9 +420,11 @@ class LaurentPoly:
 
     @staticmethod
     def sum(parts: Iterable["LaurentPoly"]) -> "LaurentPoly":
-        """The sum of the parts over the union of their frames, each lifted
-        once: the first is copied and the rest are merged into it, so the
-        first should be the largest."""
+        """The sum of the parts over the union of their frames: the first is
+        copied and the rest are merged into it, so the first should be the
+        largest.  Each later part of several terms is lifted once; the
+        one-term parts are keyed in one pass, a key being linear in the
+        exponents."""
         parts = [p for p in parts if p._terms]
         if len(parts) < 2:
             return parts[0] if parts else _ZERO
@@ -431,14 +433,36 @@ class LaurentPoly:
             if p._vars != frame:
                 frame = _union(frame, p._vars)
         acc, lo, hi = parts[0]._lift(frame)
-        acc = dict(acc)
+        acc, lo, hi = dict(acc), list(lo), list(hi)
         get = acc.get
+        singles = []
         for p in parts[1:]:
+            if len(p._terms) == 1:
+                singles.append(p)
+                continue
             terms, plo, phi = p._lift(frame)
             for k, c in terms.items():
                 acc[k] = get(k, 0) + c
             lo = [a if a < b else b for a, b in zip(lo, plo)]
             hi = [a if a > b else b for a, b in zip(hi, phi)]
+        if singles:
+            slots = {v: (j, unit) for j, (v, unit) in enumerate(zip(frame, _units(len(frame))))}
+            held = [0] * len(frame)  # how many one-term parts hold each variable
+            for p in singles:
+                k = 0
+                for v, e in zip(p._vars, p._lo):
+                    j, unit = slots[v]
+                    k += e * unit
+                    held[j] += 1
+                    if e < lo[j]:
+                        lo[j] = e
+                    elif e > hi[j]:
+                        hi[j] = e
+                (c,) = p._terms.values()
+                acc[k] = get(k, 0) + c
+            for j, count in enumerate(held):  # a part without the variable has exponent 0
+                if count < len(singles):
+                    lo[j], hi[j] = min(lo[j], 0), max(hi[j], 0)
         if 0 not in acc.values():  # no term cancelled, so the hull is exact
             return LaurentPoly._wrap(frame, acc, tuple(lo), tuple(hi))
         return LaurentPoly._rescan(frame, _nonzero(acc))
@@ -480,10 +504,20 @@ class LaurentPoly:
             return LaurentPoly._exact(frame, {ka + kb: ca * cb for kb, cb in b.items()}, lo, hi)
         acc: dict[int, int] = {}
         get = acc.get
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
+        if a is b:  # a square: the triangle i <= j, off-diagonal terms twice
+            items = list(a.items())
+            for i, (ka, ca) in enumerate(items):
+                k = ka + ka
+                acc[k] = get(k, 0) + ca * ca
+                ca += ca
+                for kb, cb in items[i + 1 :]:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
+        else:
+            for ka, ca in a.items():
+                for kb, cb in b.items():
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
         return LaurentPoly._exact(frame, _nonzero(acc), lo, hi)
 
     __rmul__ = __mul__
@@ -627,6 +661,9 @@ class LaurentPoly:
 
     def specialize_ones(self, family: Family) -> "LaurentPoly":
         """Set every variable of the given family to 1."""
+        if len(self._terms) == 1:  # one term: its bounds are its exponents
+            (c,) = self._terms.values()
+            return LaurentPoly._single([(v, e) for v, e in zip(self._vars, self._lo) if v.family != family], c)
         return self._project(family)
 
     def is_subtraction_free(self) -> bool:
@@ -702,10 +739,11 @@ class LaurentPoly:
                 f"exact division over {n} variables with exponents up to {a} and {d}"
                 f" needs the bound {2 * n * (a + d)}, past ±{_LIMIT}"
             )
-        # The remainder is a key -> coefficient map with a heap of its keys;
-        # a key that cancels leaves the map, and its heap entry is skipped
-        # when popped.  Every product qk + d sorts after the lead it was made
-        # from, so a popped key never returns.
+        # The remainder is a key -> coefficient map with a heap of its keys,
+        # each pushed once, when it first enters the map.  A key that cancels
+        # stays in the map at 0 and is skipped when popped.  Every product
+        # qk + d sorts after the lead it was made from, so a popped key never
+        # returns.
         # Field i of gate - key holds 2**(_BITS - 1) + e_i - f_i for the floor
         # f, in [0, 2**_BITS) as |e_i - f_i| <= 2M < 2**(_BITS - 1): its top
         # bit survives exactly when e_i >= f_i, one subtraction for all fields.
@@ -714,12 +752,13 @@ class LaurentPoly:
         dterms = sorted(dterms.items())
         (dk, dc), rest = dterms[0], dterms[1:]
         rem = dict(rem)
+        get, push, pop = rem.get, heapq.heappush, heapq.heappop
         heap = list(rem)
         heapq.heapify(heap)
         quot: dict[int, int] = {}
         while heap:
-            lead = heapq.heappop(heap)
-            c = rem.pop(lead, 0)
+            lead = pop(heap)
+            c = rem.pop(lead)
             if not c:
                 continue
             if c % dc:
@@ -736,13 +775,12 @@ class LaurentPoly:
             quot[qk] = qc
             for k2, c2 in rest:
                 key = qk + k2
-                nc = rem.get(key, 0) - qc * c2
-                if nc:
-                    if key not in rem:
-                        heapq.heappush(heap, key)
-                    rem[key] = nc
+                old = get(key)
+                if old is None:
+                    push(heap, key)
+                    rem[key] = -qc * c2
                 else:
-                    del rem[key]
+                    rem[key] = old - qc * c2
         return LaurentPoly._exact(frame, quot, tuple(map(sub, alo, dlo)), tuple(map(sub, ahi, dhi)))
 
     # -- serialization ----------------------------------------------------

@@ -14,14 +14,24 @@ the whole thing is the textbook update run on [B; -C].  Every produced
 variable is verified to be a genuine Laurent polynomial by exact division;
 a remainder raises NonLaurentResult and means the implementation is wrong.
 
-A breadth-first search meets the same exchange many times (affineA2 at
-depth 8 with principal coefficients: 385 mutations, 122 distinct
-exchanges).  ``seeds_up_to`` keeps one memo per search, keyed by the exact
-input of the exchange, ``(x_k, frozenset({P, N}))`` with P and N the sides
-of the binomial as frozensets of (factor, exponent): cluster variables
-x_i^|b_ik| and coefficients y_j^|c_jk|.  The binomial P + N does not change
-when the sides swap, and neither does the key.  The memo holds only the
-new variable; every seed makes its own matrix update.
+A breadth-first search meets the same cluster variable many times
+(affineA2 at depth 8 with principal coefficients: 385 mutations, 30 new
+variables).  ``seeds_up_to`` computes each once, through one memo per
+search keyed by g-vector.  With principal coefficients every cluster
+variable is homogeneous under deg x_i = e_i, deg y_j = column j of the
+initial B, and its degree is its g-vector (Fomin-Zelevinsky, Cluster
+algebras IV, Compositio Math. 143 (2007), Prop. 6.1 and 6.6).  So the
+variable an exchange makes has the g-vector deg(P) - g_k, P the side with
+x_i^b_ik for b_ik > 0 and y_j^|c_jk| for c_jk < 0; the search checks in
+integers that both sides have one degree and raises IdentityFailed if
+not.  For skew-symmetric B, which every quiver gives, different cluster
+variables have different g-vectors (Derksen-Weyman-Zelevinsky, JAMS 23
+(2010), Thm 1.7), so a g-vector found in the memo names the variable and
+no division is made.  The search tracks the g-vectors and the coefficient
+rows C of each seed also without coefficients: a coefficient-free variable
+is the y = 1 specialisation of the principal one at the same seed (FZ IV,
+Thm 3.7), so principal g-vectors tell it apart as well.  ``mutate`` alone
+knows no g-vectors and always divides.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import InvalidArgument, NonLaurentResult
+from .errors import IdentityFailed, InvalidArgument, NonLaurentResult
 from .laurent import Family, LaurentPoly, x as x_var, yid
 from .quiver import Quiver
 
@@ -82,22 +92,39 @@ def initial_seed(quiver: Quiver, principal: bool = True) -> Seed:
     return Seed(tuple(rows), cluster)
 
 
-def _mutate_matrix(rows: list[list[int]], k: int, m: int) -> list[list[int]]:
+def _mutate_matrix(rows: Matrix, k: int) -> Matrix:
+    """The textbook mutation at k of an extended exchange matrix: entries in
+    row k or column k change sign, and any other b_ij gains b_ik * b_kj when
+    both are positive and loses it when both are negative."""
+    up = [(j, b) for j, b in enumerate(rows[k]) if b > 0]
+    down = [(j, b) for j, b in enumerate(rows[k]) if b < 0]
     out = []
     for i, row in enumerate(rows):
-        new_row = []
-        for j in range(m):
-            if i == k or j == k:
-                new_row.append(-row[j])
-            else:
-                bik, bkj = row[k], rows[k][j]
-                new_row.append(
-                    row[j]
-                    + max(bik, 0) * max(bkj, 0)
-                    - max(-bik, 0) * max(-bkj, 0)
-                )
-        out.append(new_row)
-    return out
+        bik = row[k]
+        if i == k:
+            out.append(tuple(-v for v in row))
+            continue
+        new_row = list(row)
+        if bik > 0:
+            for j, bkj in up:
+                new_row[j] += bik * bkj
+        elif bik < 0:
+            for j, bkj in down:
+                new_row[j] -= bik * bkj
+        new_row[k] = -bik
+        out.append(tuple(new_row))
+    return tuple(out)
+
+
+def _negated(rows: Matrix) -> Matrix:
+    return tuple(tuple(-v for v in row) for row in rows)
+
+
+def _mutated(b: Matrix, c: Matrix, k: int) -> tuple[Matrix, Matrix]:
+    """B and the coefficient rows C mutated at k: the textbook update runs on
+    [B; -C], and C is stored back negated."""
+    rows = _mutate_matrix(b + _negated(c), k)
+    return rows[: len(b)], _negated(rows[len(b) :])
 
 
 def _product(factors: dict[LaurentPoly, int]) -> LaurentPoly:
@@ -107,55 +134,42 @@ def _product(factors: dict[LaurentPoly, int]) -> LaurentPoly:
     return out
 
 
-def mutate(seed: Seed, k: int, *, exchanges: dict | None = None) -> Seed:
+def mutate(seed: Seed, k: int, *, _variable: LaurentPoly | None = None) -> Seed:
     """Mutation at cluster position k (0-based); involutive.
 
-    ``exchanges`` maps the input of an exchange to the variable it produced:
-    a key found there is not computed again.  ``seeds_up_to`` passes one dict
-    per breadth-first search; without one, every exchange is computed.
+    The new variable is computed by exact division.  Only the breadth-first
+    search passes ``_variable``: the variable its g-vector memo holds for
+    this exchange (see the module docstring).
     """
     m = seed.rank
     if not 0 <= k < m:
         raise IndexError(f"mutation index {k} out of range for rank {m}")
-    b_rows = [list(r) for r in seed.exchange_matrix[:m]]
-    c_rows = [list(r) for r in seed.exchange_matrix[m:]]
-
-    # The two sides of the exchange binomial, each as {factor: exponent}.
-    pos: dict[LaurentPoly, int] = {}
-    neg: dict[LaurentPoly, int] = {}
-    for i in range(m):
-        bik = b_rows[i][k]
-        if bik:
-            side = pos if bik > 0 else neg
-            side[seed.cluster[i]] = side.get(seed.cluster[i], 0) + abs(bik)
-    for j, row in enumerate(c_rows):
-        cjk = row[k]
-        if cjk:
-            # y-monomials join the opposite sides; see the module docstring.
-            side = neg if cjk > 0 else pos
-            yj = LaurentPoly.variable(yid(j + 1))
-            side[yj] = side.get(yj, 0) + abs(cjk)
-    # The new variable is (prod pos + prod neg) / x_k, whichever side is which.
-    new_var = key = None
-    if exchanges is not None:
-        key = (seed.cluster[k], frozenset((frozenset(pos.items()), frozenset(neg.items()))))
-        new_var = exchanges.get(key)
+    b_rows, c_rows = seed.exchange_matrix[:m], seed.exchange_matrix[m:]
+    new_var = _variable
     if new_var is None:
+        # The two sides of the exchange binomial, each as {factor: exponent}.
+        pos: dict[LaurentPoly, int] = {}
+        neg: dict[LaurentPoly, int] = {}
+        for i in range(m):
+            bik = b_rows[i][k]
+            if bik:
+                side = pos if bik > 0 else neg
+                side[seed.cluster[i]] = side.get(seed.cluster[i], 0) + abs(bik)
+        for j, row in enumerate(c_rows):
+            cjk = row[k]
+            if cjk:
+                # y-monomials join the opposite sides; see the module docstring.
+                side = neg if cjk > 0 else pos
+                yj = LaurentPoly.variable(yid(j + 1))
+                side[yj] = side.get(yj, 0) + abs(cjk)
         new_var = (_product(pos) + _product(neg)).exact_div(seed.cluster[k])
         if new_var.min_family_exponent(Family.Y) < 0:
             raise NonLaurentResult("mutation produced a negative y exponent")
-        if key is not None:
-            exchanges[key] = new_var
 
-    # The textbook matrix update applies to [B; -C]; store C back negated.
-    work = b_rows + [[-v for v in row] for row in c_rows]
-    mutated = _mutate_matrix(work, k, m)
-    new_rows = [tuple(r) for r in mutated[:m]]
-    new_rows += [tuple(-v for v in row) for row in mutated[m:]]
-
+    new_b, new_c = _mutated(b_rows, c_rows, k)
     cluster = list(seed.cluster)
     cluster[k] = new_var
-    return Seed(tuple(new_rows), tuple(cluster), seed.depth + 1)
+    return Seed(new_b + new_c, tuple(cluster), seed.depth + 1)
 
 
 def seeds_up_to(quiver: Quiver, depth: int, principal: bool = True) -> Iterator[Seed]:
@@ -163,32 +177,73 @@ def seeds_up_to(quiver: Quiver, depth: int, principal: bool = True) -> Iterator[
     each distinct (matrix, cluster) pair yielded once, deterministically.
 
     A negative depth raises InvalidArgument at the call.  The search computes
-    each distinct exchange once, through one memo that lives as long as the
-    returned iterator (see the module docstring).
+    each distinct cluster variable once, through one g-vector memo that lives
+    as long as the returned iterator (see the module docstring).
     """
     if depth < 0:
         raise InvalidArgument(f"depth must be >= 0, got {depth}")
     return _breadth_first(initial_seed(quiver, principal), depth)
 
 
+def _g_vector(
+    seed: Seed, c_rows: Matrix, g: Matrix, y_degrees: Matrix, k: int
+) -> tuple[int, ...]:
+    """The g-vector deg(P) - g_k of the variable made by the exchange at k.
+
+    ``g`` holds the g-vectors of the seed's cluster and ``y_degrees`` the
+    degree of each y_j.  Column k of [B; -C] weighs the degrees of
+    (x_1, ..., x_m, y_1, ..., y_m): P sums those of positive weight, N the
+    others.  An exchange whose sides differ in degree raises IdentityFailed.
+    """
+    m = seed.rank
+    sides = ([0] * m, [0] * m)  # deg(P), deg(N)
+    weights = [row[k] for row in seed.exchange_matrix[:m]] + [-row[k] for row in c_rows]
+    for w, vec in zip(weights, g + y_degrees):
+        if w:
+            side = sides[w < 0]
+            w = abs(w)
+            for r, v in enumerate(vec):
+                side[r] += w * v
+    pos, neg = sides
+    if pos != neg:
+        raise IdentityFailed(
+            f"exchange at x{k + 1} of a seed at depth {seed.depth}: its sides have"
+            f" degrees {tuple(pos)} and {tuple(neg)}"
+        )
+    return tuple(p - e for p, e in zip(pos, g[k]))
+
+
 def _breadth_first(start: Seed, depth: int) -> Iterator[Seed]:
-    exchanges: dict = {}
+    m = start.rank
+    unit = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    y_degrees = tuple(zip(*start.exchange_matrix[:m]))  # deg y_j: column j of B
+    memo: dict[tuple[int, ...], LaurentPoly] = dict(zip(unit, start.cluster))
     seen = {(start.exchange_matrix, start.cluster)}
-    frontier = [(start, -1)]
+    # A seed, the position it was reached by, the g-vectors of its cluster
+    # and its coefficient rows C, tracked also without coefficients.
+    frontier = [(start, -1, unit, start.exchange_matrix[m:] or unit)]
     yield start
     for _ in range(depth):
-        next_frontier: list[tuple[Seed, int]] = []
-        for seed, last in frontier:
-            for k in range(seed.rank):
+        next_frontier: list[tuple[Seed, int, Matrix, Matrix]] = []
+        for seed, last, g, c_rows in frontier:
+            for k in range(m):
                 if k == last:
                     continue  # immediate repeat is the involution
-                child = mutate(seed, k, exchanges=exchanges)
+                g_new = _g_vector(seed, c_rows, g, y_degrees, k)
+                known = memo.get(g_new)
+                child = mutate(seed, k, _variable=known)
+                if known is None:
+                    memo[g_new] = child.cluster[k]
                 key = (child.exchange_matrix, child.cluster)
                 if key in seen:
                     continue
                 seen.add(key)
                 yield child
-                next_frontier.append((child, k))
+                if child.principal:
+                    new_c = child.exchange_matrix[m:]
+                else:
+                    new_c = _mutated(seed.exchange_matrix, c_rows, k)[1]
+                next_frontier.append((child, k, g[:k] + (g_new,) + g[k + 1 :], new_c))
         frontier = next_frontier
 
 

@@ -293,7 +293,8 @@ def _scan_div(a, d, trace=None):
     """Long division that scans the whole remainder for its leading term,
     with the coefficient and floor refusals of ``LaurentPoly.exact_div``.
     A ``trace`` list receives every lead that passes both checks as
-    ("lead", m) and every quotient and product monomial as ("formed", m)."""
+    ("lead", m), every quotient and product monomial as ("formed", m), and
+    every remainder term that a product cancels to 0 as ("cancelled", m)."""
     dm = min((m for m, _ in d.terms()), key=_DENSE_KEY)
     dc = dict(d.terms())[dm]
     floor = {}
@@ -326,6 +327,8 @@ def _scan_div(a, d, trace=None):
                 rem[key] = nc
             else:
                 rem.pop(key, None)
+                if trace is not None:
+                    trace.append(("cancelled", key))
     return LaurentPoly(quot)
 
 
@@ -405,6 +408,121 @@ class TestDenseKeys:
         ids=["coefficient", "floor", "same-degree-descent"],
     )
     def test_refusals_match_sparse_reference(self, dividend, divisor, message):
+        want = (NonLaurentResult, message)
+        assert _outcome(lambda: dividend.exact_div(divisor)) == want
+        assert _outcome(lambda: _scan_div(dividend, divisor)) == want
+
+
+ONE_TERM = st.builds(LaurentPoly.from_monomial, monomials(ORDER_POOL), st.sampled_from([-2, -1, 1, 3]))
+
+
+class TestSum:
+    @given(parts=st.lists(st.one_of(polys(ORDER_POOL), ONE_TERM), max_size=7))
+    @example(parts=[x(1), LaurentPoly.one()])  # x1 is bounded by [0, 1]
+    @example(parts=[x(1) * y(1), y(1) ** -1, -(x(1) * y(1))])  # x1 cancels
+    @settings(max_examples=150, deadline=None)
+    def test_terms_and_bounds(self, parts):
+        """One-term parts are keyed in one pass, the others lifted: the sum
+        holds the nonzero totals, and each frame variable's bounds are the
+        least and greatest of its exponents over them."""
+        got = LaurentPoly.sum(parts)
+        totals = {}
+        for p in parts:
+            for m, c in p.terms():
+                totals[m] = totals.get(m, 0) + c
+        totals = {m: c for m, c in totals.items() if c}
+        assert dict(got.terms()) == totals
+        frame = got.support()
+        assert frame == tuple(sorted({v for m in totals for v in m.variables()}))
+        exps = [[m.exponent(v) for m in totals] for v in frame]
+        assert (tuple(got._lo), tuple(got._hi)) == (tuple(map(min, exps)), tuple(map(max, exps)))
+
+
+# (x1^2 - x1 - 1) * (-x1^2 + x1 - 1): dividing the product by the second
+# factor cancels the remainder term x1^2 to 0, and a later product hits it
+# again before it is the lead.
+REHIT = (x(1) ** 2 - x(1) - 1, -x(1) ** 2 + x(1) - 1)
+
+
+def _equal_copy(f):
+    """A polynomial equal to f with its own term map, so that ``f * copy``
+    runs the general product loop where ``f * f`` runs the square's (the
+    zero polynomial is shared, and one term takes neither loop)."""
+    g = LaurentPoly(list(f.terms()))
+    assert g == f and (len(f) < 2 or g._terms is not f._terms)
+    return g
+
+
+class TestSquares:
+    @given(f=polys(ORDER_POOL))
+    @example(f=x(1) ** 2 + 2 * x(1) - 2)  # x1^2 cancels: 2*1*(-2) + 2*2 = 0
+    @example(f=x(1) ** -3 - y(1) * x(2) ** 2 + 3 * t(1) ** -1)
+    @settings(max_examples=120, deadline=None)
+    def test_square_matches_general_product(self, f):
+        g = _equal_copy(f)
+        assert _outcome(lambda: f * f) == _outcome(lambda: f * g)
+        assert _outcome(lambda: f ** 3) == _outcome(lambda: f * g * g)
+
+    @given(f=wide_polys(4))
+    @settings(max_examples=60, deadline=None)
+    def test_wide_square_matches_sparse_reference(self, f):
+        assert _outcome(lambda: f * f) == _outcome(lambda: _sparse_product(f, _equal_copy(f)))
+
+    def test_square_cancels_a_term(self):
+        f = x(1) ** 2 + 2 * x(1) - 2
+        assert str(f * f) == "x1^4 + 4*x1^3 - 8*x1 + 4"
+        assert (f * f).exact_div(f) == f
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_square_at_the_field_edge(self, sign):
+        held = x(1) ** (sign * (_LIMIT // 2)) + y(1)
+        assert held * held == held * _equal_copy(held)
+        past = x(1) ** (sign * (_LIMIT // 2 + 1)) + y(1)
+        message = f"exponent {sign * 2 * (_LIMIT // 2 + 1)} of x1 is outside the supported range"
+        for other in (past, _equal_copy(past)):
+            with pytest.raises(InvalidArgument, match=f"^{message}"):
+                past * other
+
+
+class TestDivisionRemainder:
+    """The remainder map keeps a cancelled term at 0 until its key is popped."""
+
+    @given(a=polys(ORDER_POOL), b=polys(ORDER_POOL))
+    @example(a=REHIT[0], b=REHIT[1])
+    @settings(max_examples=120, deadline=None)
+    def test_product_divides_back(self, a, b):
+        assume(not b.is_zero())
+        assert (a * b).exact_div(b) == a
+
+    def test_cancelled_term_is_hit_again(self):
+        a, b = REHIT
+        trace = []
+        assert (a * b).exact_div(b) == _scan_div(a * b, b, trace) == a
+        cancelled = [i for i, (kind, _) in enumerate(trace) if kind == "cancelled"]
+        assert any(
+            trace[j] == ("formed", trace[i][1]) for i in cancelled for j in range(i + 1, len(trace))
+        )
+
+    @pytest.mark.parametrize(
+        "dividend, divisor, message",
+        [
+            (REHIT[0] * REHIT[1] + x(1), REHIT[1], "remainder term x1^-2 lies below the dividend's floor"),
+            (REHIT[0] * REHIT[1] + 2, REHIT[1], "remainder term x1^-1 lies below the dividend's floor"),
+            (
+                REHIT[0] * REHIT[1] * x(2) + y(1),
+                REHIT[1] * x(2),
+                "remainder term y1*x1^-1 lies below the dividend's floor",
+            ),
+            (
+                REHIT[0] * (x(1) + x(2) - 1) + x(1) ** 3,
+                2 * x(1) + 2 * x(2) - 2,
+                "leading coefficient -1 not divisible by 2",
+            ),
+            (REHIT[0] ** 3 + 1, REHIT[0] ** 2, "remainder term x1^-1 lies below the dividend's floor"),
+        ],
+        ids=["floor-after-rehit", "constant", "two-frames", "coefficient", "square-divisor"],
+    )
+    def test_refusal_text(self, dividend, divisor, message):
         want = (NonLaurentResult, message)
         assert _outcome(lambda: dividend.exact_div(divisor)) == want
         assert _outcome(lambda: _scan_div(dividend, divisor)) == want

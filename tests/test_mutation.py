@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterchar.character import cf_cluster_char, cluster_char
-from clusterchar.errors import InvalidArgument
-from clusterchar.laurent import Family, x, y
+from clusterchar import mutation
+from clusterchar.errors import IdentityFailed, InvalidArgument
+from clusterchar.laurent import Family, LaurentPoly, x, xid, y, yid
 from clusterchar.mutation import (
     Seed,
     cluster_variables_up_to,
@@ -207,31 +208,88 @@ class TestExchangeMemo:
         else:  # the same prefix, in the same order
             assert _rows(islice(got, len(want))) == _rows(want)
 
+
+
+def _homogeneous_degree(v, b0):
+    """The one degree of every term of v under deg x_i = e_i and
+    deg y_j = column j of b0, or None if the terms differ in degree."""
+    m = len(b0)
+    degrees = {
+        tuple(
+            mono.exponent(xid(r + 1)) + sum(mono.exponent(yid(j + 1)) * b0[r][j] for j in range(m))
+            for r in range(m)
+        )
+        for mono, _ in v.terms()
+    }
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+# The three searches of the benchmark's mutation-bfs workload.
+WORKLOAD_SEARCHES = [
+    ("affineA2", 8, True, 30),
+    ("affineA2", 8, False, 30),
+    ("kronecker", 16, True, 32),
+]
+
+
+class TestGVectorMemo:
+    """``seeds_up_to`` keys its memo by g-vector: each distinct cluster
+    variable is computed once, by one exact division."""
+
+    @pytest.mark.parametrize("name, depth, principal, divisions", WORKLOAD_SEARCHES)
+    def test_one_division_per_new_variable(self, monkeypatch, name, depth, principal, divisions):
+        calls = []
+        divide = LaurentPoly.exact_div
+        monkeypatch.setattr(LaurentPoly, "exact_div", lambda f, d: calls.append(d) or divide(f, d))
+        quiver = kronecker_quiver() if name == "kronecker" else affine_a2_quiver()
+        found = cluster_variables_up_to(quiver, depth, principal)
+        assert len(calls) == divisions == len(found) - len(set(found) & set(x(i) for i in (1, 2, 3)))
+
     @pytest.mark.parametrize("principal", [False, True])
-    def test_key_hit_with_sides_swapped(self, principal):
-        # The opposite seed has the same cluster and the negated matrix, so
-        # its exchange binomial is N + P where the seed's is P + N.
-        seed = initial_seed(affine_a2_quiver(), principal)
-        opposite = Seed(tuple(tuple(-b for b in row) for row in seed.exchange_matrix), seed.cluster)
-        exchanges = {}
-        first = mutate(seed, 1, exchanges=exchanges)
-        again = mutate(opposite, 1, exchanges=exchanges)
-        assert len(exchanges) == 1
-        assert again.cluster[1] is first.cluster[1]
-        assert _rows([again]) == _rows([mutate(opposite, 1)])
-        assert again.exchange_matrix != first.exchange_matrix  # made per seed
+    def test_equal_variables_are_one_object(self, principal):
+        seeds = list(seeds_up_to(affine_a2_quiver(), 6, principal))
+        variables = [v for s in seeds for v in s.cluster]
+        assert len({id(v) for v in variables}) == len(set(variables))
 
+    @pytest.mark.parametrize("name", ["kronecker", "affineA2"])
+    def test_principal_variables_are_homogeneous_of_their_g_vector(self, monkeypatch, name):
+        # Record the g-vector of each exchange and the variable it made.
+        quiver = kronecker_quiver() if name == "kronecker" else affine_a2_quiver()
+        b0 = initial_seed(quiver).exchange_matrix[: len(quiver.vertices)]
+        made = []
+        g_vector, step = mutation._g_vector, mutation.mutate
 
-    def test_key_tells_coefficients_apart(self):
-        # Same cluster and principal part, coefficient rows I and 0: the
-        # binomials differ only in their y-factors, so neither may reuse the
-        # other's variable.
+        def record_g(seed, c_rows, g, y_degrees, k):
+            made.append([g_vector(seed, c_rows, g, y_degrees, k)])
+            return made[-1][0]
+
+        def record_step(seed, k, **kwargs):
+            child = step(seed, k, **kwargs)
+            made[-1].append(child.cluster[k])
+            return child
+
+        monkeypatch.setattr(mutation, "_g_vector", record_g)
+        monkeypatch.setattr(mutation, "mutate", record_step)
+        for seed in seeds_up_to(quiver, 6, principal=True):
+            assert all(_homogeneous_degree(v, b0) is not None for v in seed.cluster)
+        assert made and all(_homogeneous_degree(v, b0) == g for g, v in made)
+        by_g = {}
+        for g, v in made:  # DWZ: one variable per g-vector, and conversely
+            assert by_g.setdefault(g, v) == v
+        assert len(set(by_g.values())) == len(by_g)
+
+    def test_inhomogeneous_exchange_is_refused(self):
+        # Coefficient rows -I instead of I put each y on the wrong side of
+        # the binomial; the first exchange's sides then differ in degree.
         seed = initial_seed(kronecker_quiver(), principal=True)
-        bare = Seed(seed.exchange_matrix[: seed.rank] + ((0, 0), (0, 0)), seed.cluster)
-        exchanges = {}
-        got = [mutate(s, 0, exchanges=exchanges).cluster[0] for s in (seed, bare)]
-        assert len(exchanges) == 2
-        assert got == [(y(1) * x(2) ** 2 + 1).exact_div(x(1)), (x(2) ** 2 + 1).exact_div(x(1))]
+        flipped = Seed(seed.exchange_matrix[:2] + ((-1, 0), (0, -1)), seed.cluster)
+        search = mutation._breadth_first(flipped, 1)
+        assert next(search) == flipped
+        with pytest.raises(
+            IdentityFailed,
+            match=r"^exchange at x1 of a seed at depth 0: its sides have degrees \(0, -2\) and \(0, 2\)$",
+        ):
+            next(search)
 
 
 class TestNegativeDepth:
