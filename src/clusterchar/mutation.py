@@ -92,10 +92,11 @@ def initial_seed(quiver: Quiver, principal: bool = True) -> Seed:
     return Seed(tuple(rows), cluster)
 
 
-def _mutate_matrix(rows: Matrix, k: int) -> Matrix:
-    """The textbook mutation at k of an extended exchange matrix: entries in
-    row k or column k change sign, and any other b_ij gains b_ik * b_kj when
-    both are positive and loses it when both are negative."""
+def _mutate_matrix(rows: Matrix, k: int, m: int) -> Matrix:
+    """The textbook mutation at k of [B; -C], applied to [B; C] as stored
+    (rows m on are C): entries in row k or column k change sign, and any
+    other b_ij of [B; -C] gains b_ik * b_kj when both are positive and loses
+    it when both are negative."""
     up = [(j, b) for j, b in enumerate(rows[k]) if b > 0]
     down = [(j, b) for j, b in enumerate(rows[k]) if b < 0]
     out = []
@@ -105,26 +106,15 @@ def _mutate_matrix(rows: Matrix, k: int) -> Matrix:
             out.append(tuple(-v for v in row))
             continue
         new_row = list(row)
-        if bik > 0:
+        if bik and (bik > 0) == (i < m):  # row i of [B; -C] is positive at k
             for j, bkj in up:
                 new_row[j] += bik * bkj
-        elif bik < 0:
+        elif bik:
             for j, bkj in down:
                 new_row[j] -= bik * bkj
         new_row[k] = -bik
         out.append(tuple(new_row))
     return tuple(out)
-
-
-def _negated(rows: Matrix) -> Matrix:
-    return tuple(tuple(-v for v in row) for row in rows)
-
-
-def _mutated(b: Matrix, c: Matrix, k: int) -> tuple[Matrix, Matrix]:
-    """B and the coefficient rows C mutated at k: the textbook update runs on
-    [B; -C], and C is stored back negated."""
-    rows = _mutate_matrix(b + _negated(c), k)
-    return rows[: len(b)], _negated(rows[len(b) :])
 
 
 def _product(factors: dict[LaurentPoly, int]) -> LaurentPoly:
@@ -166,10 +156,9 @@ def mutate(seed: Seed, k: int, *, _variable: LaurentPoly | None = None) -> Seed:
         if new_var.min_family_exponent(Family.Y) < 0:
             raise NonLaurentResult("mutation produced a negative y exponent")
 
-    new_b, new_c = _mutated(b_rows, c_rows, k)
     cluster = list(seed.cluster)
     cluster[k] = new_var
-    return Seed(new_b + new_c, tuple(cluster), seed.depth + 1)
+    return Seed(_mutate_matrix(seed.exchange_matrix, k, m), tuple(cluster), seed.depth + 1)
 
 
 def seeds_up_to(quiver: Quiver, depth: int, principal: bool = True) -> Iterator[Seed]:
@@ -242,7 +231,7 @@ def _breadth_first(start: Seed, depth: int) -> Iterator[Seed]:
                 if child.principal:
                     new_c = child.exchange_matrix[m:]
                 else:
-                    new_c = _mutated(seed.exchange_matrix, c_rows, k)[1]
+                    new_c = _mutate_matrix(seed.exchange_matrix + c_rows, k, m)[m:]
                 next_frontier.append((child, k, g[:k] + (g_new,) + g[k + 1 :], new_c))
         frontier = next_frontier
 
