@@ -61,11 +61,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DimOutOfRange, ExcludedPrime, InvalidArgument, NonPolynomialCount
-from .quiver import DimVector, IntRep, Quiver, _pencil_form, _prime_factors, _rational_points, dual_rep
+from .quiver import DimVector, IntRep, Quiver, _prime_factors, dual_rep
 
 __all__ = [
     "CountProfile",
@@ -544,19 +545,64 @@ def count_subreps(rep: IntRep, e: Sequence[int], q: int) -> int:
 # the Kronecker spectrum
 
 
+def _det(rows: list[list[int]]) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            sign = -sign
+        for r in range(c + 1, n):
+            for k in range(c + 1, n):
+                a[r][k] = (a[r][k] * a[c][c] - a[r][c] * a[c][k]) // prev
+        prev = a[c][c]
+    return sign * (a[n - 1][n - 1] if n else 1)
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = [1]
+    for p in _prime_factors(n):
+        k = 0
+        while n % p ** (k + 1) == 0:
+            k += 1
+        out = [d * p**i for d in out for i in range(k + 1)]
+    return out
+
+
 def _without_rational_roots(coeffs: Sequence[int]) -> tuple[int, ...]:
     """The integer polynomial divided by a linear factor s*t - r for every
     rational root r/s, with multiplicity (rational-root test)."""
     c = list(_trim(coeffs))
-    for r, s in _rational_points(c) if len(c) > 1 else ():
-        while len(c) > 1 and sum(ci * r**i * s ** (len(c) - 1 - i) for i, ci in enumerate(c)) == 0:
-            deg = len(c) - 1
-            quotient = [0] * deg  # c = (s t - r) * quotient, from the top down
-            rest = c[:]
-            for i in range(deg, 0, -1):
-                quotient[i - 1] = rest[i] // s
-                rest[i - 1] += r * quotient[i - 1]
-            c = quotient
+    while len(c) > 1:
+        if c[0] == 0:
+            c.pop(0)
+            continue
+        deg = len(c) - 1
+        root = next(
+            (
+                (r, s)
+                for s in _divisors(c[-1])
+                for a in _divisors(c[0])
+                for r in (a, -a)
+                if math.gcd(r, s) == 1
+                and sum(ci * r**i * s ** (deg - i) for i, ci in enumerate(c)) == 0
+            ),
+            None,
+        )
+        if root is None:
+            break
+        r, s = root
+        quotient = [0] * deg  # c = (s t - r) * quotient, from the top down
+        rest = c[:]
+        for i in range(deg, 0, -1):
+            quotient[i - 1] = rest[i] // s
+            rest[i - 1] += r * quotient[i - 1]
+        c = quotient
     return tuple(c)
 
 
@@ -598,7 +644,12 @@ def _check_spectrum(rep: IntRep) -> None:
     if support[0] != support[1]:
         return
     (_, a), (_, b) = inner
-    rest = _without_rational_roots(_pencil_form(b, a))
+    # det(B - tA) at t = 0..n, interpolated: the form at mu = 1
+    form = _newton_coefficients([
+        (t, _det([[y - t * x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]))
+        for t in range(support[0] + 1)
+    ])
+    rest = _without_rational_roots(form)
     if len(rest) > 2:
         raise NonPolynomialCount(
             f"det(mu*B - lambda*A) has the factor {_form_text(rest)} with no "

@@ -15,8 +15,6 @@ families reads the entry, so a new family is one entry.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -187,10 +185,9 @@ class IntRep:
 
     Counting excludes the primes at which the mod-p reduction is visibly a
     different module: those at which an arrow matrix, a composition along
-    a path, or the map whose kernel is End(M) loses rank (so dim End jumps),
-    and those at which two distinct rational points of a pencil of two
-    paths meet.  The rule is necessary, not sufficient; the held-out primes
-    of interpolation catch the rest.
+    a path, or the map whose kernel is End(M) loses rank (so dim End jumps).
+    The rule is necessary, not sufficient; the held-out primes of
+    interpolation catch the rest.
     """
 
     quiver: Quiver
@@ -218,29 +215,22 @@ class IntRep:
     @functools.cached_property
     def _excluded_primes(self) -> frozenset[int]:
         values = [v for mat in self._rank_matrices() for v in _diagonal_entries(mat)]
-        primes = {p for v in values for p in _prime_factors(v)}
-        return frozenset(primes.union(*map(_prime_factors, self._pencil_values())))
-
-    def _paths(self) -> Iterator[tuple[int, int, IntMatrix]]:
-        """Source, target and matrix of every path (except through a zero
-        map)."""
-        pairs = self.quiver.arrow_indices()
-        stack = [(s, t, m) for (s, t), m in zip(pairs, self.matrices)]
-        while stack:
-            start, end, mat = stack.pop()
-            yield start, end, mat
-            if any(any(row) for row in mat):
-                stack.extend(
-                    (start, t, _matmul(m, mat)) for (s, t), m in zip(pairs, self.matrices) if s == end
-                )
+        return frozenset(p for v in values for p in _prime_factors(v))
 
     def _rank_matrices(self) -> Iterator[IntMatrix]:
         """The matrices whose rank must not drop mod p: every arrow, every
         composition along a path (except through a zero map), and the map
         (phi_v) -> (M_a phi_s - phi_t M_a) over arrows a: s -> t, whose
         kernel is End(M)."""
-        yield from (mat for _, _, mat in self._paths())
         pairs = self.quiver.arrow_indices()
+        stack = [(t, m) for (_, t), m in zip(pairs, self.matrices)]
+        while stack:
+            end, mat = stack.pop()
+            yield mat
+            if any(any(row) for row in mat):
+                stack.extend(
+                    (t, _matmul(m, mat)) for (s, t), m in zip(pairs, self.matrices) if s == end
+                )
         phis = [(v, i, j) for v, d in enumerate(self.dim) for i in range(d) for j in range(d)]
         yield tuple(
             tuple((m[r][i] if (v, j) == (s, c) else 0) - (m[j][c] if (v, i) == (t, r) else 0)
@@ -249,91 +239,6 @@ class IntRep:
             for r in range(self.dim[t])
             for c in range(self.dim[s])
         )
-
-    def _pencil_values(self) -> list[int]:
-        """Two paths P, Q from s to t with dim s = dim t make a pencil whose
-        points are the roots (lambda : mu) of det(mu*P - lambda*Q).  Two
-        distinct rational points (r : s), (r' : s') meet mod p exactly when p
-        divides r*s' - r'*s, and the form vanishes mod p when p divides its
-        content.  Either changes the module; dim End need not jump, since
-        the sum of M(a) and M(b) may become the indecomposable M_2(a).
-        These are the values, nonzero, whose primes the module excludes."""
-        square: dict[tuple[int, int], list[IntMatrix]] = {}
-        for start, end, mat in self._paths():
-            if self.dim[start] == self.dim[end] and any(any(row) for row in mat):
-                square.setdefault((start, end), []).append(mat)
-        out = []
-        for mats in square.values():
-            for a, b in itertools.combinations(mats, 2):
-                form = _pencil_form(a, b)
-                if any(form):
-                    points = _rational_points(form)
-                    out.append(math.gcd(*form))
-                    out += [abs(r * s2 - r2 * s) for (r, s), (r2, s2) in itertools.combinations(points, 2)]
-        return out
-
-
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in rows]
-    n, sign, prev = len(a), 1, 1
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            for k in range(c + 1, n):
-                a[r][k] = (a[r][k] * a[c][c] - a[r][c] * a[c][k]) // prev
-        prev = a[c][c]
-    return sign * (a[n - 1][n - 1] if n else 1)
-
-
-def _pencil_form(p: IntMatrix, q: IntMatrix) -> tuple[int, ...]:
-    """The coefficients c_0, ..., c_n of det(mu*P - lambda*Q) = sum c_i
-    lambda^i mu^(n-i) for square P and Q, by Newton interpolation of
-    det(P - t*Q) at t = 0, ..., n (the divided differences of an integer
-    polynomial at integer nodes are integers)."""
-    n = len(p)
-    dd = [_det([[x - t * y for x, y in zip(rp, rq)] for rp, rq in zip(p, q)]) for t in range(n + 1)]
-    for j in range(1, n + 1):
-        for i in range(n, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) // j
-    out = [0] * (n + 1)
-    for k in range(n, -1, -1):  # Horner on the Newton form
-        out = [(out[i - 1] if i else 0) - k * out[i] for i in range(n + 1)]
-        out[0] += dd[k]
-    return tuple(out)
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = [1]
-    for p in _prime_factors(n):
-        k = 0
-        while n % p ** (k + 1) == 0:
-            k += 1
-        out = [d * p**i for d in out for i in range(k + 1)]
-    return out
-
-
-def _rational_points(form: Sequence[int]) -> list[tuple[int, int]]:
-    """The distinct points (r : s), r and s coprime and s >= 0, at which the
-    nonzero binary form sum c_i lambda^i mu^(n-i) vanishes: (0 : 1) and
-    (1 : 0) when c_0 or c_n is 0, and the rest by the rational-root test."""
-    lo = next(i for i, c in enumerate(form) if c)
-    hi = max(i for i, c in enumerate(form) if c)
-    c, deg = form[lo : hi + 1], hi - lo
-    ends = [(0, 1)] * (lo > 0) + [(1, 0)] * (hi < len(form) - 1)
-    return ends + [
-        (r, s)
-        for s in _divisors(c[-1])
-        for a in _divisors(c[0])
-        for r in (a, -a)
-        if math.gcd(r, s) == 1 and sum(ci * r**i * s ** (deg - i) for i, ci in enumerate(c)) == 0
-    ]
 
 
 def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -267,13 +267,11 @@ class TestGrass:
         code, out, _ = run_cli(capsys, "char", "--quiver", "kronecker", "--module", mod % corner)
         assert (code, out) == (0, want)
 
-    def test_two_rational_points_in_another_basis(self, capsys):
-        # conjugate to (I, diag(3, 5)) over Q; the points 3 and 5 meet mod 2,
-        # where dim End does not jump, so 2 is excluded as a meeting of points
-        mod = '{"dim": {"1": 2, "2": 2}, "matrices": {"0": [[1, 0], [0, 1]], "1": [[3, %d], [0, 5]]}}'
-        _, want, _ = run_cli(capsys, "char", "--quiver", "kronecker", "--module", mod % 0)
-        code, out, _ = run_cli(capsys, "char", "--quiver", "kronecker", "--module", mod % 1)
-        assert (code, out) == (0, want)
+    def test_two_rational_points_exit_two(self, capsys):
+        mod = '{"dim": {"1": 2, "2": 2}, "matrices": {"0": [[1, 0], [0, 1]], "1": [[3, 1], [0, 5]]}}'
+        code, out, err = run_cli(capsys, "char", "--quiver", "kronecker", "--module", mod)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: NonPolynomialCount:")
 
     def test_spectrum_key_exit_two(self, capsys):
         mod = '{"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1]], "1": [[1]]}, "spectrum": [1]}'

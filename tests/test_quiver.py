@@ -13,8 +13,6 @@ from clusterchar.errors import (
 from clusterchar.quiver import (
     IntRep,
     _diagonal_entries,
-    _pencil_form,
-    _rational_points,
     ModuleFamily,
     Quiver,
     a21_homogeneous,
@@ -216,24 +214,6 @@ class TestCatalog:
         for corner, primes in ((2, {2}), (6, {2, 3})):
             jordan = IntRep(kronecker, (2, 2), (((1, 0), (0, 1)), ((1, corner), (0, 1))))
             assert jordan.excluded_primes() == primes
-
-    def test_excluded_primes_where_points_meet(self, kronecker, affine_a2):
-        # det(mu*A - lambda*B) = -mu*(mu + 7*lambda) has the points (1 : 0) and
-        # (-1 : 7), which meet mod 7 as the indecomposable M_2: every rank and
-        # dim End = 2 are kept there, but e = (1, 1) counts 1 over F_7, not 2
-        rep = IntRep(kronecker, (2, 2), (((1, -1), (1, -2)), ((-1, -1), (2, 2))))
-        assert rep.excluded_primes() == {7}
-        # the arrow 1 -> 3 against the path through 2: mu*(mu + 2*lambda)
-        paths = IntRep(affine_a2, (2, 1, 2), (((-1, -1),), ((1,), (2,)), ((-1, -2), (1, 1))))
-        assert paths.excluded_primes() == {2}
-
-    def test_pencil_points(self):
-        # det(mu*I - lambda*diag(3, 5)) = (mu - 3*lambda)(mu - 5*lambda)
-        form = _pencil_form(((1, 0), (0, 1)), ((3, 0), (0, 5)))
-        assert form == (1, -8, 15)
-        assert sorted(_rational_points(form)) == [(1, 3), (1, 5)]
-        # lambda*mu*(lambda - mu): both ends and (1 : 1)
-        assert sorted(_rational_points((0, -1, 1, 0))) == [(0, 1), (1, 0), (1, 1)]
 
     def test_excluded_primes_from_matrices(self, kronecker, affine_a2):
         # rank of [[0, 2], [0, 0]] drops mod 2
