@@ -92,15 +92,17 @@ def initial_seed(quiver: Quiver, principal: bool = True) -> Seed:
     return Seed(tuple(rows), cluster)
 
 
-def _mutate_matrix(rows: Matrix, k: int, m: int) -> Matrix:
+def _mutate_matrix(rows: Matrix, k: int, m: int, start: int = 0) -> Matrix:
     """The textbook mutation at k of [B; -C], applied to [B; C] as stored
     (rows m on are C): entries in row k or column k change sign, and any
     other b_ij of [B; -C] gains b_ik * b_kj when both are positive and loses
-    it when both are negative."""
+    it when both are negative.  Only the rows from ``start`` on are updated
+    and returned."""
     up = [(j, b) for j, b in enumerate(rows[k]) if b > 0]
     down = [(j, b) for j, b in enumerate(rows[k]) if b < 0]
     out = []
-    for i, row in enumerate(rows):
+    for i in range(start, len(rows)):
+        row = rows[i]
         bik = row[k]
         if i == k:
             out.append(tuple(-v for v in row))
@@ -231,7 +233,7 @@ def _breadth_first(start: Seed, depth: int) -> Iterator[Seed]:
                 if child.principal:
                     new_c = child.exchange_matrix[m:]
                 else:
-                    new_c = _mutate_matrix(seed.exchange_matrix + c_rows, k, m)[m:]
+                    new_c = _mutate_matrix(seed.exchange_matrix + c_rows, k, m, m)
                 next_frontier.append((child, k, g[:k] + (g_new,) + g[k + 1 :], new_c))
         frontier = next_frontier
 
