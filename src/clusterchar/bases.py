@@ -17,11 +17,10 @@ coefficients by construction, checked symbolically.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .character import cf_cluster_char
 from .chebyshev import cheb_first_kind, cheb_second_kind
-from .errors import InvalidArgument, UnsupportedQuiver
+from .errors import InvalidArgument, UnsupportedQuiver, read_only
 from .laurent import LaurentPoly, zid
 from .mutation import seeds_up_to
 from .quiver import (
@@ -61,12 +60,35 @@ def x_delta(quiver: Quiver) -> LaurentPoly:
     raise UnsupportedQuiver("x_delta is defined for the catalog affine quivers only")
 
 
-@dataclass(frozen=True)
 class BasisElement:
-    kind: str
-    n: int
-    regular_part: ModuleFamily | None
-    value: LaurentPoly
+    __slots__ = ("kind", "n", "regular_part", "value")
+
+    def __init__(
+        self, kind: str, n: int, regular_part: ModuleFamily | None, value: LaurentPoly
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "regular_part", regular_part)
+        object.__setattr__(self, "value", value)
+
+    __setattr__ = __delattr__ = read_only
+
+    def _key(self) -> tuple:
+        return (self.kind, self.n, self.regular_part, self.value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"BasisElement(kind={self.kind!r}, n={self.n!r}, "
+            f"regular_part={self.regular_part!r}, value={self.value!r})"
+        )
 
     def describe(self) -> str:
         reg = f" * X[{self.regular_part.describe()}]" if self.regular_part else ""
@@ -123,17 +145,21 @@ def cluster_monomials(quiver: Quiver, depth: int) -> list[LaurentPoly]:
     return list(out)
 
 
-@dataclass(frozen=True)
 class PositivityLine:
-    description: str
-    positive: bool
-    witness: str = ""
+    __slots__ = ("description", "positive", "witness")
+
+    def __init__(self, description: str, positive: bool, witness: str = "") -> None:
+        self.description = description
+        self.positive = positive
+        self.witness = witness
 
 
-@dataclass(frozen=True)
 class PositivityReport:
-    kind: str
-    lines: tuple[PositivityLine, ...]
+    __slots__ = ("kind", "lines")
+
+    def __init__(self, kind: str, lines: tuple[PositivityLine, ...]) -> None:
+        self.kind = kind
+        self.lines = lines
 
     @property
     def all_positive(self) -> bool:

@@ -16,7 +16,6 @@ the package's strongest self-check.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import grassmannian
@@ -62,13 +61,17 @@ def term_L(rep: IntRep, e: Sequence[int]) -> LaurentPoly:
     return char_table(rep).term(grassmannian._check_e(rep, e))
 
 
-@dataclass(frozen=True)
 class CharTermTable:
     """All nonzero terms L(M, e) of one module's character."""
 
-    rep: IntRep
-    terms: tuple[tuple[DimVector, LaurentPoly], ...]
-    total: LaurentPoly
+    __slots__ = ("rep", "terms", "total")
+
+    def __init__(
+        self, rep: IntRep, terms: tuple[tuple[DimVector, LaurentPoly], ...], total: LaurentPoly
+    ) -> None:
+        self.rep = rep
+        self.terms = terms
+        self.total = total
 
     def term(self, e: Sequence[int]) -> LaurentPoly:
         e = tuple(int(v) for v in e)
@@ -112,12 +115,14 @@ def cf_cluster_char(rep: IntRep) -> LaurentPoly:
     return cluster_char(rep).specialize_ones(Family.Y)
 
 
-@dataclass(frozen=True)
 class KeyIdentityReport:
     """Both sides of the translate identity L(M,0) * L(tM, dim tM) = y^{dim tM}."""
 
-    lhs: LaurentPoly
-    rhs: LaurentPoly
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: LaurentPoly, rhs: LaurentPoly) -> None:
+        self.lhs = lhs
+        self.rhs = rhs
 
     @property
     def holds(self) -> bool:

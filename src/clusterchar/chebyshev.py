@@ -20,10 +20,9 @@ delta-polynomial cases well defined.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, read_only
 from .laurent import Family, LaurentPoly, VarId, q, t, tid, u, z
 
 __all__ = [
@@ -44,16 +43,29 @@ _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
 
 
-@dataclass(frozen=True)
 class ChebWindow:
     """The index interval [start, start+length-1] of q/t variables."""
 
-    start: int
-    length: int
+    __slots__ = ("start", "length")
 
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise InvalidArgument(f"window start must be >= 0 (t0, t1, ...), got {self.start}")
+    def __init__(self, start: int, length: int) -> None:
+        if start < 0:
+            raise InvalidArgument(f"window start must be >= 0 (t0, t1, ...), got {start}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "length", length)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.length) == (other.start, other.length)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.length))
+
+    def __repr__(self) -> str:
+        return f"ChebWindow(start={self.start!r}, length={self.length!r})"
 
 
 @functools.lru_cache(maxsize=None)

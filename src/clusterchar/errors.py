@@ -51,3 +51,9 @@ class NonLaurentResult(ClusterCharError):
 
 class UnsupportedQuiver(ClusterCharError):
     """The operation is only defined for the catalog affine quivers."""
+
+
+def read_only(record: object, name: str, value: object = None) -> None:
+    """``__setattr__`` and ``__delattr__`` of the package's records, whose
+    fields ``__init__`` sets once."""
+    raise AttributeError(f"cannot assign to field {name!r} of {type(record).__name__}")

@@ -62,10 +62,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import DimOutOfRange, ExcludedPrime, InvalidArgument, NonPolynomialCount
+from .errors import DimOutOfRange, ExcludedPrime, InvalidArgument, NonPolynomialCount, read_only
 from .quiver import DimVector, IntRep, Quiver, _prime_factors, dual_rep
 
 __all__ = [
@@ -705,23 +704,49 @@ def _interpolate(points: Sequence[tuple[int, int]], bound: int, what: str) -> tu
     return coeffs
 
 
-@dataclass(frozen=True)
 class CountProfile:
     """Counts at the nodes q, the interpolated counting polynomial
     (ascending coefficients), and the Euler characteristic it yields at 1."""
 
-    rep: IntRep
-    e: DimVector
-    samples: tuple[tuple[int, int], ...]
-    coefficients: tuple[int, ...]
-    chi: int
+    __slots__ = ("rep", "e", "samples", "coefficients", "chi")
 
-    def __post_init__(self) -> None:
-        for q, c in self.samples:
-            if _eval_poly(self.coefficients, q) != c:
+    def __init__(
+        self,
+        rep: IntRep,
+        e: DimVector,
+        samples: tuple[tuple[int, int], ...],
+        coefficients: tuple[int, ...],
+        chi: int,
+    ) -> None:
+        for q, c in samples:
+            if _eval_poly(coefficients, q) != c:
                 raise NonPolynomialCount(f"sample at q={q} disagrees with the interpolant")
-        if _eval_poly(self.coefficients, 1) != self.chi:
+        if _eval_poly(coefficients, 1) != chi:
             raise NonPolynomialCount("chi must be the polynomial value at 1")
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "chi", chi)
+
+    __setattr__ = __delattr__ = read_only
+
+    def _key(self) -> tuple:
+        return (self.rep, self.e, self.samples, self.coefficients, self.chi)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"CountProfile(rep={self.rep!r}, e={self.e!r}, samples={self.samples!r}, "
+            f"coefficients={self.coefficients!r}, chi={self.chi!r})"
+        )
 
 
 @functools.lru_cache(maxsize=None)

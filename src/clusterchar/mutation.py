@@ -36,10 +36,9 @@ knows no g-vectors and always divides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import IdentityFailed, InvalidArgument, NonLaurentResult
+from .errors import IdentityFailed, InvalidArgument, NonLaurentResult, read_only
 from .laurent import Family, LaurentPoly, x as x_var, yid
 from .quiver import Quiver
 
@@ -48,25 +47,43 @@ __all__ = ["Seed", "initial_seed", "mutate", "cluster_variables_up_to", "seeds_u
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
 class Seed:
     """Exchange matrix (2m x m with principal coefficients, m x m without)
     plus the current cluster of Laurent polynomials in the initial
     variables.  ``depth`` counts mutations and does not enter equality."""
 
-    exchange_matrix: Matrix
-    cluster: tuple[LaurentPoly, ...]
-    depth: int = field(default=0, compare=False)
+    __slots__ = ("exchange_matrix", "cluster", "depth")
 
-    def __post_init__(self) -> None:
-        m = len(self.cluster)
-        if len(self.exchange_matrix) not in (m, 2 * m):
+    def __init__(
+        self, exchange_matrix: Matrix, cluster: tuple[LaurentPoly, ...], depth: int = 0
+    ) -> None:
+        m = len(cluster)
+        if len(exchange_matrix) not in (m, 2 * m):
             raise ValueError("exchange matrix must have m or 2m rows")
-        b = self.exchange_matrix[:m]
+        b = exchange_matrix[:m]
         for i in range(m):
             for j in range(m):
                 if b[i][j] != -b[j][i]:
                     raise ValueError("principal part must be skew-symmetric")
+        object.__setattr__(self, "exchange_matrix", exchange_matrix)
+        object.__setattr__(self, "cluster", cluster)
+        object.__setattr__(self, "depth", depth)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.exchange_matrix, self.cluster) == (other.exchange_matrix, other.cluster)
+
+    def __hash__(self) -> int:
+        return hash((self.exchange_matrix, self.cluster))
+
+    def __repr__(self) -> str:
+        return (
+            f"Seed(exchange_matrix={self.exchange_matrix!r}, cluster={self.cluster!r}, "
+            f"depth={self.depth!r})"
+        )
 
     @property
     def rank(self) -> int:

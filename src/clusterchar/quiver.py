@@ -15,11 +15,11 @@ families reads the entry, so a new family is one entry.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch, InvalidArgument, InvalidParams, QuiverMismatch, UnsupportedQuiver,
+    read_only,
 )
 
 __all__ = [
@@ -54,7 +54,9 @@ DimVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+# The records of this package are written out by hand rather than made by
+# ``dataclasses``: importing that module and generating each record's methods
+# added about 20 ms to the start of every command.
 class Quiver:
     """A finite connected acyclic quiver without loops.
 
@@ -63,22 +65,33 @@ class Quiver:
     pairs with x_i and y_i).
     """
 
-    vertices: tuple[str, ...]
-    arrows: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        if not self.vertices:
+    def __init__(self, vertices: tuple[str, ...], arrows: tuple[tuple[str, str], ...]) -> None:
+        self.__dict__.update(vertices=vertices, arrows=arrows)
+        if not vertices:
             raise InvalidArgument("quiver needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise InvalidArgument("duplicate vertex ids")
-        idx = {v: i for i, v in enumerate(self.vertices)}
-        for s, t in self.arrows:
+        idx = {v: i for i, v in enumerate(vertices)}
+        for s, t in arrows:
             if s not in idx or t not in idx:
                 raise InvalidArgument(f"arrow ({s}, {t}) references unknown vertex")
             if s == t:
                 raise InvalidArgument(f"loop at vertex {s}")
         self._check_acyclic()
         self._check_connected(idx)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.arrows) == (other.vertices, other.arrows)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.arrows))
+
+    def __repr__(self) -> str:
+        return f"Quiver(vertices={self.vertices!r}, arrows={self.arrows!r})"
 
     def _check_acyclic(self) -> None:
         if len(self.topological_order()) != len(self.vertices):
@@ -112,8 +125,8 @@ class Quiver:
     def topological_order(self) -> tuple[int, ...]:
         return self._topological_order
 
-    # computed once per quiver, kept outside the fields, so equality and
-    # hashing are unchanged
+    # computed once per quiver, kept outside the fields that equality and
+    # hashing read
     @functools.cached_property
     def _arrow_indices(self) -> tuple[tuple[int, int], ...]:
         idx = {v: i for i, v in enumerate(self.vertices)}
@@ -178,7 +191,6 @@ def _validate_dim(quiver: Quiver, dim: Sequence[int]) -> DimVector:
     return tuple(int(d) for d in dim)
 
 
-@dataclass(frozen=True)
 class IntRep:
     """A representation by integer matrices, one per arrow, of shape
     dim(target) x dim(source).
@@ -188,26 +200,46 @@ class IntRep:
     a path, or the map whose kernel is End(M) loses rank (so dim End jumps).
     The rule is necessary, not sufficient; the held-out primes of
     interpolation catch the rest.
+
+    The label names the module in messages; equality and hashing ignore it.
     """
 
-    quiver: Quiver
-    dim: DimVector
-    matrices: tuple[IntMatrix, ...]
-    label: str = field(default="", compare=False)
-
-    def __post_init__(self) -> None:
-        dim = _validate_dim(self.quiver, self.dim)
-        object.__setattr__(self, "dim", dim)
-        pairs = self.quiver.arrow_indices()
-        if len(self.matrices) != len(pairs):
+    def __init__(
+        self, quiver: Quiver, dim: DimVector, matrices: tuple[IntMatrix, ...], label: str = ""
+    ) -> None:
+        dim = _validate_dim(quiver, dim)
+        self.__dict__.update(quiver=quiver, dim=dim, matrices=matrices, label=label)
+        pairs = quiver.arrow_indices()
+        if len(matrices) != len(pairs):
             raise DimensionMismatch(
-                f"{len(pairs)} arrows but {len(self.matrices)} matrices"
+                f"{len(pairs)} arrows but {len(matrices)} matrices"
             )
-        for a, ((s, t), mat) in enumerate(zip(pairs, self.matrices)):
+        for a, ((s, t), mat) in enumerate(zip(pairs, matrices)):
             if len(mat) != dim[t] or any(len(row) != dim[s] for row in mat):
                 raise DimensionMismatch(
                     f"matrix {a} must be {dim[t]}x{dim[s]}"
                 )
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.quiver, self.dim, self.matrices) == (other.quiver, other.dim, other.matrices)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    # every (rep, q) cache lookup of the walk hashes the module
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.quiver, self.dim, self.matrices))
+
+    def __repr__(self) -> str:
+        return (
+            f"IntRep(quiver={self.quiver!r}, dim={self.dim!r}, "
+            f"matrices={self.matrices!r}, label={self.label!r})"
+        )
 
     def excluded_primes(self) -> frozenset[int]:
         return self._excluded_primes
@@ -380,10 +412,11 @@ KRONECKER_PREINJECTIVE = "kronecker_preinjective"
 AFFINE_A21_TUBE = "affineA21_tube"
 AFFINE_A21_HOMOGENEOUS = "affineA21_homogeneous"
 
-_PARAMS = ("n", "point", "index")
+# the ModuleFamily parameters after ``family``, with their defaults
+_DEFAULTS = (("n", 1), ("point", 0), ("index", 0))
+_PARAMS = tuple(param for param, _ in _DEFAULTS)
 
 
-@dataclass(frozen=True)
 class ModuleFamily:
     """A catalog module family plus its parameters: ``n`` is the quasi-length
     (or the preprojective / preinjective step k), ``point`` an integer parameter
@@ -391,25 +424,44 @@ class ModuleFamily:
     family reads the fields its catalog entry names; the others must keep
     their defaults, so two members that build the same module are equal."""
 
-    family: str
-    n: int = 1
-    point: int = 0
-    index: int = 0
+    __slots__ = ("family", "n", "point", "index")
 
-    def __post_init__(self) -> None:
-        entry = _CATALOG.get(self.family)
+    def __init__(self, family: str, n: int = 1, point: int = 0, index: int = 0) -> None:
+        entry = _CATALOG.get(family)
         if entry is None:
-            raise InvalidParams(f"unknown family {self.family!r}")
-        if entry.tube and self.n < 1:
+            raise InvalidParams(f"unknown family {family!r}")
+        if entry.tube and n < 1:
             raise InvalidParams("quasi-length must be >= 1")
-        if not entry.tube and self.n < 0:
+        if not entry.tube and n < 0:
             raise InvalidParams("preprojective/preinjective step must be >= 0")
-        if entry.tube == _RANK2 and self.index not in (1, 2):
+        if entry.tube == _RANK2 and index not in (1, 2):
             raise InvalidParams("tube index must be 1 or 2 on the rank-2 tube")
-        for param in fields(self)[1:]:
-            value = getattr(self, param.name)
-            if param.name not in entry.reads and value != param.default:
-                raise InvalidParams(f"{self.family} does not read {param.name}, given {value}")
+        for (param, default), value in zip(_DEFAULTS, (n, point, index)):
+            if param not in entry.reads and value != default:
+                raise InvalidParams(f"{family} does not read {param}, given {value}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "index", index)
+
+    __setattr__ = __delattr__ = read_only
+
+    def _key(self) -> tuple[str, int, int, int]:
+        return (self.family, self.n, self.point, self.index)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"ModuleFamily(family={self.family!r}, n={self.n!r}, "
+            f"point={self.point!r}, index={self.index!r})"
+        )
 
     def describe(self) -> str:
         return _CATALOG[self.family].label.format(n=self.n, point=self.point, index=self.index)

@@ -1,6 +1,7 @@
 import pytest
 
 from clusterchar.bases import (
+    BasisElement,
     basis_element,
     cluster_monomials,
     power_in_second_kind,
@@ -67,6 +68,20 @@ class TestBasisElements:
         reg = a21_tube(1, 1)
         elem = basis_element("C", 1, affine_a2, reg)
         assert elem.value == x_delta(affine_a2) * cf_cluster_char(catalog_module(reg))
+
+    def test_record_semantics(self, affine_a2):
+        reg = a21_tube(1, 1)
+        elem = basis_element("C", 1, affine_a2, reg)
+        by_keyword = BasisElement(value=elem.value, regular_part=a21_tube(1, 1), n=1, kind="C")
+        assert (elem.kind, elem.n, elem.regular_part) == ("C", 1, reg)
+        assert elem == by_keyword == BasisElement("C", 1, reg, elem.value)
+        assert hash(elem) == hash(by_keyword)
+        assert elem != BasisElement("B", 1, reg, elem.value) and elem != basis_element("C", 1, affine_a2)
+        assert repr(elem) == f"BasisElement(kind='C', n=1, regular_part={reg!r}, value={elem.value!r})"
+        for name in ("kind", "n", "regular_part", "value"):
+            with pytest.raises(AttributeError):
+                setattr(elem, name, None)
+        assert elem.describe() == "S_1(X_delta) * X[affineA21_tube(index=1, n=1)]"
 
     def test_bad_kind(self, kronecker):
         with pytest.raises(InvalidArgument):

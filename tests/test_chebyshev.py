@@ -38,6 +38,17 @@ class TestGenCheb:
             ChebWindow(-5, 2)
         assert P(0, 2) == t(1) * t(0) - q(1)
 
+    def test_window_record_semantics(self):
+        w = ChebWindow(2, 3)
+        assert w == ChebWindow(length=3, start=2) and hash(w) == hash(ChebWindow(2, 3))
+        assert w != ChebWindow(3, 2) and (w.start, w.length) == (2, 3)
+        assert repr(w) == "ChebWindow(start=2, length=3)"
+        with pytest.raises(AttributeError):
+            w.start = 1
+        with pytest.raises(AttributeError):
+            del w.length
+        assert gen_cheb(ChebWindow(2, 3)) is gen_cheb(w)
+
     @pytest.mark.parametrize("length", range(0, 11))
     def test_matches_determinant_oracle(self, length):
         w = ChebWindow(1, length)

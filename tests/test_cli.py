@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -452,3 +453,15 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout == "t2*t1 - q2\n"
+
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, clusterchar.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -496,6 +496,26 @@ class TestCountingPolynomials:
             assert acc == c
         assert prof.chi == sum(prof.coefficients)
 
+    def test_profile_record_semantics(self):
+        rep = catalog_module(homogeneous(2, 0))
+        prof = gr.profile(rep, (0, 1))
+        fields = (prof.rep, prof.e, prof.samples, prof.coefficients, prof.chi)
+        by_keyword = gr.CountProfile(
+            chi=2, coefficients=(1, 1), samples=prof.samples, e=(0, 1), rep=rep
+        )
+        assert fields == (rep, (0, 1), prof.samples, (1, 1), 2)
+        assert prof == gr.CountProfile(*fields) == by_keyword and hash(prof) == hash(by_keyword)
+        assert prof != gr.profile(rep, (1, 1))
+        assert repr(prof) == (
+            f"CountProfile(rep={rep!r}, e=(0, 1), samples={prof.samples!r}, "
+            "coefficients=(1, 1), chi=2)"
+        )
+        for name in ("rep", "e", "samples", "coefficients", "chi"):
+            with pytest.raises(AttributeError):
+                setattr(prof, name, None)
+        with pytest.raises(NonPolynomialCount, match="chi must be the polynomial value at 1"):
+            gr.CountProfile(rep, (0, 1), prof.samples, (1, 1), 3)
+
     @pytest.mark.parametrize("fam", desk_affine_catalog(), ids=lambda f: f.describe())
     def test_held_out_primes_pass_across_catalog(self, fam):
         rep = catalog_module(fam)

@@ -41,6 +41,23 @@ class TestInitialSeed:
         assert seed.exchange_matrix == ((0, 1, 1), (-1, 0, 1), (-1, -1, 0))
 
 
+    def test_record_semantics(self, kronecker):
+        start = initial_seed(kronecker)
+        deeper = Seed(cluster=start.cluster, exchange_matrix=start.exchange_matrix, depth=3)
+        assert start.depth == 0 and deeper.depth == 3
+        # depth counts mutations and does not enter equality or hashing
+        assert deeper == start and hash(deeper) == hash(start)
+        assert mutate(mutate(start, 0), 0) == start and mutate(start, 0) != start
+        assert repr(start) == (
+            f"Seed(exchange_matrix={start.exchange_matrix!r}, cluster={start.cluster!r}, depth=0)"
+        )
+        for name in ("exchange_matrix", "cluster", "depth"):
+            with pytest.raises(AttributeError):
+                setattr(start, name, None)
+        with pytest.raises(ValueError, match="skew-symmetric"):
+            Seed(((0, 1), (1, 0)), start.cluster)
+
+
 class TestExchange:
     def test_first_exchange_coefficient_free(self, kronecker):
         seed = mutate(initial_seed(kronecker, principal=False), 0)

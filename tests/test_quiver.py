@@ -84,6 +84,17 @@ class TestQuiverValidation:
         assert again == affine_a2 and hash(again) == hash(affine_a2)
         assert repr(again) == f"Quiver(vertices={again.vertices!r}, arrows={again.arrows!r})"
 
+    def test_record_semantics(self, affine_a2):
+        by_keyword = Quiver(arrows=affine_a2.arrows, vertices=affine_a2.vertices)
+        assert by_keyword == affine_a2 and hash(by_keyword) == hash(affine_a2)
+        assert by_keyword != affine_a2.opposite() and by_keyword != affine_a2.vertices
+        for name in ("vertices", "arrows"):
+            with pytest.raises(AttributeError):
+                setattr(by_keyword, name, ())
+            with pytest.raises(AttributeError):
+                delattr(by_keyword, name)
+        assert by_keyword.vertices == ("1", "2", "3")
+
     def test_opposite_reverses(self, kronecker):
         opp = kronecker.opposite()
         assert opp.arrows == (("2", "1"), ("2", "1"))
@@ -168,6 +179,19 @@ class TestCatalog:
         assert tau_translate(homogeneous(2, 1)) == homogeneous(2, 1)
         with pytest.raises(InvalidParams):
             tau_translate(preprojective(1))
+
+    def test_family_record_semantics(self):
+        fam = ModuleFamily("affineA21_tube", 3, 0, 2)
+        by_keyword = ModuleFamily(index=2, n=3, family="affineA21_tube")
+        assert (fam.family, fam.n, fam.point, fam.index) == ("affineA21_tube", 3, 0, 2)
+        assert fam == by_keyword == a21_tube(2, 3) and hash(fam) == hash(by_keyword)
+        assert fam != a21_tube(1, 3) and fam != a21_tube(2, 4)
+        assert (ModuleFamily("kronecker_homogeneous").n, homogeneous(2).point) == (1, 1)
+        assert repr(fam) == "ModuleFamily(family='affineA21_tube', n=3, point=0, index=2)"
+        for name in ("family", "n", "point", "index"):
+            with pytest.raises(AttributeError):
+                setattr(fam, name, 1)
+        assert fam == a21_tube(2, 3)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):
@@ -297,6 +321,22 @@ class TestIntRep:
             IntRep(kronecker, (1, 1), (((1,),),))  # one matrix missing
         with pytest.raises(DimensionMismatch):
             IntRep(kronecker, (1, 1), (((1, 1),), ((1,),)))  # wrong width
+
+    def test_record_semantics(self, kronecker):
+        mats = (((1,),), ((2,),))
+        rep = IntRep(kronecker, (1, 1), mats, "A")
+        by_keyword = IntRep(matrices=mats, dim=[1, 1], quiver=kronecker, label="B")
+        assert by_keyword.dim == (1, 1) and IntRep(kronecker, (1, 1), mats).label == ""
+        # the label names the module and does not enter equality or hashing
+        assert rep == by_keyword and hash(rep) == hash(by_keyword)
+        assert {rep: 1}[by_keyword] == 1
+        assert rep != IntRep(kronecker, (1, 1), (((1,),), ((3,),)))
+        assert rep != IntRep(kronecker.opposite(), (1, 1), mats)
+        assert repr(rep) == f"IntRep(quiver={kronecker!r}, dim=(1, 1), matrices={mats!r}, label='A')"
+        for name in ("quiver", "dim", "matrices", "label"):
+            with pytest.raises(AttributeError):
+                setattr(rep, name, None)
+        assert rep.label == "A" and hash(rep) == hash(by_keyword)
 
     def test_direct_sum_block_structure(self):
         a = catalog_module(homogeneous(1, 1))
