@@ -61,15 +61,10 @@ def x_delta(quiver: Quiver) -> LaurentPoly:
 
 
 class BasisElement:
-    __slots__ = ("kind", "n", "regular_part", "value")
-
     def __init__(
         self, kind: str, n: int, regular_part: ModuleFamily | None, value: LaurentPoly
     ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "regular_part", regular_part)
-        object.__setattr__(self, "value", value)
+        self.__dict__.update(kind=kind, n=n, regular_part=regular_part, value=value)
 
     __setattr__ = __delattr__ = read_only
 

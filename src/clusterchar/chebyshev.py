@@ -46,13 +46,10 @@ _ONE = LaurentPoly.one()
 class ChebWindow:
     """The index interval [start, start+length-1] of q/t variables."""
 
-    __slots__ = ("start", "length")
-
     def __init__(self, start: int, length: int) -> None:
         if start < 0:
             raise InvalidArgument(f"window start must be >= 0 (t0, t1, ...), got {start}")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "length", length)
+        self.__dict__.update(start=start, length=length)
 
     __setattr__ = __delattr__ = read_only
 

@@ -56,4 +56,4 @@ class UnsupportedQuiver(ClusterCharError):
 def read_only(record: object, name: str, value: object = None) -> None:
     """``__setattr__`` and ``__delattr__`` of the package's records, whose
     fields ``__init__`` sets once."""
-    raise AttributeError(f"cannot assign to field {name!r} of {type(record).__name__}")
+    raise AttributeError(f"{type(record).__name__}.{name} is read-only")

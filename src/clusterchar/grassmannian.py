@@ -708,8 +708,6 @@ class CountProfile:
     """Counts at the nodes q, the interpolated counting polynomial
     (ascending coefficients), and the Euler characteristic it yields at 1."""
 
-    __slots__ = ("rep", "e", "samples", "coefficients", "chi")
-
     def __init__(
         self,
         rep: IntRep,
@@ -723,11 +721,7 @@ class CountProfile:
                 raise NonPolynomialCount(f"sample at q={q} disagrees with the interpolant")
         if _eval_poly(coefficients, 1) != chi:
             raise NonPolynomialCount("chi must be the polynomial value at 1")
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "chi", chi)
+        self.__dict__.update(rep=rep, e=e, samples=samples, coefficients=coefficients, chi=chi)
 
     __setattr__ = __delattr__ = read_only
 

@@ -52,8 +52,6 @@ class Seed:
     plus the current cluster of Laurent polynomials in the initial
     variables.  ``depth`` counts mutations and does not enter equality."""
 
-    __slots__ = ("exchange_matrix", "cluster", "depth")
-
     def __init__(
         self, exchange_matrix: Matrix, cluster: tuple[LaurentPoly, ...], depth: int = 0
     ) -> None:
@@ -65,9 +63,7 @@ class Seed:
             for j in range(m):
                 if b[i][j] != -b[j][i]:
                     raise ValueError("principal part must be skew-symmetric")
-        object.__setattr__(self, "exchange_matrix", exchange_matrix)
-        object.__setattr__(self, "cluster", cluster)
-        object.__setattr__(self, "depth", depth)
+        self.__dict__.update(exchange_matrix=exchange_matrix, cluster=cluster, depth=depth)
 
     __setattr__ = __delattr__ = read_only
 

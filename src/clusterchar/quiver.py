@@ -235,6 +235,10 @@ class IntRep:
     def _hash(self) -> int:
         return hash((self.quiver, self.dim, self.matrices))
 
+    def __reduce__(self) -> tuple:
+        # a copy, or a module unpickled under another hash seed, hashes afresh
+        return IntRep, (self.quiver, self.dim, self.matrices, self.label)
+
     def __repr__(self) -> str:
         return (
             f"IntRep(quiver={self.quiver!r}, dim={self.dim!r}, "
@@ -424,8 +428,6 @@ class ModuleFamily:
     family reads the fields its catalog entry names; the others must keep
     their defaults, so two members that build the same module are equal."""
 
-    __slots__ = ("family", "n", "point", "index")
-
     def __init__(self, family: str, n: int = 1, point: int = 0, index: int = 0) -> None:
         entry = _CATALOG.get(family)
         if entry is None:
@@ -439,10 +441,7 @@ class ModuleFamily:
         for (param, default), value in zip(_DEFAULTS, (n, point, index)):
             if param not in entry.reads and value != default:
                 raise InvalidParams(f"{family} does not read {param}, given {value}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "index", index)
+        self.__dict__.update(family=family, n=n, point=point, index=index)
 
     __setattr__ = __delattr__ = read_only
 

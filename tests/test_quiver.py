@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -337,6 +339,8 @@ class TestIntRep:
             with pytest.raises(AttributeError):
                 setattr(rep, name, None)
         assert rep.label == "A" and hash(rep) == hash(by_keyword)
+        again = pickle.loads(pickle.dumps(rep))
+        assert again == rep and again.label == "A" and copy.copy(rep) == rep
 
     def test_direct_sum_block_structure(self):
         a = catalog_module(homogeneous(1, 1))
