@@ -40,7 +40,6 @@ class TestInitialSeed:
         seed = initial_seed(affine_a2, principal=False)
         assert seed.exchange_matrix == ((0, 1, 1), (-1, 0, 1), (-1, -1, 0))
 
-
     def test_record_semantics(self, kronecker):
         start = initial_seed(kronecker)
         deeper = Seed(cluster=start.cluster, exchange_matrix=start.exchange_matrix, depth=3)
