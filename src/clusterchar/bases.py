@@ -20,7 +20,7 @@ import functools
 
 from .character import cf_cluster_char
 from .chebyshev import cheb_first_kind, cheb_second_kind
-from .errors import InvalidArgument, UnsupportedQuiver, read_only
+from .errors import InvalidArgument, Record, UnsupportedQuiver
 from .laurent import LaurentPoly, zid
 from .mutation import seeds_up_to
 from .quiver import (
@@ -60,30 +60,14 @@ def x_delta(quiver: Quiver) -> LaurentPoly:
     raise UnsupportedQuiver("x_delta is defined for the catalog affine quivers only")
 
 
-class BasisElement:
+class BasisElement(Record):
+    _fields = ("kind", "n", "regular_part", "value")
+    _compared = 4
+
     def __init__(
         self, kind: str, n: int, regular_part: ModuleFamily | None, value: LaurentPoly
     ) -> None:
         self.__dict__.update(kind=kind, n=n, regular_part=regular_part, value=value)
-
-    __setattr__ = __delattr__ = read_only
-
-    def _key(self) -> tuple:
-        return (self.kind, self.n, self.regular_part, self.value)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"BasisElement(kind={self.kind!r}, n={self.n!r}, "
-            f"regular_part={self.regular_part!r}, value={self.value!r})"
-        )
 
     def describe(self) -> str:
         reg = f" * X[{self.regular_part.describe()}]" if self.regular_part else ""

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Sequence
 
-from .errors import InvalidArgument, read_only
+from .errors import InvalidArgument, Record
 from .laurent import Family, LaurentPoly, VarId, q, t, tid, u, z
 
 __all__ = [
@@ -43,26 +43,16 @@ _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
 
 
-class ChebWindow:
+class ChebWindow(Record):
     """The index interval [start, start+length-1] of q/t variables."""
+
+    _fields = ("start", "length")
+    _compared = 2
 
     def __init__(self, start: int, length: int) -> None:
         if start < 0:
             raise InvalidArgument(f"window start must be >= 0 (t0, t1, ...), got {start}")
         self.__dict__.update(start=start, length=length)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.start, self.length) == (other.start, other.length)
-
-    def __hash__(self) -> int:
-        return hash((self.start, self.length))
-
-    def __repr__(self) -> str:
-        return f"ChebWindow(start={self.start!r}, length={self.length!r})"
 
 
 @functools.lru_cache(maxsize=None)

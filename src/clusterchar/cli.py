@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from pathlib import Path
 from typing import Callable
 
 from . import bases, grassmannian, mutation, verify
@@ -56,10 +56,10 @@ def _load_json_arg(value: str) -> dict:
     """Accept an inline JSON object or a path to a JSON file."""
     text = value
     if not value.lstrip().startswith("{"):
-        path = Path(value)
-        if not path.exists():
+        if not os.path.exists(value):
             raise UsageError(f"no such file: {value}")
-        text = path.read_text()
+        with open(value) as f:
+            text = f.read()
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -64,7 +64,7 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from .errors import DimOutOfRange, ExcludedPrime, InvalidArgument, NonPolynomialCount, read_only
+from .errors import DimOutOfRange, ExcludedPrime, InvalidArgument, NonPolynomialCount, Record
 from .quiver import DimVector, IntRep, Quiver, _prime_factors, dual_rep
 
 __all__ = [
@@ -239,13 +239,7 @@ def _affine_span(base: list[int], gens: Sequence[list[int]], field: _Field) -> I
 @functools.lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (k - i) - 1
-    return num // den
+    return _eval_poly(_q_binomial(n, k), q)
 
 
 # ---------------------------------------------------------------------------
@@ -704,9 +698,12 @@ def _interpolate(points: Sequence[tuple[int, int]], bound: int, what: str) -> tu
     return coeffs
 
 
-class CountProfile:
+class CountProfile(Record):
     """Counts at the nodes q, the interpolated counting polynomial
     (ascending coefficients), and the Euler characteristic it yields at 1."""
+
+    _fields = ("rep", "e", "samples", "coefficients", "chi")
+    _compared = 5
 
     def __init__(
         self,
@@ -722,25 +719,6 @@ class CountProfile:
         if _eval_poly(coefficients, 1) != chi:
             raise NonPolynomialCount("chi must be the polynomial value at 1")
         self.__dict__.update(rep=rep, e=e, samples=samples, coefficients=coefficients, chi=chi)
-
-    __setattr__ = __delattr__ = read_only
-
-    def _key(self) -> tuple:
-        return (self.rep, self.e, self.samples, self.coefficients, self.chi)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"CountProfile(rep={self.rep!r}, e={self.e!r}, samples={self.samples!r}, "
-            f"coefficients={self.coefficients!r}, chi={self.chi!r})"
-        )
 
 
 @functools.lru_cache(maxsize=None)

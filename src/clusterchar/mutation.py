@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import IdentityFailed, InvalidArgument, NonLaurentResult, read_only
+from .errors import IdentityFailed, InvalidArgument, NonLaurentResult, Record
 from .laurent import Family, LaurentPoly, x as x_var, yid
 from .quiver import Quiver
 
@@ -47,10 +47,13 @@ __all__ = ["Seed", "initial_seed", "mutate", "cluster_variables_up_to", "seeds_u
 Matrix = tuple[tuple[int, ...], ...]
 
 
-class Seed:
+class Seed(Record):
     """Exchange matrix (2m x m with principal coefficients, m x m without)
     plus the current cluster of Laurent polynomials in the initial
     variables.  ``depth`` counts mutations and does not enter equality."""
+
+    _fields = ("exchange_matrix", "cluster", "depth")
+    _compared = 2
 
     def __init__(
         self, exchange_matrix: Matrix, cluster: tuple[LaurentPoly, ...], depth: int = 0
@@ -64,22 +67,6 @@ class Seed:
                 if b[i][j] != -b[j][i]:
                     raise ValueError("principal part must be skew-symmetric")
         self.__dict__.update(exchange_matrix=exchange_matrix, cluster=cluster, depth=depth)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.exchange_matrix, self.cluster) == (other.exchange_matrix, other.cluster)
-
-    def __hash__(self) -> int:
-        return hash((self.exchange_matrix, self.cluster))
-
-    def __repr__(self) -> str:
-        return (
-            f"Seed(exchange_matrix={self.exchange_matrix!r}, cluster={self.cluster!r}, "
-            f"depth={self.depth!r})"
-        )
 
     @property
     def rank(self) -> int:

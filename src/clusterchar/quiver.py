@@ -18,8 +18,7 @@ import functools
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
-    DimensionMismatch, InvalidArgument, InvalidParams, QuiverMismatch, UnsupportedQuiver,
-    read_only,
+    DimensionMismatch, InvalidArgument, InvalidParams, QuiverMismatch, Record, UnsupportedQuiver,
 )
 
 __all__ = [
@@ -54,16 +53,16 @@ DimVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-# The records of this package are written out by hand rather than made by
-# ``dataclasses``: importing that module and generating each record's methods
-# added about 20 ms to the start of every command.
-class Quiver:
+class Quiver(Record):
     """A finite connected acyclic quiver without loops.
 
     ``vertices`` is an ordered tuple of vertex ids; position in the tuple
     fixes the variable index used by characters (vertex at position i-1
     pairs with x_i and y_i).
     """
+
+    _fields = ("vertices", "arrows")
+    _compared = 2
 
     def __init__(self, vertices: tuple[str, ...], arrows: tuple[tuple[str, str], ...]) -> None:
         self.__dict__.update(vertices=vertices, arrows=arrows)
@@ -79,19 +78,6 @@ class Quiver:
                 raise InvalidArgument(f"loop at vertex {s}")
         self._check_acyclic()
         self._check_connected(idx)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.arrows) == (other.vertices, other.arrows)
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.arrows))
-
-    def __repr__(self) -> str:
-        return f"Quiver(vertices={self.vertices!r}, arrows={self.arrows!r})"
 
     def _check_acyclic(self) -> None:
         if len(self.topological_order()) != len(self.vertices):
@@ -191,7 +177,7 @@ def _validate_dim(quiver: Quiver, dim: Sequence[int]) -> DimVector:
     return tuple(int(d) for d in dim)
 
 
-class IntRep:
+class IntRep(Record):
     """A representation by integer matrices, one per arrow, of shape
     dim(target) x dim(source).
 
@@ -203,6 +189,9 @@ class IntRep:
 
     The label names the module in messages; equality and hashing ignore it.
     """
+
+    _fields = ("quiver", "dim", "matrices", "label")
+    _compared = 3
 
     def __init__(
         self, quiver: Quiver, dim: DimVector, matrices: tuple[IntMatrix, ...], label: str = ""
@@ -220,30 +209,17 @@ class IntRep:
                     f"matrix {a} must be {dim[t]}x{dim[s]}"
                 )
 
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.quiver, self.dim, self.matrices) == (other.quiver, other.dim, other.matrices)
-
     def __hash__(self) -> int:
         return self._hash
 
     # every (rep, q) cache lookup of the walk hashes the module
     @functools.cached_property
     def _hash(self) -> int:
-        return hash((self.quiver, self.dim, self.matrices))
+        return Record.__hash__(self)
 
     def __reduce__(self) -> tuple:
         # a copy, or a module unpickled under another hash seed, hashes afresh
         return IntRep, (self.quiver, self.dim, self.matrices, self.label)
-
-    def __repr__(self) -> str:
-        return (
-            f"IntRep(quiver={self.quiver!r}, dim={self.dim!r}, "
-            f"matrices={self.matrices!r}, label={self.label!r})"
-        )
 
     def excluded_primes(self) -> frozenset[int]:
         return self._excluded_primes
@@ -421,12 +397,15 @@ _DEFAULTS = (("n", 1), ("point", 0), ("index", 0))
 _PARAMS = tuple(param for param, _ in _DEFAULTS)
 
 
-class ModuleFamily:
+class ModuleFamily(Record):
     """A catalog module family plus its parameters: ``n`` is the quasi-length
     (or the preprojective / preinjective step k), ``point`` an integer parameter
     of a homogeneous tube, ``index`` a quasi-simple on the rank-2 tube.  Each
     family reads the fields its catalog entry names; the others must keep
     their defaults, so two members that build the same module are equal."""
+
+    _fields = ("family", "n", "point", "index")
+    _compared = 4
 
     def __init__(self, family: str, n: int = 1, point: int = 0, index: int = 0) -> None:
         entry = _CATALOG.get(family)
@@ -442,25 +421,6 @@ class ModuleFamily:
             if param not in entry.reads and value != default:
                 raise InvalidParams(f"{family} does not read {param}, given {value}")
         self.__dict__.update(family=family, n=n, point=point, index=index)
-
-    __setattr__ = __delattr__ = read_only
-
-    def _key(self) -> tuple[str, int, int, int]:
-        return (self.family, self.n, self.point, self.index)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"ModuleFamily(family={self.family!r}, n={self.n!r}, "
-            f"point={self.point!r}, index={self.index!r})"
-        )
 
     def describe(self) -> str:
         return _CATALOG[self.family].label.format(n=self.n, point=self.point, index=self.index)

@@ -201,6 +201,35 @@ class TestChar:
         assert "vertices and arrows must be lists" in err
 
 
+class TestFileArguments:
+    """``--module`` and ``--quiver`` also name a JSON file."""
+
+    def test_module_from_file(self, capsys, tmp_path):
+        path = tmp_path / "module.json"
+        path.write_text(MODULE_QUASI.replace(", ", ",\n"))
+        _, want, _ = run_cli(capsys, "char", "--module", MODULE_QUASI)
+        assert run_cli(capsys, "char", "--module", str(path)) == (0, want, "")
+
+    def test_quiver_from_json_file(self, capsys, tmp_path):
+        path = tmp_path / "kronecker.json"
+        path.write_text(json.dumps({"vertices": ["1", "2"], "arrows": [{"src": "1", "tgt": "2"}] * 2}))
+        mod = json.dumps({"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1]], "1": [[1]]}})
+        _, want, _ = run_cli(capsys, "char", "--quiver", "kronecker", "--module", mod)
+        assert run_cli(capsys, "char", "--quiver", str(path), "--module", mod) == (0, want, "")
+
+    @pytest.mark.parametrize("flag", ["--module", "--quiver"])
+    def test_missing_file_exit_two(self, capsys, tmp_path, flag):
+        path = str(tmp_path / "missing.json")
+        argv = ["char", "--module", MODULE_QUASI, flag, path]
+        assert run_cli(capsys, *argv) == (2, "", f"error: no such file: {path}\n")
+
+    def test_malformed_file_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"family": "kronecker_homogeneous",\n nope}\n')
+        err = "error: malformed JSON (line 2, column 2): Expecting property name enclosed in double quotes\n"
+        assert run_cli(capsys, "char", "--module", str(path)) == (2, "", err)
+
+
 class TestGrass:
     def test_profile_output(self, capsys):
         mod = '{"family": "kronecker_homogeneous", "params": {"n": 2, "point": 0}}'
@@ -454,9 +483,10 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert proc.stdout == "t2*t1 - q2\n"
 
-    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+    def test_cli_import_loads_none_of_dataclasses_inspect_pathlib(self):
         src = Path(__file__).resolve().parents[1] / "src"
-        code = "import sys, clusterchar.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        heavy = "{'dataclasses', 'inspect', 'pathlib'}"
+        code = f"import sys, clusterchar.cli; print(sorted({heavy} & set(sys.modules)))"
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code],
             capture_output=True,
