@@ -43,23 +43,19 @@ def test_rank2_tube_members_assemble(index, n):
     assert cluster_char(catalog_module(fam)) == _assembled(fam)
 
 
-# the depth of the mutation BFS that reaches every rigid member drawn below
-_DEPTH = {"kronecker": 3, "affineA2": 6}
-_QUIVER = {"kronecker": kronecker_quiver, "affineA2": affine_a2_quiver}
-
-
 @functools.lru_cache(maxsize=None)
-def _variables(quiver, principal):
-    return frozenset(cluster_variables_up_to(_QUIVER[quiver](), _DEPTH[quiver], principal))
+def _variables(quiver, depth, principal):
+    return frozenset(cluster_variables_up_to(quiver, depth, principal))
 
 
-RIGID = [("kronecker", family(k)) for family in (preprojective, preinjective) for k in range(3)]
-RIGID += [("affineA2", a21_tube(index, 1)) for index in (1, 2)]
+# each rigid member with its quiver and a mutation depth that reaches it
+RIGID = [(kronecker_quiver(), 3, family(k)) for family in (preprojective, preinjective) for k in range(3)]
+RIGID += [(affine_a2_quiver(), 6, a21_tube(index, 1)) for index in (1, 2)]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(RIGID), st.booleans())
 def test_rigid_members_are_cluster_variables(drawn, principal):
-    quiver, fam = drawn
+    quiver, depth, fam = drawn
     char = cluster_char if principal else cf_cluster_char
-    assert char(catalog_module(fam)) in _variables(quiver, principal)
+    assert char(catalog_module(fam)) in _variables(quiver, depth, principal)
