@@ -6,11 +6,11 @@ sub-dimension vectors e of
 
     L(M, e) = chi(Gr_e(M)) * y^e * prod_i x_i^{-<e, S_i> - <S_i, dim M - e>},
 
-with the exponents always going through the Euler form, never hand-coded
-per quiver.  A second, independent route through generalized Chebyshev
-polynomials (`char_via_chebyshev`) reproduces characters of tube modules
-from their quasi-composition factors; agreement of the two pipelines is
-the package's strongest self-check.
+with the exponents the Euler form expanded over the quiver's arrow list,
+never hand-coded per quiver.  A second, independent route through
+generalized Chebyshev polynomials (`char_via_chebyshev`) reproduces
+characters of tube modules from their quasi-composition factors;
+agreement of the two pipelines is the package's strongest self-check.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import grassmannian
 from .chebyshev import ChebWindow, gen_cheb
 from .errors import IdentityFailed, InvalidArgument
 from .laurent import Family, LaurentPoly, Monomial, qid, tid, xid, yid
-from .quiver import DimVector, IntRep, euler_form, unit_vector
+from .quiver import DimVector, IntRep
 
 __all__ = [
     "CharTermTable",
@@ -44,16 +44,18 @@ def y_monomial(e: Sequence[int]) -> LaurentPoly:
 
 
 def _term(rep: IntRep, e: DimVector, chi: int) -> LaurentPoly:
-    """L(M, e) for chi = chi(Gr_e(M)): chi * y^e * x^(Euler-form exponents)."""
-    quiver = rep.quiver
-    rest = tuple(d - v for d, v in zip(rep.dim, e))
-    exps = {yid(i + 1): v for i, v in enumerate(e) if v}
-    for i in range(len(quiver.vertices)):
-        s_i = unit_vector(quiver, i)
-        k = -euler_form(quiver, e, s_i) - euler_form(quiver, s_i, rest)
-        if k:
-            exps[xid(i + 1)] = k
-    return LaurentPoly.from_monomial(Monomial(exps), chi)
+    """L(M, e) for chi = chi(Gr_e(M)): chi * y^e * x^(Euler-form exponents).
+
+    -<e, S_i> - <S_i, d - e> is -d_i, plus e_s for each arrow s -> i, plus
+    (d - e)_t for each arrow i -> t; one pass over the arrows adds them up."""
+    d = rep.dim
+    k = [-v for v in d]
+    for s, t in rep.quiver.arrow_indices():
+        k[t] += e[s]
+        k[s] += d[t] - e[t]
+    pairs = [(xid(i + 1), v) for i, v in enumerate(k) if v]
+    pairs += [(yid(i + 1), v) for i, v in enumerate(e) if v]
+    return LaurentPoly._single(pairs, chi)
 
 
 def term_L(rep: IntRep, e: Sequence[int]) -> LaurentPoly:

@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import bases, grassmannian, mutation, verify
@@ -46,10 +47,39 @@ class UsageError(Exception):
 def _emit(args: argparse.Namespace, text: Callable[[], str], payload: Callable[[], dict]) -> None:
     """Print the JSON payload under ``--json`` and the text otherwise; each
     is built only when it is printed."""
-    if args.json:
-        print(json.dumps(payload(), indent=2))
-    else:
-        print(text())
+    print(_json_text(payload()) if args.json else text())
+
+
+def _json_text(obj: object, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for the values payloads
+    hold: dicts with str keys, lists, str, int, bool and None.  Any other
+    value, a tuple too, raises TypeError.  With ``indent`` set, ``json`` runs
+    its pure-Python encoder, which this writer outpaces."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(value, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _load_json_arg(value: str) -> dict:
@@ -58,8 +88,13 @@ def _load_json_arg(value: str) -> dict:
     if not value.lstrip().startswith("{"):
         if not os.path.exists(value):
             raise UsageError(f"no such file: {value}")
-        with open(value) as f:
-            text = f.read()
+        try:
+            with open(value, encoding="utf-8") as f:
+                text = f.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read {value}: {exc.strerror or exc}")
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"cannot read {value}: not UTF-8 (byte {exc.start}: {exc.reason})")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -519,11 +519,13 @@ def _count_box(rep: IntRep, q: int) -> tuple[dict[tuple, int], dict[DimVector, i
 
 
 def _check_e(rep: IntRep, e: Sequence[int]) -> DimVector:
-    e = tuple(int(v) for v in e)
-    if len(e) != len(rep.dim):
-        raise DimOutOfRange(f"e has {len(e)} entries for {len(rep.dim)} vertices")
-    if any(v < 0 or v > d for v, d in zip(e, rep.dim)):
-        raise DimOutOfRange(f"e={e} is not between 0 and {rep.dim}")
+    e = tuple(map(int, e))
+    dim = rep.dim
+    if len(e) != len(dim):
+        raise DimOutOfRange(f"e has {len(e)} entries for {len(dim)} vertices")
+    for v, d in zip(e, dim):
+        if v < 0 or v > d:
+            raise DimOutOfRange(f"e={e} is not between 0 and {dim}")
     return e
 
 

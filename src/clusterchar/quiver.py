@@ -226,10 +226,10 @@ class IntRep(Record):
 
     @functools.cached_property
     def _excluded_primes(self) -> frozenset[int]:
-        values = [v for mat in self._rank_matrices() for v in _diagonal_entries(mat)]
+        values = {v for mat in self._rank_matrices() for v in _diagonal_entries(mat)}
         return frozenset(p for v in values for p in _prime_factors(v))
 
-    def _rank_matrices(self) -> Iterator[IntMatrix]:
+    def _rank_matrices(self) -> Iterator[Sequence[Sequence[int]]]:
         """The matrices whose rank must not drop mod p: every arrow, every
         composition along a path (except through a zero map), and the map
         (phi_v) -> (M_a phi_s - phi_t M_a) over arrows a: s -> t, whose
@@ -243,14 +243,24 @@ class IntRep(Record):
                 stack.extend(
                     (t, _matmul(m, mat)) for (s, t), m in zip(pairs, self.matrices) if s == end
                 )
-        phis = [(v, i, j) for v, d in enumerate(self.dim) for i in range(d) for j in range(d)]
-        yield tuple(
-            tuple((m[r][i] if (v, j) == (s, c) else 0) - (m[j][c] if (v, i) == (t, r) else 0)
-                  for v, i, j in phis)
-            for (s, t), m in zip(pairs, self.matrices)
-            for r in range(self.dim[t])
-            for c in range(self.dim[s])
-        )
+        # phi_v[i][j] is unknown offset[v] + i * dim[v] + j.  The row of entry
+        # (r, c) of arrow a: s -> t holds row r of M_a at the phi_s[i][c] and
+        # minus column c at the phi_t[r][j]; with no loops the two never meet.
+        dim = self.dim
+        offset = [0]
+        for d in dim:
+            offset.append(offset[-1] + d * d)
+        rows = []
+        for (s, t), m in zip(pairs, self.matrices):
+            minus_cols = [[-v for v in col] for col in zip(*m)]
+            for r in range(dim[t]):
+                at = offset[t] + r * dim[t]
+                for c in range(dim[s]):
+                    row = [0] * offset[-1]
+                    row[offset[s] + c:offset[s + 1]:dim[s]] = m[r]
+                    row[at:at + dim[t]] = minus_cols[c]
+                    rows.append(row)
+        yield rows
 
 
 def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -258,14 +268,38 @@ def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
-def _diagonal_entries(mat: IntMatrix) -> list[int]:
+def _diagonal_entries(mat: Sequence[Sequence[int]]) -> list[int]:
     """The absolute values of the nonzero entries of a diagonal form of the
     matrix under invertible integer row and column operations.  Those
     operations stay invertible mod every p, so the matrix's rank mod p is
-    the number of entries that p does not divide."""
+    the number of entries that p does not divide.
+
+    The form depends on the pivot order, but the primes dividing its entries
+    do not.  Invertible integer operations keep the gcd of the r x r minors,
+    r the rank; a diagonal form has one nonzero r x r minor, the product of
+    its entries; so the primes that divide some entry are those dividing
+    that gcd, whichever form is reached.
+
+    A +-1 entry, the first found, is the pivot whenever there is one: adding
+    multiples of its row clears its column, and column operations would
+    then clear its row without touching another, so the row is dropped.
+    Without a unit, the smallest entry is reduced against its row and
+    column until it is alone in both."""
     a = [list(row) for row in mat]
     out = []
     while True:
+        i = next((i for i, row in enumerate(a) if 1 in row or -1 in row), None)
+        if i is not None:
+            pivot_row = a.pop(i)
+            j = pivot_row.index(1) if 1 in pivot_row else pivot_row.index(-1)
+            scaled = [(col, v * pivot_row[j]) for col, v in enumerate(pivot_row) if v]
+            for row in a:
+                f = row[j]
+                if f:
+                    for col, v in scaled:
+                        row[col] -= f * v
+            out.append(1)
+            continue
         nonzero = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
         if not nonzero:
             return out

@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clusterchar import grassmannian as gr
 from clusterchar.character import (
+    _term,
     char_table,
     char_via_chebyshev,
     cf_cluster_char,
@@ -14,19 +17,22 @@ from clusterchar.character import (
 )
 from clusterchar.chebyshev import ChebWindow, gen_cheb
 from clusterchar.errors import DimOutOfRange, IdentityFailed, InvalidArgument
-from clusterchar.laurent import Family, qid, tid, x, y
+from clusterchar.laurent import Family, Monomial, qid, tid, x, xid, y, yid
 from clusterchar.quiver import (
     IntRep,
+    Quiver,
     a21_homogeneous,
     a21_tube,
     catalog_module,
     desk_tube_catalog,
     direct_sum,
+    euler_form,
     homogeneous,
     preinjective,
     preprojective,
     quasi_factors,
     tau_translate,
+    unit_vector,
     zero_rep,
 )
 
@@ -46,6 +52,31 @@ class TestTermL:
         assert len(val) == 1
         ((mono, coeff),) = val.terms()
         assert coeff == gr.euler_char(rep, (0, 1)) == 2
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exponents_are_the_euler_form(self, data):
+        m = data.draw(st.integers(2, 4))
+        vertices = tuple(str(i + 1) for i in range(m))
+        arrows = tuple(
+            (vertices[i], vertices[j])
+            for i, j in itertools.combinations(range(m), 2)
+            for _ in range(data.draw(st.integers(0, 2)))
+        )
+        try:
+            quiver = Quiver(vertices, arrows)
+        except InvalidArgument:  # not connected
+            assume(False)
+        dim = tuple(data.draw(st.integers(0, 3)) for _ in vertices)
+        e = tuple(data.draw(st.integers(0, d)) for d in dim)
+        chi = data.draw(st.integers(-3, 3).filter(bool))
+        zero = tuple(tuple((0,) * dim[s] for _ in range(dim[t])) for s, t in quiver.arrow_indices())
+        rest = tuple(d - v for d, v in zip(dim, e))
+        exps = {yid(i + 1): v for i, v in enumerate(e)}
+        for i in range(m):
+            s_i = unit_vector(quiver, i)
+            exps[xid(i + 1)] = -euler_form(quiver, e, s_i) - euler_form(quiver, s_i, rest)
+        assert list(_term(IntRep(quiver, dim, zero), e, chi).terms()) == [(Monomial(exps), chi)]
 
     @pytest.mark.parametrize("e", [(2, 0), (0, -1), (1,), (0, 0, 0)])
     def test_e_out_of_range(self, e):

@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clusterchar.cli import main
+from clusterchar.cli import _json_text, main
 from clusterchar.laurent import LaurentPoly
 
 
@@ -228,6 +230,18 @@ class TestFileArguments:
         path.write_text('{"family": "kronecker_homogeneous",\n nope}\n')
         err = "error: malformed JSON (line 2, column 2): Expecting property name enclosed in double quotes\n"
         assert run_cli(capsys, "char", "--module", str(path)) == (2, "", err)
+
+    def test_directory_exit_two(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "char", "--module", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {tmp_path}: ") and "Traceback" not in err
+
+    def test_non_utf8_file_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"label": "caf\u00e9"}'.encode("latin-1"))
+        code, out, err = run_cli(capsys, "char", "--module", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ") and "Traceback" not in err
 
 
 class TestGrass:
@@ -450,6 +464,50 @@ def _golden_argv(key):
     else:
         params = {"n": n, "point": 1}
     return ["char", "--json", "--module", json.dumps({"family": family, "params": params})]
+
+
+# any text, and the escapes the writer must match: quote, backslash, control
+# characters and non-ASCII
+_JSON_TEXT = st.text(st.characters(), max_size=8) | st.sampled_from(
+    ["", '"', "\\", "\n\t\x00\x1f\x7f", "\u00e9\u2603\U0001f600"]
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, (1,), {1: 2}, {"a": [set()]}, b"x"], ids=repr)
+def test_json_writer_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        _json_text(obj)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gencheb", "--n", "3"],
+        ["delta", "--l", "2", "--p", "2", "--substitute", "periodic"],
+        ["cheb", "--kind", "S", "--n", "4"],
+        ["char", "--module", '{"family":"affineA21_tube","params":{"index":1,"n":3}}'],
+        ["grass", "--module", MODULE_QUASI, "--e", "1,1"],
+        ["mutate", "--quiver", "affineA2", "--sequence", "1,2,3", "--principal"],
+        ["variables", "--quiver", "kronecker", "--depth", "3"],
+        ["basis", "--kind", "B", "--max-n", "2", "--quiver", "kronecker"],
+        ["verify", "lemma-key"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_output_is_json_dumps_indent_two(capsys, argv):
+    _, out, _ = run_cli(capsys, *argv, "--json")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("key", list(GOLDENS))

@@ -170,12 +170,23 @@ def _rank(rows, p=None):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_end_keeps_its_dimension_at_admitted_primes(name, data):
+    """Both ways: a prime is excluded exactly when the End complex, an arrow
+    matrix or a composition along a path loses rank mod p."""
     rep = data.draw(explicit_modules(WALK_QUIVERS[name][0]))
-    delta = _end_complex(rep)
-    over_q = _rank(delta)
+    mats = [_end_complex(rep), *_path_compositions(rep)]
+    over_q = [_rank(m) for m in mats]
     for p in (2, 3, 5, 7):
-        if p not in rep.excluded_primes():
-            assert _rank(delta, p) == over_q, p
+        drops = any(_rank(m, p) < r for m, r in zip(mats, over_q))
+        assert (p in rep.excluded_primes()) == drops, p
+
+
+def _path_compositions(rep):
+    """The composition along every path of one or more arrows."""
+    pairs = rep.quiver.arrow_indices()
+    paths = [(t, m) for (_, t), m in zip(pairs, rep.matrices)]
+    for end, mat in paths:  # grows while it is read; the quiver has no cycle
+        paths.extend((t, _matmul(m, mat)) for (s, t), m in zip(pairs, rep.matrices) if s == end)
+    return [mat for _, mat in paths]
 
 
 def _matmul(a, b):
