@@ -9,8 +9,10 @@ sub-dimension vectors e of
 with the exponents the Euler form expanded over the quiver's arrow list,
 never hand-coded per quiver.  A second, independent route through
 generalized Chebyshev polynomials (`char_via_chebyshev`) reproduces
-characters of tube modules from their quasi-composition factors;
-agreement of the two pipelines is the package's strongest self-check.
+characters of tube modules from their quasi-composition factors: it
+evaluates P_n by its recurrence at q_i = y^{dim R_i}, t_i = X_{R_i}, the
+quasi-simples' data; agreement of the two pipelines is the package's
+strongest self-check.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import functools
 from typing import Sequence
 
 from . import grassmannian
-from .chebyshev import ChebWindow, gen_cheb
+from .chebyshev import gen_cheb_values
 from .errors import IdentityFailed, InvalidArgument
-from .laurent import Family, LaurentPoly, Monomial, qid, tid, xid, yid
+from .laurent import Family, LaurentPoly, xid, yid
 from .quiver import DimVector, IntRep
 
 __all__ = [
@@ -38,9 +40,7 @@ __all__ = [
 
 def y_monomial(e: Sequence[int]) -> LaurentPoly:
     """y^e as a Laurent monomial (vertex position i pairs with y_{i+1})."""
-    return LaurentPoly.from_monomial(
-        Monomial({yid(i + 1): v for i, v in enumerate(e) if v})
-    )
+    return LaurentPoly._single([(yid(i + 1), v) for i, v in enumerate(e) if v], 1)
 
 
 def _term(rep: IntRep, e: DimVector, chi: int) -> LaurentPoly:
@@ -154,15 +154,11 @@ def char_via_chebyshev(
 
     ``quasi_simples`` lists (dim R_i, X_{R_i}) for i = 1..n in translate
     order (tau R_i = R_{i-1}, indices cyclic around the tube).  The value
-    is P_n with q_i -> y^{dim R_i} and t_i -> X_{R_i}.
+    is P_n evaluated by its recurrence at q_i = y^{dim R_i}, t_i = X_{R_i}.
     """
     if len(quasi_simples) != n:
         raise InvalidArgument(f"need {n} quasi-simple entries, got {len(quasi_simples)}")
-    sigma = {}
-    for i, (dim_r, char_r) in enumerate(quasi_simples, start=1):
-        sigma[qid(i)] = y_monomial(tuple(dim_r))
-        sigma[tid(i)] = char_r
-    value = gen_cheb(ChebWindow(1, n)).substitute(sigma)
+    value = gen_cheb_values([y_monomial(d) for d, _ in quasi_simples], [x for _, x in quasi_simples])
     if value.min_family_exponent(Family.Y) < 0:
         raise IdentityFailed("assembled character left Z[y, x^{±1}]")
     return value

@@ -28,7 +28,7 @@ from .chebyshev import (
     gen_cheb_det,
     tail_substitution,
 )
-from .errors import ClusterCharError
+from .errors import ClusterCharError, InvalidArgument
 from .laurent import Family, LaurentPoly
 from .quiver import (
     IntRep,
@@ -105,9 +105,15 @@ def _load_json_arg(value: str) -> dict:
 
 
 def _resolve_quiver(raw: str):
-    if raw.lstrip().startswith("{") or raw.endswith(".json"):
-        return quiver_from_json(_load_json_arg(raw))
-    return quiver_by_name(raw)
+    """Inline JSON or a ``*.json`` path; else a catalog name, even where a
+    file of that name exists; else any other existing file, as JSON."""
+    if not (raw.lstrip().startswith("{") or raw.endswith(".json")):
+        try:
+            return quiver_by_name(raw)
+        except InvalidArgument:
+            if not os.path.isfile(raw):
+                raise
+    return quiver_from_json(_load_json_arg(raw))
 
 
 def _resolve_module(args: argparse.Namespace) -> IntRep:

@@ -10,7 +10,9 @@ coefficients, an identity block below.  Coefficient dynamics follow the
 convention under which characters with principal coefficients land exactly
 on mutation-produced variables: the y-monomials attach to the opposite
 sides of the exchange binomial relative to the x-products, equivalently
-the whole thing is the textbook update run on [B; -C].  Every produced
+the whole thing is the textbook update run on [B; -C].  ``_exchange_weights``
+is the one place that column of [B; -C] is written; the exchange binomial
+and the g-vector both read it.  Every produced
 variable is verified to be a genuine Laurent polynomial by exact division;
 a remainder raises NonLaurentResult and means the implementation is wrong.
 
@@ -119,11 +121,11 @@ def _mutate_matrix(rows: Matrix, k: int, m: int, start: int = 0) -> Matrix:
     return tuple(out)
 
 
-def _product(factors: dict[LaurentPoly, int]) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for f, e in factors.items():
-        out = out * f ** e
-    return out
+def _exchange_weights(seed: Seed, c_rows: Matrix, k: int) -> list[int]:
+    """Column k of [B; -C]: the weights of (x_1, ..., x_m, y_1, ..., y_m) in
+    the exchange at k, positive on one side of the binomial and negative on
+    the other."""
+    return [row[k] for row in seed.exchange_matrix[: seed.rank]] + [-row[k] for row in c_rows]
 
 
 def mutate(seed: Seed, k: int, *, _variable: LaurentPoly | None = None) -> Seed:
@@ -136,25 +138,15 @@ def mutate(seed: Seed, k: int, *, _variable: LaurentPoly | None = None) -> Seed:
     m = seed.rank
     if not 0 <= k < m:
         raise IndexError(f"mutation index {k} out of range for rank {m}")
-    b_rows, c_rows = seed.exchange_matrix[:m], seed.exchange_matrix[m:]
     new_var = _variable
     if new_var is None:
-        # The two sides of the exchange binomial, each as {factor: exponent}.
-        pos: dict[LaurentPoly, int] = {}
-        neg: dict[LaurentPoly, int] = {}
-        for i in range(m):
-            bik = b_rows[i][k]
-            if bik:
-                side = pos if bik > 0 else neg
-                side[seed.cluster[i]] = side.get(seed.cluster[i], 0) + abs(bik)
-        for j, row in enumerate(c_rows):
-            cjk = row[k]
-            if cjk:
-                # y-monomials join the opposite sides; see the module docstring.
-                side = neg if cjk > 0 else pos
-                yj = LaurentPoly.variable(yid(j + 1))
-                side[yj] = side.get(yj, 0) + abs(cjk)
-        new_var = (_product(pos) + _product(neg)).exact_div(seed.cluster[k])
+        c_rows = seed.exchange_matrix[m:]
+        ys = tuple(LaurentPoly.variable(yid(j + 1)) for j in range(len(c_rows)))
+        sides = [LaurentPoly.one(), LaurentPoly.one()]  # P, N
+        for f, w in zip(seed.cluster + ys, _exchange_weights(seed, c_rows, k)):
+            if w:
+                sides[w < 0] = sides[w < 0] * f ** abs(w)
+        new_var = (sides[0] + sides[1]).exact_div(seed.cluster[k])
         if new_var.min_family_exponent(Family.Y) < 0:
             raise NonLaurentResult("mutation produced a negative y exponent")
 
@@ -188,8 +180,7 @@ def _g_vector(
     """
     m = seed.rank
     sides = ([0] * m, [0] * m)  # deg(P), deg(N)
-    weights = [row[k] for row in seed.exchange_matrix[:m]] + [-row[k] for row in c_rows]
-    for w, vec in zip(weights, g + y_degrees):
+    for w, vec in zip(_exchange_weights(seed, c_rows, k), g + y_degrees):
         if w:
             side = sides[w < 0]
             w = abs(w)

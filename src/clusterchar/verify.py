@@ -16,6 +16,7 @@ from .character import (
     cf_cluster_char,
     check_lemma_key,
     cluster_char,
+    y_monomial,
 )
 from .chebyshev import (
     ChebWindow,
@@ -28,7 +29,7 @@ from .chebyshev import (
     tail_substitution,
 )
 from .errors import IdentityFailed
-from .laurent import Family, LaurentPoly, Monomial, q, t, tid, yid
+from .laurent import Family, LaurentPoly, q, t, tid
 from .quiver import (
     a21_tube,
     affine_a2_quiver,
@@ -51,12 +52,8 @@ class CheckLine:
 
     def __init__(self, label: str, passed: bool, detail: str = "") -> None:
         self.label = label
-        self.passed = passed
+        self.passed = bool(passed)
         self.detail = detail
-
-
-def _line(label: str, ok: bool, detail: str = "") -> CheckLine:
-    return CheckLine(label, bool(ok), detail)
 
 
 def lemma_dpsn(max_n: int = 8) -> list[CheckLine]:
@@ -66,7 +63,7 @@ def lemma_dpsn(max_n: int = 8) -> list[CheckLine]:
         for i in range(1, n + 1):
             lhs = gen_cheb(ChebWindow(1, n)).partial_derivative(tid(i))
             rhs = gen_cheb(ChebWindow(1, i - 1)) * gen_cheb(ChebWindow(i + 1, n - i))
-            out.append(_line(f"derivative split n={n} i={i}", lhs == rhs))
+            out.append(CheckLine(f"derivative split n={n} i={i}", lhs == rhs))
     return out
 
 
@@ -75,7 +72,7 @@ def lemma_cc(max_n: int = 6) -> list[CheckLine]:
     out = []
     for n in range(1, max_n + 1):
         val = gen_cheb(ChebWindow(1, n)).substitute(tail_substitution(n, lambda i: i - 1))
-        out.append(_line(f"tail substitution positive n={n}", val.is_subtraction_free()))
+        out.append(CheckLine(f"tail substitution positive n={n}", val.is_subtraction_free()))
     return out
 
 
@@ -86,7 +83,7 @@ def lemma_pnpos(max_n: int = 5) -> list[CheckLine]:
         sigma = tail_substitution(n, lambda i: i - 1, with_u=True)
         val = gen_cheb(ChebWindow(1, n)).substitute(sigma)
         ok = val.is_subtraction_free() and val.min_family_exponent(Family.U) >= 0
-        out.append(_line(f"tail substitution with u positive n={n}", ok))
+        out.append(CheckLine(f"tail substitution with u positive n={n}", ok))
     return out
 
 
@@ -97,17 +94,17 @@ def _lp_pairs(max_lp: int) -> list[tuple[int, int]]:
 def delta_pos(max_lp: int = 6) -> list[CheckLine]:
     """Delta_{l,p} under the periodic substitution is subtraction-free.
 
-    The outcome is computed once per distinct (Delta_{l,p}, lp), the inputs
-    of the computation, and printed for every (l, p)."""
+    Delta_{l,p} depends on l and p only through lp, so the outcome is
+    computed once per lp and printed for every (l, p)."""
     out = []
-    seen: dict[tuple[LaurentPoly, int], bool] = {}
+    seen: dict[int, bool] = {}
     for l, p in _lp_pairs(max_lp):
-        lp, poly = l * p, delta(l, p)
-        ok = seen.get((poly, lp))
+        lp = l * p
+        ok = seen.get(lp)
         if ok is None:
             sigma = tail_substitution(lp, lambda i: (i - 2) % lp + 1, with_u=True)  # t_0 is t_lp
-            ok = seen[poly, lp] = poly.substitute(sigma).is_subtraction_free()
-        out.append(_line(f"periodic substitution positive l={l} p={p}", ok))
+            ok = seen[lp] = delta(l, p).substitute(sigma).is_subtraction_free()
+        out.append(CheckLine(f"periodic substitution positive l={l} p={p}", ok))
     return out
 
 
@@ -115,19 +112,19 @@ def delta_claim(max_lp: int = 6) -> list[CheckLine]:
     """d Delta_{l,p} / d t_i equals P_{lp-1} in the cyclically shifted
     variables starting after i.
 
-    The outcome is computed once per distinct (Delta_{l,p}, lp, i) and
-    printed for every (l, p, i)."""
+    The outcome is computed once per (lp, i), since Delta_{l,p} depends on
+    l and p only through lp, and printed for every (l, p, i)."""
     out = []
-    seen: dict[tuple[LaurentPoly, int, int], bool] = {}
+    seen: dict[tuple[int, int], bool] = {}
     for l, p in _lp_pairs(max_lp):
-        lp, poly = l * p, delta(l, p)
+        lp = l * p
         for i in range(1, lp + 1):
-            ok = seen.get((poly, lp, i))
+            ok = seen.get((lp, i))
             if ok is None:
                 order = list(range(i + 1, lp + 1)) + list(range(1, i))
                 rhs = gen_cheb_values([q(j) for j in order], [t(j) for j in order])
-                ok = seen[poly, lp, i] = poly.partial_derivative(tid(i)) == rhs
-            out.append(_line(f"delta derivative l={l} p={p} i={i}", ok))
+                ok = seen[lp, i] = delta(l, p).partial_derivative(tid(i)) == rhs
+            out.append(CheckLine(f"delta derivative l={l} p={p} i={i}", ok))
     return out
 
 
@@ -137,7 +134,7 @@ def s_from_f_check(max_n: int = 12) -> list[CheckLine]:
     for n in range(0, max_n + 1):
         ok = s_from_f_value(n) == cheb_second_kind(n)
         ok = ok and all(mult >= 0 for _, mult in s_from_f(n))
-        out.append(_line(f"second kind from first kind n={n}", ok))
+        out.append(CheckLine(f"second kind from first kind n={n}", ok))
     return out
 
 
@@ -149,9 +146,9 @@ def lemma_key_check() -> list[CheckLine]:
         tau = catalog_module(tau_translate(fam))
         try:
             check_lemma_key(rep, tau)
-            out.append(_line(f"translate identity {fam.describe()}", True))
+            out.append(CheckLine(f"translate identity {fam.describe()}", True))
         except IdentityFailed as exc:
-            out.append(_line(f"translate identity {fam.describe()}", False, str(exc)))
+            out.append(CheckLine(f"translate identity {fam.describe()}", False, str(exc)))
     return out
 
 
@@ -168,7 +165,7 @@ def char_cheb(max_n: int = 3) -> list[CheckLine]:
             for g in quasi_factors(fam)
         ]
         assembled = char_via_chebyshev(parts, n)
-        out.append(_line(f"chebyshev assembly {label}", direct == assembled))
+        out.append(CheckLine(f"chebyshev assembly {label}", direct == assembled))
     return out
 
 
@@ -183,7 +180,7 @@ def char_mutation() -> list[CheckLine]:
         for mk, fam in (("preprojective", preprojective), ("preinjective", preinjective)):
             for k in range(depth):
                 val = char(catalog_module(fam(k)))
-                out.append(_line(f"{prefix} {mk}({k}) from mutation", val in found))
+                out.append(CheckLine(f"{prefix} {mk}({k}) from mutation", val in found))
     return out
 
 
@@ -195,7 +192,7 @@ def basis_pos(max_n: int = 4) -> list[CheckLine]:
             report = bases.verify_positivity(kind, max_n, quiver)
             bad = report.violations()
             out.append(
-                _line(
+                CheckLine(
                     f"basis {kind} over {name} (n <= {max_n}, {len(report.lines)} elements)",
                     report.all_positive,
                     "; ".join(v.description for v in bad),
@@ -212,7 +209,7 @@ def tame_positivity(max_entry: int = 4) -> list[CheckLine]:
         if max(rep.dim) > max_entry:
             continue
         val = cf_cluster_char(rep)
-        out.append(_line(f"positive character {fam.describe()}", val.is_subtraction_free()))
+        out.append(CheckLine(f"positive character {fam.describe()}", val.is_subtraction_free()))
     return out
 
 
@@ -224,15 +221,11 @@ def graded_chi(max_entry: int = 3) -> list[CheckLine]:
         if max(rep.dim) > max_entry:
             continue
         table = char_table(rep)
-        # each term L(M, e) is chi(Gr_e(M)) times one monomial, and at x = 1
-        # the total's coefficient of y^e sums its y^e-graded part
-        at_x_one = dict(table.total.specialize_ones(Family.X).terms())
-        ok = all(
-            at_x_one.get(Monomial({yid(i + 1): v for i, v in enumerate(e) if v}), 0)
-            == val.single_term()[1]
-            for e, val in table.terms
-        )
-        out.append(_line(f"graded chi recovery {fam.describe()}", ok))
+        # each term L(M, e) is chi(Gr_e(M)) times one monomial, so at x = 1
+        # the total is the sum of chi(Gr_e(M)) y^e
+        want = LaurentPoly.sum([val.single_term()[1] * y_monomial(e) for e, val in table.terms])
+        ok = table.total.specialize_ones(Family.X) == want
+        out.append(CheckLine(f"graded chi recovery {fam.describe()}", ok))
     return out
 
 

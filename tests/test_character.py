@@ -17,7 +17,7 @@ from clusterchar.character import (
 )
 from clusterchar.chebyshev import ChebWindow, gen_cheb
 from clusterchar.errors import DimOutOfRange, IdentityFailed, InvalidArgument
-from clusterchar.laurent import Family, Monomial, qid, tid, x, xid, y, yid
+from clusterchar.laurent import Family, LaurentPoly, Monomial, qid, tid, x, xid, y, yid
 from clusterchar.quiver import (
     IntRep,
     Quiver,
@@ -195,6 +195,38 @@ class TestChebyshevAssembly:
             sigma[qid(i)] = y_monomial(rep_i.dim)
         assembled = gen_cheb(ChebWindow(1, n)).substitute(sigma)
         assert assembled == cluster_char(catalog_module(fam))
+
+
+@st.composite
+def small_laurent(draw, rank):
+    """A sum of up to three monomials in x_1..x_rank (exponents -2..2) and
+    y_1..y_rank (exponents 0..2), coefficients -3..3."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = {xid(i + 1): draw(st.integers(-2, 2)) for i in range(rank)}
+        exps.update({yid(i + 1): draw(st.integers(0, 2)) for i in range(rank)})
+        parts.append(LaurentPoly.from_monomial(Monomial(exps), draw(st.integers(-3, 3))))
+    return LaurentPoly.sum(parts)
+
+
+class TestChebyshevAssemblyBySubstitution:
+    """The assembly evaluates P_n by its recurrence; the value is the one
+    substituting q_i -> y^{d_i} and t_i -> X_i into the window polynomial
+    P_n([1, n]) gives."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_substitution_into_the_window(self, data):
+        rank = data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(0, 5))
+        dims = [data.draw(st.tuples(*[st.integers(0, 3)] * rank)) for _ in range(n)]
+        chars = [data.draw(small_laurent(rank)) for _ in range(n)]
+        sigma = {}
+        for i, (d, c) in enumerate(zip(dims, chars), start=1):
+            sigma[qid(i)] = LaurentPoly.from_monomial(Monomial({yid(j + 1): v for j, v in enumerate(d)}))
+            sigma[tid(i)] = c
+        want = gen_cheb(ChebWindow(1, n)).substitute(sigma)
+        assert char_via_chebyshev(list(zip(dims, chars)), n) == want
 
 
 class TestGradedRecovery:

@@ -219,6 +219,31 @@ class TestFileArguments:
         _, want, _ = run_cli(capsys, "char", "--quiver", "kronecker", "--module", mod)
         assert run_cli(capsys, "char", "--quiver", str(path), "--module", mod) == (0, want, "")
 
+    def test_quiver_from_file_without_json_suffix(self, capsys, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_text(json.dumps({"vertices": ["1", "2"], "arrows": [{"src": "1", "tgt": "2"}] * 2}))
+        want = run_cli(capsys, "variables", "--quiver", "kronecker", "--depth", "1")
+        assert want[0] == 0
+        assert run_cli(capsys, "variables", "--quiver", str(path), "--depth", "1") == want
+
+    def test_catalog_name_wins_over_a_file_of_that_name(self, capsys, tmp_path, monkeypatch):
+        want = run_cli(capsys, "variables", "--quiver", "kronecker", "--depth", "1")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kronecker").write_text('{"vertices": ["1"], "arrows": []}')
+        assert run_cli(capsys, "variables", "--quiver", "kronecker", "--depth", "1") == want
+
+    def test_malformed_quiver_file_without_json_suffix_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_text("kronecker\n")
+        err = "error: malformed JSON (line 1, column 1): Expecting value\n"
+        assert run_cli(capsys, "variables", "--quiver", str(path), "--depth", "1") == (2, "", err)
+
+    @pytest.mark.parametrize("name", ["nosuch", "."])
+    def test_unknown_quiver_name_exit_two(self, capsys, name):
+        # neither a catalog name nor a file: "." is a directory
+        err = f"error: InvalidArgument: unknown quiver name: {name!r}\n"
+        assert run_cli(capsys, "variables", "--quiver", name, "--depth", "1") == (2, "", err)
+
     @pytest.mark.parametrize("flag", ["--module", "--quiver"])
     def test_missing_file_exit_two(self, capsys, tmp_path, flag):
         path = str(tmp_path / "missing.json")

@@ -226,6 +226,51 @@ class TestExchangeMemo:
 
 
 
+def _binomial_by_rows(seed, k):
+    """The exchange binomial at k with each side built row by row as
+    {factor: exponent}: x_i joins P when b_ik > 0 and N when b_ik < 0, and
+    y_j the other way round, N when c_jk > 0 and P when c_jk < 0."""
+    m = seed.rank
+    pos, neg = {}, {}
+    for i in range(m):
+        bik = seed.exchange_matrix[i][k]
+        if bik:
+            side = pos if bik > 0 else neg
+            side[seed.cluster[i]] = side.get(seed.cluster[i], 0) + abs(bik)
+    for j, row in enumerate(seed.exchange_matrix[m:]):
+        if row[k]:
+            side = neg if row[k] > 0 else pos
+            side[y(j + 1)] = side.get(y(j + 1), 0) + abs(row[k])
+    products = []
+    for side in (pos, neg):
+        out = LaurentPoly.one()
+        for f, e in side.items():
+            out = out * f ** e
+        products.append(out)
+    return products[0] + products[1]
+
+
+class TestExchangeBinomial:
+    """Each exchange x_k * x_k' is the binomial whose sides are built row
+    by row from [B; C], along random mutation sequences."""
+
+    @given(
+        quiver=acyclic_quivers(),
+        principal=st.booleans(),
+        seq=st.lists(st.integers(0, 3), max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_product_is_the_row_by_row_binomial(self, quiver, principal, seq):
+        seed = initial_seed(quiver, principal)
+        for k in seq:
+            k %= seed.rank
+            if _exchange_estimate(seed, k) > EXCHANGE_BUDGET:
+                break
+            child = mutate(seed, k)
+            assert child.cluster[k] * seed.cluster[k] == _binomial_by_rows(seed, k)
+            seed = child
+
+
 def _homogeneous_degree(v, b0):
     """The one degree of every term of v under deg x_i = e_i and
     deg y_j = column j of b0, or None if the terms differ in degree."""

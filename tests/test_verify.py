@@ -1,14 +1,15 @@
 """Each distinct identity of ``verify`` is computed once, and every line is
-still printed, with the same bytes."""
+still printed, with the same bytes; a wrong input fails its own line."""
 
 import hashlib
 
 import pytest
 
 from clusterchar import bases, verify
+from clusterchar.character import CharTermTable, char_table
 from clusterchar.cli import main
 from clusterchar.laurent import LaurentPoly
-from clusterchar.quiver import affine_a2_quiver, kronecker_quiver
+from clusterchar.quiver import a21_tube, affine_a2_quiver, catalog_module, kronecker_quiver
 
 
 def _counted(monkeypatch, owner, name):
@@ -62,3 +63,25 @@ def test_deduplicated_checks_print_every_line(capsys, check, lines, digest):
     out = capsys.readouterr().out
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_graded_chi_fails_the_module_whose_chi_is_wrong(monkeypatch, capsys):
+    """One term of one table carries chi + 1 while the total keeps the true
+    chi: that module's line fails and every other line passes."""
+    fam = a21_tube(1, 3)
+    bad = catalog_module(fam)
+
+    def faulty_table(rep):
+        table = char_table(rep)
+        if rep != bad:
+            return table
+        (e, val), *rest = table.terms
+        mono, chi = val.single_term()
+        wrong = LaurentPoly.from_monomial(mono, chi + 1)
+        return CharTermTable(rep, ((e, wrong),) + tuple(rest), table.total)
+
+    monkeypatch.setattr(verify, "char_table", faulty_table)
+    assert main(["verify", "graded-chi"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    label = f"[graded-chi] graded chi recovery {fam.describe()}"
+    assert [line for line in lines if not line.startswith("PASS ")] == [f"FAIL {label}"]
