@@ -23,16 +23,7 @@ from .chebyshev import cheb_first_kind, cheb_second_kind
 from .errors import InvalidArgument, Record, UnsupportedQuiver
 from .laurent import LaurentPoly, zid
 from .mutation import seeds_up_to
-from .quiver import (
-    ModuleFamily,
-    Quiver,
-    a21_homogeneous,
-    affine_a2_quiver,
-    catalog_module,
-    homogeneous,
-    kronecker_quiver,
-    regular_rigid_catalog,
-)
+from .quiver import _CATALOG, ModuleFamily, Quiver, catalog_module, regular_rigid_catalog
 
 __all__ = [
     "BasisElement",
@@ -48,15 +39,15 @@ KINDS = ("B", "C", "G")
 
 
 def x_delta(quiver: Quiver) -> LaurentPoly:
-    """Coefficient-free character of a homogeneous quasi-simple.
+    """Coefficient-free character of a homogeneous quasi-simple: n = 1,
+    point = 1 on the quiver's rank-1 catalog family.
 
     Only the catalog affine quivers are supported; the value does not
     depend on the chosen tube parameter (checked in the test suite).
     """
-    if quiver == kronecker_quiver():
-        return cf_cluster_char(catalog_module(homogeneous(1, 1)))
-    if quiver == affine_a2_quiver():
-        return cf_cluster_char(catalog_module(a21_homogeneous(1, 1)))
+    for name, entry in _CATALOG.items():
+        if entry.quiver == quiver and entry.tube == 1:
+            return cf_cluster_char(catalog_module(ModuleFamily(name, n=1, point=1)))
     raise UnsupportedQuiver("x_delta is defined for the catalog affine quivers only")
 
 

@@ -4,7 +4,8 @@ Every verb is deterministic: identical inputs produce byte-identical text,
 and ``--json`` mirrors the text output in machine-readable form.  Exit
 codes: 0 for success or identity-holds, 1 for a verified violation (for
 example a requested substitution that is provably not subtraction-free),
-2 for usage or input errors.
+2 for usage or input errors, 141 (128 + SIGPIPE) when the reader of stdout
+closes it early.
 """
 
 from __future__ import annotations
@@ -364,7 +365,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early.  Point stdout at devnull so that the flush
+        # at exit does not fail again, and exit as a process killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

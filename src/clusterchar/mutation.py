@@ -128,28 +128,23 @@ def _exchange_weights(seed: Seed, c_rows: Matrix, k: int) -> list[int]:
     return [row[k] for row in seed.exchange_matrix[: seed.rank]] + [-row[k] for row in c_rows]
 
 
-def mutate(seed: Seed, k: int, *, _variable: LaurentPoly | None = None) -> Seed:
+def mutate(seed: Seed, k: int) -> Seed:
     """Mutation at cluster position k (0-based); involutive.
 
-    The new variable is computed by exact division.  Only the breadth-first
-    search passes ``_variable``: the variable its g-vector memo holds for
-    this exchange (see the module docstring).
+    The new variable is computed by exact division.
     """
     m = seed.rank
     if not 0 <= k < m:
         raise IndexError(f"mutation index {k} out of range for rank {m}")
-    new_var = _variable
-    if new_var is None:
-        c_rows = seed.exchange_matrix[m:]
-        ys = tuple(LaurentPoly.variable(yid(j + 1)) for j in range(len(c_rows)))
-        sides = [LaurentPoly.one(), LaurentPoly.one()]  # P, N
-        for f, w in zip(seed.cluster + ys, _exchange_weights(seed, c_rows, k)):
-            if w:
-                sides[w < 0] = sides[w < 0] * f ** abs(w)
-        new_var = (sides[0] + sides[1]).exact_div(seed.cluster[k])
-        if new_var.min_family_exponent(Family.Y) < 0:
-            raise NonLaurentResult("mutation produced a negative y exponent")
-
+    c_rows = seed.exchange_matrix[m:]
+    ys = tuple(LaurentPoly.variable(yid(j + 1)) for j in range(len(c_rows)))
+    sides = [LaurentPoly.one(), LaurentPoly.one()]  # P, N
+    for f, w in zip(seed.cluster + ys, _exchange_weights(seed, c_rows, k)):
+        if w:
+            sides[w < 0] = sides[w < 0] * f ** abs(w)
+    new_var = (sides[0] + sides[1]).exact_div(seed.cluster[k])
+    if new_var.min_family_exponent(Family.Y) < 0:
+        raise NonLaurentResult("mutation produced a negative y exponent")
     cluster = list(seed.cluster)
     cluster[k] = new_var
     return Seed(_mutate_matrix(seed.exchange_matrix, k, m), tuple(cluster), seed.depth + 1)
@@ -213,9 +208,12 @@ def _breadth_first(start: Seed, depth: int) -> Iterator[Seed]:
                     continue  # immediate repeat is the involution
                 g_new = _g_vector(seed, c_rows, g, y_degrees, k)
                 known = memo.get(g_new)
-                child = mutate(seed, k, _variable=known)
                 if known is None:
+                    child = mutate(seed, k)
                     memo[g_new] = child.cluster[k]
+                else:
+                    cluster = seed.cluster[:k] + (known,) + seed.cluster[k + 1 :]
+                    child = Seed(_mutate_matrix(seed.exchange_matrix, k, m), cluster, seed.depth + 1)
                 key = (child.exchange_matrix, child.cluster)
                 if key in seen:
                     continue

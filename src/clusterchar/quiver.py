@@ -5,11 +5,12 @@ Representations carry plain integer matrices and are reduced mod p on
 demand, so a single object serves every prime during point counting.  The
 primes a module excludes are read off its matrices, not declared.
 The Auslander-Reiten translate is not implemented as a functor; tube
-families expose it combinatorially (an index shift on the catalog).
+families expose it combinatorially (an index shift mod the tube's rank).
 
 Each catalog family is one entry of ``_CATALOG`` (its quiver, the fields it
-reads, its label, its matrices and its tube), and whatever differs between
-families reads the entry, so a new family is one entry.
+reads, its label, its matrices and its tube's rank), and whatever differs
+between families reads the entry, so a new family is one entry.  Transient
+and exceptional tube members are string modules, built by ``_string``.
 """
 
 from __future__ import annotations
@@ -348,11 +349,6 @@ def _prime_factors(n: int) -> set[int]:
     return out
 
 
-def _shift(rows: int, cols: int, offset: int) -> IntMatrix:
-    """The 0/1 matrix with a 1 where the column is the row plus ``offset``."""
-    return tuple(tuple(1 if j == i + offset else 0 for j in range(cols)) for i in range(rows))
-
-
 def _jordan(n: int, lam: int) -> IntMatrix:
     return tuple(
         tuple(lam if i == j else (1 if j == i + 1 else 0) for j in range(n))
@@ -434,9 +430,10 @@ _PARAMS = tuple(param for param, _ in _DEFAULTS)
 class ModuleFamily(Record):
     """A catalog module family plus its parameters: ``n`` is the quasi-length
     (or the preprojective / preinjective step k), ``point`` an integer parameter
-    of a homogeneous tube, ``index`` a quasi-simple on the rank-2 tube.  Each
-    family reads the fields its catalog entry names; the others must keep
-    their defaults, so two members that build the same module are equal."""
+    of a homogeneous tube, ``index`` (1 to the tube's rank) the quasi-socle on an
+    exceptional tube.  Each family reads the fields its catalog entry names; the
+    others must keep their defaults, so two members that build the same module
+    are equal."""
 
     _fields = ("family", "n", "point", "index")
     _compared = 4
@@ -449,8 +446,9 @@ class ModuleFamily(Record):
             raise InvalidParams("quasi-length must be >= 1")
         if not entry.tube and n < 0:
             raise InvalidParams("preprojective/preinjective step must be >= 0")
-        if entry.tube == _RANK2 and index not in (1, 2):
-            raise InvalidParams("tube index must be 1 or 2 on the rank-2 tube")
+        if (r := entry.tube) > 1 and not 1 <= index <= r:
+            choices = ", ".join(map(str, range(1, r)))
+            raise InvalidParams(f"tube index must be {choices} or {r} on the rank-{r} tube")
         for (param, default), value in zip(_DEFAULTS, (n, point, index)):
             if param not in entry.reads and value != default:
                 raise InvalidParams(f"{family} does not read {param}, given {value}")
@@ -486,29 +484,34 @@ _Matrices = tuple[DimVector, tuple[IntMatrix, ...]]
 def _homogeneous_member(f: ModuleFamily, vertices: int) -> _Matrices:
     """Dimension n at each vertex, the identity on each arrow but the last and
     J_n(point) on the last (both catalog quivers have as many arrows as vertices)."""
-    eye = _shift(f.n, f.n, 0)
+    eye = tuple(tuple(int(i == j) for j in range(f.n)) for i in range(f.n))
     return (f.n,) * vertices, (eye,) * (vertices - 1) + (_jordan(f.n, f.point),)
 
 
-def _a21_tube_member(f: ModuleFamily) -> _Matrices:
-    """Quasi-length-n module on the rank-2 exceptional tube of the quiver
-    1->2, 2->3, 1->3.
+def _string(quiver: Quiver, walk: Sequence[tuple[int, int | None]]) -> _Matrices:
+    """The string module with one basis vector per step of ``walk``: a step
+    (v, a) puts its vector at vertex position v, and arrow a joins it to the
+    next step's vector in the arrow's direction (the last step's arrow is
+    not read).  The vectors at a vertex are ordered as the walk meets them."""
+    pairs = quiver.arrow_indices()
+    dim = [0] * len(quiver.vertices)
+    place = []
+    for v, _ in walk:
+        place.append(dim[v])
+        dim[v] += 1
+    mats = [[[0] * dim[s] for _ in range(dim[t])] for s, t in pairs]
+    for i, (v, a) in enumerate(walk[:-1]):
+        src, tgt = (i, i + 1) if pairs[a][0] == v else (i + 1, i)
+        mats[a][place[tgt]][place[src]] = 1
+    return tuple(dim), tuple(tuple(map(tuple, m)) for m in mats)
 
-    The quasi-simples are R_1 with dimension (1,0,1) (the arrow 1->3 acts
-    as the identity) and R_2, the simple at vertex 2; tau swaps them.  The
-    quasi-length-n module with quasi-socle R_i is a string module whose
-    arrow matrices are shifted inclusions.
-    """
-    s_count = (f.n + 1) // 2 if f.index == 1 else f.n // 2
-    m_count = f.n - s_count
-    # index 1: a: u_c -> v_{c-1} (u_0 -> 0), b: v_c -> w_c
-    # index 2: a: u_c -> v_c, b: v_c -> w_{c-1} (v_0 -> 0)
-    a = _shift(m_count, s_count, 2 - f.index)
-    b = _shift(s_count, m_count, f.index - 1)
-    return (s_count, m_count, s_count), (a, b, _shift(s_count, s_count, 0))
 
-
-_HOMOGENEOUS, _RANK2 = "homogeneous", "rank-2"
+def _tube_member(quiver: Quiver, cycle: tuple, f: ModuleFamily) -> _Matrices:
+    """The quasi-length-n module with quasi-socle the index-th quasi-simple of
+    a tube whose quasi-simples, in tau-inverse order, are the string modules
+    of ``cycle``'s walks; each walk's last arrow joins it to the next."""
+    r = len(cycle)
+    return _string(quiver, [step for j in range(f.n) for step in cycle[(f.index - 1 + j) % r]])
 
 
 class _Family(NamedTuple):
@@ -518,29 +521,31 @@ class _Family(NamedTuple):
     reads: tuple[str, ...]  # the ModuleFamily fields it reads
     label: str  # describe() format over n, point and index
     member: Callable[[ModuleFamily], _Matrices]  # dim, matrices
-    tube: str | None  # _HOMOGENEOUS, _RANK2, or None for a transient family
+    tube: int  # the tube's rank, 1 if homogeneous, 0 for a transient family
 
 
 _CATALOG: dict[str, _Family] = {
     KRONECKER_HOMOGENEOUS: _Family(
         kronecker_quiver(), ("n", "point"), "kronecker_homogeneous(n={n}, point={point})",
-        lambda f: _homogeneous_member(f, 2), _HOMOGENEOUS,
+        lambda f: _homogeneous_member(f, 2), 1,
     ),
     KRONECKER_PREPROJECTIVE: _Family(
         kronecker_quiver(), ("n",), "kronecker_preprojective(k={n})",
-        lambda f: ((f.n + 1, f.n), (_shift(f.n, f.n + 1, 0), _shift(f.n, f.n + 1, 1))), None,
+        lambda f: _string(kronecker_quiver(), ((0, 0), (1, 1)) * f.n + ((0, None),)), 0,
     ),
     KRONECKER_PREINJECTIVE: _Family(
         kronecker_quiver(), ("n",), "kronecker_preinjective(k={n})",
-        lambda f: ((f.n, f.n + 1), (_shift(f.n + 1, f.n, 0), _shift(f.n + 1, f.n, -1))), None,
+        lambda f: _string(kronecker_quiver(), ((1, 0), (0, 1)) * f.n + ((1, None),)), 0,
     ),
+    # The rank-2 tube of 1->2, 2->3, 1->3: R_1 = (1,0,1) through 1->3, then
+    # R_2 = S_2, joined by 2->3 and, back to R_1, by 1->2.
     AFFINE_A21_TUBE: _Family(
         affine_a2_quiver(), ("n", "index"), "affineA21_tube(index={index}, n={n})",
-        _a21_tube_member, _RANK2,
+        lambda f: _tube_member(affine_a2_quiver(), (((0, 2), (2, 1)), ((1, 0),)), f), 2,
     ),
     AFFINE_A21_HOMOGENEOUS: _Family(
         affine_a2_quiver(), ("n", "point"), "affineA21_homogeneous(n={n}, point={point})",
-        lambda f: _homogeneous_member(f, 3), _HOMOGENEOUS,
+        lambda f: _homogeneous_member(f, 3), 1,
     ),
 }
 
@@ -551,25 +556,25 @@ def catalog_module(f: ModuleFamily) -> IntRep:
     return IntRep(entry.quiver, *entry.member(f), label=f.describe())
 
 
+def _tube_rank(f: ModuleFamily) -> int:
+    rank = _CATALOG[f.family].tube
+    if not rank:
+        raise InvalidParams(f"{f.family} is not a tube family")
+    return rank
+
+
 def tau_translate(f: ModuleFamily) -> ModuleFamily:
-    """The AR translate on tube families: an index shift, identity on
-    homogeneous tubes.  Not defined for the transient families."""
-    tube = _CATALOG[f.family].tube
-    if tube == _HOMOGENEOUS:
-        return f
-    if tube == _RANK2:
-        return ModuleFamily(f.family, n=f.n, index=3 - f.index)
-    raise InvalidParams(f"{f.family} is not a tube family")
+    """The AR translate on tube families: the index one back round the tube,
+    identity on homogeneous tubes.  Not defined for the transient families."""
+    r = _tube_rank(f)
+    return ModuleFamily(f.family, f.n, f.point, f.index and (f.index - 2) % r + 1)
 
 
 def quasi_factors(f: ModuleFamily) -> list[ModuleFamily]:
     """Quasi-composition factors, socle first, in tau-inverse order."""
-    tube = _CATALOG[f.family].tube
-    if tube == _HOMOGENEOUS:
-        return [ModuleFamily(f.family, n=1, point=f.point) for _ in range(f.n)]
-    if tube == _RANK2:
-        return [ModuleFamily(f.family, n=1, index=(f.index, 3 - f.index)[j % 2]) for j in range(f.n)]
-    raise InvalidParams(f"{f.family} is not a tube family")
+    r = _tube_rank(f)
+    return [ModuleFamily(f.family, 1, f.point, f.index and (f.index - 1 + j) % r + 1)
+            for j in range(f.n)]
 
 
 def desk_affine_catalog() -> list[ModuleFamily]:
@@ -596,13 +601,14 @@ def desk_tube_catalog() -> list[ModuleFamily]:
 
 
 def regular_rigid_catalog(quiver: Quiver) -> list[ModuleFamily]:
-    """Regular rigid catalog modules of the given affine quiver (the
-    quasi-simples on exceptional tubes; none exist on the Kronecker side)."""
-    if quiver == kronecker_quiver():
-        return []
-    if quiver == affine_a2_quiver():
-        return [a21_tube(1, 1), a21_tube(2, 1)]
-    raise UnsupportedQuiver("not a catalog affine quiver")
+    """Regular rigid catalog modules of the given affine quiver: on each tube
+    of rank r, the members of quasi-length below r (Dlab-Ringel, Mem. AMS
+    173, 1976), so none on homogeneous tubes."""
+    entries = [(name, e.tube) for name, e in _CATALOG.items() if e.quiver == quiver]
+    if not entries:
+        raise UnsupportedQuiver("not a catalog affine quiver")
+    return [ModuleFamily(name, n=n, index=index) for name, r in entries
+            for index in range(1, r + 1) for n in range(1, r)]
 
 
 # ---------------------------------------------------------------------------

@@ -566,6 +566,22 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert proc.stdout == "t2*t1 - q2\n"
 
+    def test_closed_stdout_exits_141_without_traceback(self):
+        # The read end is closed before the command starts, so its first
+        # write to stdout fails with EPIPE whatever the timing.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "clusterchar", "variables", "--quiver", "kronecker",
+                 "--depth", "16", "--principal"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
     def test_cli_import_loads_none_of_dataclasses_inspect_pathlib(self):
         src = Path(__file__).resolve().parents[1] / "src"
         heavy = "{'dataclasses', 'inspect', 'pathlib'}"

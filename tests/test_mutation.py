@@ -314,19 +314,20 @@ class TestGVectorMemo:
 
     @pytest.mark.parametrize("name", ["kronecker", "affineA2"])
     def test_principal_variables_are_homogeneous_of_their_g_vector(self, monkeypatch, name):
-        # Record the g-vector of each exchange and the variable it made.
+        # Record the g-vector of each exchange that divides and the variable
+        # it made; the search reuses that variable for the same g-vector.
         quiver = kronecker_quiver() if name == "kronecker" else affine_a2_quiver()
         b0 = initial_seed(quiver).exchange_matrix[: len(quiver.vertices)]
-        made = []
+        made, last = [], []
         g_vector, step = mutation._g_vector, mutation.mutate
 
         def record_g(seed, c_rows, g, y_degrees, k):
-            made.append([g_vector(seed, c_rows, g, y_degrees, k)])
-            return made[-1][0]
+            last[:] = [g_vector(seed, c_rows, g, y_degrees, k)]
+            return last[0]
 
-        def record_step(seed, k, **kwargs):
-            child = step(seed, k, **kwargs)
-            made[-1].append(child.cluster[k])
+        def record_step(seed, k):
+            child = step(seed, k)
+            made.append((last[0], child.cluster[k]))
             return child
 
         monkeypatch.setattr(mutation, "_g_vector", record_g)

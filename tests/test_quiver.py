@@ -13,7 +13,9 @@ from clusterchar.errors import (
     QuiverMismatch,
 )
 from clusterchar.quiver import (
+    _CATALOG,
     IntRep,
+    _Family,
     _diagonal_entries,
     ModuleFamily,
     Quiver,
@@ -29,6 +31,7 @@ from clusterchar.quiver import (
     preprojective,
     quasi_factors,
     quiver_from_json,
+    regular_rigid_catalog,
     tau_translate,
     unit_vector,
     zero_rep,
@@ -176,11 +179,41 @@ class TestCatalog:
         want = tuple(sum(p * d for p, d in zip(row, rep.dim)) for row in phi)
         assert catalog_module(tau_translate(fam)).dim == want
 
+    @pytest.mark.parametrize(
+        "fam, dim, matrices",
+        [
+            (a21_tube(2, 3), (1, 2, 1), (((1,), (0,)), ((0, 1),), ((1,),))),
+            (a21_tube(1, 4), (2, 2, 2), (((0, 1), (0, 0)), ((1, 0), (0, 1)), ((1, 0), (0, 1)))),
+            (preprojective(2), (3, 2), (((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (0, 0, 1)))),
+            (preinjective(2), (2, 3), (((1, 0), (0, 1), (0, 0)), ((0, 0), (1, 0), (0, 1)))),
+        ],
+        ids=lambda v: v.describe() if isinstance(v, ModuleFamily) else "",
+    )
+    def test_string_module_matrices(self, fam, dim, matrices):
+        rep = catalog_module(fam)
+        assert (rep.dim, rep.matrices) == (dim, matrices)
+
+    def test_tube_rank_is_catalog_data(self, monkeypatch, affine_a2):
+        # A rank-3 entry needs no code of its own; its matrices are not read.
+        stub = _Family(affine_a2, ("n", "index"), "stub(index={index}, n={n})", None, 3)
+        monkeypatch.setitem(_CATALOG, "stub", stub)
+        one, two, three = (ModuleFamily("stub", n=4, index=i) for i in (1, 2, 3))
+        assert [tau_translate(f) for f in (one, three, two)] == [three, two, one]
+        assert [g.index for g in quasi_factors(two)] == [2, 3, 1, 2]
+        assert regular_rigid_catalog(affine_a2) == [
+            a21_tube(1, 1), a21_tube(2, 1),
+            *(ModuleFamily("stub", n=n, index=i) for i in (1, 2, 3) for n in (1, 2)),
+        ]
+        with pytest.raises(InvalidParams, match=r"^tube index must be 1, 2 or 3 on the rank-3 tube$"):
+            ModuleFamily("stub", n=1, index=4)
+
     def test_tau_swaps_tube_index(self):
         assert tau_translate(a21_tube(1, 3)) == a21_tube(2, 3)
         assert tau_translate(homogeneous(2, 1)) == homogeneous(2, 1)
         with pytest.raises(InvalidParams):
             tau_translate(preprojective(1))
+        with pytest.raises(InvalidParams):
+            quasi_factors(preinjective(0))
 
     def test_family_record_semantics(self):
         fam = ModuleFamily("affineA21_tube", 3, 0, 2)
