@@ -20,8 +20,21 @@ running echelon basis of its incoming span, the superspaces at a vertex
 form a tree whose nodes each add one echelon row (left of the rows before
 it, which never change), and a node pushes only that row's images into
 the running bases, popping their new pivots on the way back.  Sibling rows
-share their images' affine span of matrix columns, reduced once modulo
-the running bases for all of them.
+share their images' affine span of matrix columns, reduced once per node
+modulo the running bases for all of them.
+
+Most leaves of a large walk end in a row with pivot 0 at the last
+enumerated vertex.  Those are tallied a family (the q^r siblings of one
+node, r the row's free entries x) at a time, not visited.  Their images,
+reduced modulo the running bases, are affine in x, and a leaf's ranks are
+the ranks of the groups of images entering each basis.  For a relation
+space R_g of each group, the x whose images satisfy every relation in the
+R_g solve one affine system over F_q, and number q^(r - rank) or 0.
+Summed over the R_g of each dimension, these counts are a triangular
+system in the numbers of x with each tuple of ranks, which the walk
+inverts.  A family with fewer systems than rows is counted so; a smaller
+one loops over its rows and reads each rank off the reduced images,
+without touching the running bases.
 
 The final vertex (a sink) is never enumerated, only counted by a Gaussian
 binomial in the dimension of its incoming span.
@@ -204,15 +217,18 @@ def _push(basis: dict[int, list[int]], vec: list[int], field: _Field) -> int | N
     return None
 
 
-def _combine(cols: Sequence[list[int]], x: Sequence[int], field: _Field) -> list[int]:
+def _combine(cols: Sequence[Sequence[int]], x: Sequence[int], field: _Field) -> list[int]:
     """The linear combination sum x_j cols_j of at least one vector."""
     add, mul = field.add, field.mul
-    out = [0] * len(cols[0])
+    out = None
     for c, col in zip(x, cols):
         if c:
             scale = mul[c]
-            out = [add[u][scale[v]] for u, v in zip(out, col)]
-    return out
+            if out is None:
+                out = list(col) if c == 1 else [scale[v] for v in col]
+            else:
+                out = [add[u][scale[v]] for u, v in zip(out, col)]
+    return [0] * len(cols[0]) if out is None else out
 
 
 def _affine_span(base: list[int], gens: Sequence[list[int]], field: _Field) -> Iterator[list[int]]:
@@ -234,6 +250,131 @@ def _affine_span(base: list[int], gens: Sequence[list[int]], field: _Field) -> I
                 yield vec
 
     return span(len(steps))
+
+
+def _subspace_bases(m: int, q: int) -> list[tuple[int, list[list[int]]]]:
+    """Every subspace of F_q^m as its dimension and a reduced echelon basis,
+    built as the walk builds subspaces: each new row has its pivot left of
+    the rows before it and is 0 at their pivots."""
+    out: list[tuple[int, list[list[int]]]] = []
+
+    def grow(rows: list[list[int]], taken: tuple[int, ...], lowest: int) -> None:
+        out.append((len(rows), rows))
+        for c in range(lowest):
+            free = [j for j in range(c + 1, m) if j not in taken]
+            for x in itertools.product(range(q), repeat=len(free)):
+                row = [0] * m
+                row[c] = 1
+                for j, a in zip(free, x):
+                    row[j] = a
+                grow(rows + [row], taken + (c,), c)
+
+    grow([], (), m)
+    return out
+
+
+def _relation_plan(sizes: Sequence[int], q: int) -> tuple[list, list]:
+    """What _rank_by_solving needs for groups of these sizes over F_q: the
+    relation spaces of each group, and for each tuple d of relation
+    dimensions the coefficients c(d, j) = prod_g (-1)^(j_g - d_g)
+    q^binom(j_g - d_g, 2) [j_g, d_g]_q, which invert the q-binomial sums
+    N(j) = sum_d prod_g [d_g, j_g]_q T(d) to T(d) = sum_j c(d, j) N(j)."""
+    spaces = [_subspace_bases(m, q) for m in sizes]
+    dims = list(itertools.product(*[range(m + 1) for m in sizes]))
+    inverse = []
+    for d in dims:
+        terms = [
+            (j, math.prod(
+                (-1) ** (b - a) * q ** ((b - a) * (b - a - 1) // 2) * gaussian_binomial(b, a, q)
+                for a, b in zip(d, j)
+            ))
+            for j in dims
+            if all(a <= b for a, b in zip(d, j))
+        ]
+        inverse.append((tuple(m - a for m, a in zip(sizes, d)), terms))
+    return spaces, inverse
+
+
+def _rank_by_loop(
+    groups: list[list[tuple[int, int]]], base: list[int], gens: list[list[int]], field: _Field
+) -> dict[tuple[int, ...], int]:
+    """For the images base + sum x_j gens_j over x in F_q^r, each cut into
+    segments grouped by the running basis they enter, the number of x with
+    each tuple of group ranks.  The images are reduced modulo the bases, so
+    a group's rank is its rank increment."""
+    out: dict[tuple[int, ...], int] = {}
+    for img in _affine_span(base, gens, field):
+        key = tuple([_rank([img[lo:hi] for lo, hi in segs], field) for segs in groups])
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _rank(vecs: list[list[int]], field: _Field) -> int:
+    """The rank of the vectors; two are dependent when a_c b = b_c a, c the
+    first column where a is not 0."""
+    if len(vecs) == 1:
+        return 1 if any(vecs[0]) else 0
+    if len(vecs) == 2:
+        a, b = vecs
+        for c, x in enumerate(a):
+            if x:
+                by_a, by_b = field.mul[x], field.mul[b[c]]
+                return 1 if list(map(by_a.__getitem__, b)) == list(map(by_b.__getitem__, a)) else 2
+        return 1 if any(b) else 0
+    basis: dict[int, list[int]] = {}
+    return sum(_push(basis, v, field) is not None for v in vecs)
+
+
+def _rank_by_solving(
+    groups: list[list[tuple[int, int]]],
+    base: list[int],
+    gens: list[list[int]],
+    field: _Field,
+    plan: tuple[list, list],
+    q: int,
+) -> dict[tuple[int, ...], int]:
+    """The tallies of _rank_by_loop by linear algebra, without visiting x.
+
+    A group of m images s_i(x) has the relations K(x) = {lam : sum lam_i
+    s_i(x) = 0}, of dimension m minus its rank.  For a relation space R_g of
+    each group, the x with every R_g inside K_g(x) solve one affine system
+    in x, and number q^(r - rank) or 0.  Summed over the R_g of dimensions
+    j_g, these counts are N(j) = sum_x prod_g [dim K_g(x), j_g]_q, which
+    ``plan`` (from _relation_plan) inverts.
+    """
+    spaces, inverse = plan
+    r, q_r = len(gens), q ** len(gens)
+    cols = [*gens, base]
+    systems = [((), {})]  # (relation dimensions, equations) of every solvable system so far
+    for segs, group_spaces in zip(groups, spaces):
+        # per coordinate, each image's affine map as a row: x's coefficients, then the constant
+        maps = [list(zip(*[col[lo:hi] for col in cols])) for lo, hi in segs]
+        coords = [rows for rows in zip(*maps) if any(map(any, rows))]
+        solvable = []
+        for j, lams in group_spaces:
+            eqs: dict[int, list[int]] = {}
+            for lam, rows in itertools.product(lams, coords):
+                if _push(eqs, _combine(rows, lam, field), field) == r:
+                    break  # a pivot at the constant is the equation 0 = 1
+            else:
+                solvable.append((j, eqs))
+        grown = []
+        for js, eqs in systems:
+            for j, part in solvable:
+                both = dict(eqs or part)
+                if eqs and any(_push(both, row, field) == r for row in part.values()):
+                    continue
+                grown.append((js + (j,), both))
+        systems = grown
+    n: dict[tuple[int, ...], int] = {}
+    for js, eqs in systems:
+        n[js] = n.get(js, 0) + q_r // q ** len(eqs)
+    out = {}
+    for increments, terms in inverse:
+        t = sum(c * n.get(j, 0) for j, c in terms)
+        if t:
+            out[increments] = t
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,8 +448,9 @@ def _walk_plan(quiver: Quiver) -> tuple[tuple[int, ...], int | None, int]:
 
 
 def _walk_cost(rep: IntRep, q: int) -> int:
-    """Number of leaves of the walk over F_q: subspace tuples at the
-    enumerated vertices, before pruning."""
+    """Number of leaves the walk tallies over F_q: subspace tuples at the
+    enumerated vertices, before pruning.  The walk visits fewer, since it
+    counts the last echelon row's families at the last vertex in bulk."""
     cost = 1
     for v in _walk_plan(rep.quiver)[0]:
         cost *= sum(gaussian_binomial(rep.dim[v], k, q) for k in range(rep.dim[v] + 1))
@@ -357,7 +499,13 @@ def _walk(rep: IntRep, q: int) -> dict[tuple, int]:
     already chosen never change.  The node pushes only that row's images
     and pops their pivots on the way back.  Siblings differ only in the
     row's free entries, so their images are one affine span of matrix
-    columns, reduced modulo the running bases once for all of them.
+    columns, each reduced modulo the running bases once per node.
+
+    At the last enumerated vertex the children whose row has pivot 0 are
+    leaves, and all the running bases they would grow are ranked.  Each
+    node tallies that family at once (tally_family): by _rank_by_solving
+    when its relation spaces, a number fixed for the walk, are fewer than
+    its q^r rows, else by _rank_by_loop.
     """
     explicit, tail, sink = _walk_plan(rep.quiver)
     field = _field(q)
@@ -406,6 +554,18 @@ def _walk(rep: IntRep, q: int) -> dict[tuple, int]:
             lo += length
         stacks.append(([sum((f[j] for _, _, f in feeds[v]), []) for j in range(dim[v])], segs))
 
+    # The last vertex's image segments, grouped by the ranked basis they
+    # enter (a group may be empty), and the number of relation spaces of the
+    # groups: the affine systems that would count one family of its leaves.
+    last = len(explicit) - 1
+    groups: list[list[tuple[int, int]]] = [[] for _ in ranked]
+    for b, lo, hi in stacks[last][1] if explicit else ():
+        groups[ranked.index(b)].append((lo, hi))
+    system_count = math.prod(
+        sum(gaussian_binomial(len(g), j, q) for j in range(len(g) + 1)) for g in groups
+    )
+    plan = None
+
     dims: list[int] = [0] * len(dim)
     leaves: dict[tuple, int] = {}
 
@@ -441,12 +601,31 @@ def _walk(rep: IntRep, q: int) -> dict[tuple, int]:
         # one node: the rows taken so far have pivots `taken`, all at least lowest
         dims[v] = k
         enter(i + 1)
-        for c in range(lowest):
-            rest = [reduced(segs, free[j]) for j in range(c + 1, len(free)) if j not in taken]
-            for img in _affine_span(reduced(segs, free[c]), rest, field):
+        if not lowest:
+            return
+        red = {j: reduced(segs, free[j]) for j in range(len(free)) if j not in taken}
+        family = i == last  # the children of pivot 0 are leaves, tallied in bulk
+        for c in range(1 if family else 0, lowest):
+            rest = [red[j] for j in range(c + 1, len(free)) if j not in taken]
+            for img in _affine_span(red[c], rest, field):
                 added = push(segs, img)
                 grow(i, v, free, segs, c, taken + (c,), k + 1)
                 pop(added)
+        if family:
+            dims[v] = k + 1
+            tally_family(red[0], [red[j] for j in range(1, len(free)) if j not in taken])
+
+    def tally_family(base: list[int], gens: list[list[int]]) -> None:
+        nonlocal plan
+        if system_count < q ** len(gens):
+            plan = plan or _relation_plan([len(segs) for segs in groups], q)
+            ranks = _rank_by_solving(groups, base, gens, field, plan, q)
+        else:
+            ranks = _rank_by_loop(groups, base, gens, field)
+        stratum = tuple(dims)
+        for increments, n in ranks.items():
+            key = (stratum, *[len(bases[b]) + x for b, x in zip(ranked, increments)])
+            leaves[key] = leaves.get(key, 0) + n
 
     enter(0)
     return leaves
@@ -518,7 +697,17 @@ def _count_box(rep: IntRep, q: int) -> tuple[dict[tuple, int], dict[DimVector, i
     return tallies, {_flip(rep.dim, dual, e): c for e, c in counts.items()}
 
 
+class _Checked(tuple):
+    """A dimension vector that _check_e has passed for the module it is
+    counted on.  Only _samples makes one, so that count_subreps checks each
+    e of a profile once, not once per node."""
+
+    __slots__ = ()
+
+
 def _check_e(rep: IntRep, e: Sequence[int]) -> DimVector:
+    if e.__class__ is _Checked:
+        return e
     e = tuple(map(int, e))
     dim = rep.dim
     if len(e) != len(dim):
@@ -748,11 +937,17 @@ def _box_polynomials(rep: IntRep) -> dict[DimVector, tuple[int, ...]] | NonPolyn
     return {e: _trim(poly) for e, poly in totals.items()}
 
 
+def _samples(rep: IntRep, e: DimVector, nodes: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The count of the checked e at every node, each through count_subreps."""
+    checked = _Checked(e)
+    return tuple((q, count_subreps(rep, checked, q)) for q in nodes)
+
+
 def _per_e_profile(rep: IntRep, e: DimVector) -> CountProfile:
     """The fallback: interpolate e's count alone, through the first nodes
     of the ambient product-of-Grassmannians degree bound."""
     bound = _grassmannian_dim(rep.dim, e)
-    samples = tuple((q, count_subreps(rep, e, q)) for q in _nodes(rep, bound))
+    samples = _samples(rep, e, _nodes(rep, bound))
     coeffs = _interpolate(samples, bound, f"e={e}")
     return CountProfile(rep, e, samples, coeffs, _eval_poly(coeffs, 1))
 
@@ -763,7 +958,7 @@ def profile(rep: IntRep, e: Sequence[int]) -> CountProfile:
     e = _check_e(rep, e)
     _check_spectrum(rep)
     _, _, nodes = _module_plan(rep)
-    samples = tuple((q, count_subreps(rep, e, q)) for q in nodes)
+    samples = _samples(rep, e, nodes)
     box = _box_polynomials(rep)
     if isinstance(box, NonPolynomialCount):
         return _per_e_profile(rep, e)
