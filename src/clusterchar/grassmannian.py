@@ -343,7 +343,7 @@ def _rank_by_solving(
     ``plan`` (from _relation_plan) inverts.
     """
     spaces, inverse = plan
-    r, q_r = len(gens), q ** len(gens)
+    r = len(gens)
     cols = [*gens, base]
     systems = [((), {})]  # (relation dimensions, equations) of every solvable system so far
     for segs, group_spaces in zip(groups, spaces):
@@ -368,7 +368,7 @@ def _rank_by_solving(
         systems = grown
     n: dict[tuple[int, ...], int] = {}
     for js, eqs in systems:
-        n[js] = n.get(js, 0) + q_r // q ** len(eqs)
+        n[js] = n.get(js, 0) + q ** (r - len(eqs))
     out = {}
     for increments, terms in inverse:
         t = sum(c * n.get(j, 0) for j, c in terms)
