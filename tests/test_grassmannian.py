@@ -731,9 +731,9 @@ class TestPrimePowerNodes:
     def test_catalog_polynomials_hold_at_primes(self, fam):
         _assert_polynomials_hold_at_primes(catalog_module(fam))
 
-    # Not on three arrows: random modules there often have two points that
-    # meet mod a prime no rule excludes, and count off their polynomial there
-    # (ROADMAP item 1).
+    # Not on three arrows: random modules there often gain a subrepresentation
+    # mod a prime that excluded_primes keeps, and count off their polynomial
+    # there (ROADMAP item 1).
     @pytest.mark.parametrize("name", sorted(set(WALK_QUIVERS) - {"triple-arrow"}))
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
