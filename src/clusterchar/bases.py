@@ -20,14 +20,13 @@ import functools
 
 from .character import cf_cluster_char
 from .chebyshev import cheb_first_kind, cheb_second_kind
-from .errors import InvalidArgument, Record, UnsupportedQuiver
+from .errors import CheckLine, InvalidArgument, Record, UnsupportedQuiver
 from .laurent import LaurentPoly, zid
 from .mutation import seeds_up_to
 from .quiver import _CATALOG, ModuleFamily, Quiver, catalog_module, regular_rigid_catalog
 
 __all__ = [
     "BasisElement",
-    "PositivityReport",
     "x_delta",
     "basis_element",
     "verify_positivity",
@@ -115,30 +114,6 @@ def cluster_monomials(quiver: Quiver, depth: int) -> list[LaurentPoly]:
     return list(out)
 
 
-class PositivityLine:
-    __slots__ = ("description", "positive", "witness")
-
-    def __init__(self, description: str, positive: bool, witness: str = "") -> None:
-        self.description = description
-        self.positive = positive
-        self.witness = witness
-
-
-class PositivityReport:
-    __slots__ = ("kind", "lines")
-
-    def __init__(self, kind: str, lines: tuple[PositivityLine, ...]) -> None:
-        self.kind = kind
-        self.lines = lines
-
-    @property
-    def all_positive(self) -> bool:
-        return all(line.positive for line in self.lines)
-
-    def violations(self) -> list[PositivityLine]:
-        return [line for line in self.lines if not line.positive]
-
-
 def _offending_term(p: LaurentPoly) -> str:
     if p.is_subtraction_free():
         return ""
@@ -149,22 +124,23 @@ def _offending_term(p: LaurentPoly) -> str:
     return ""
 
 
-def _positivity_line(description: str, value: LaurentPoly) -> PositivityLine:
-    return PositivityLine(description, value.is_subtraction_free(), _offending_term(value))
+def _positivity_line(description: str, value: LaurentPoly) -> CheckLine:
+    return CheckLine(description, value.is_subtraction_free(), _offending_term(value))
 
 
 @functools.lru_cache(maxsize=2)  # one entry per catalog affine quiver
-def _monomial_lines(quiver: Quiver, depth: int) -> tuple[PositivityLine, ...]:
+def _monomial_lines(quiver: Quiver, depth: int) -> tuple[CheckLine, ...]:
     return tuple(
         _positivity_line(f"cluster monomial #{i}", mono)
         for i, mono in enumerate(cluster_monomials(quiver, depth))
     )
 
 
-def verify_positivity(kind: str, max_n: int, quiver: Quiver) -> PositivityReport:
+def verify_positivity(kind: str, max_n: int, quiver: Quiver) -> list[CheckLine]:
     """Expand every element of the basis stratum with n <= max_n over the
     catalog regular rigid modules, plus the cluster monomials of the seeds
-    within 4 mutations, and report subtraction-freeness of each.
+    within 4 mutations: one line each, passed when it is subtraction-free,
+    with a negative term as the detail when it is not.
 
     Each head F_n/S_n/X_delta^n is expanded once and multiplied by every
     regular part; the cluster monomial lines are kept per quiver."""
@@ -176,13 +152,13 @@ def verify_positivity(kind: str, max_n: int, quiver: Quiver) -> PositivityReport
     regulars.extend(regular_rigid_catalog(quiver))
     xd = x_delta(quiver)
     parts = [None if reg is None else cf_cluster_char(catalog_module(reg)) for reg in regulars]
-    lines: list[PositivityLine] = []
+    lines: list[CheckLine] = []
     for n in range(1, max_n + 1):
         head = _head(kind, n, xd)
         for reg, part in zip(regulars, parts):
             value = head if part is None else head * part
             lines.append(_positivity_line(BasisElement(kind, n, reg, value).describe(), value))
-    return PositivityReport(kind, (*lines, *_monomial_lines(quiver, 4)))
+    return [*lines, *_monomial_lines(quiver, 4)]
 
 
 def power_in_second_kind(n: int) -> list[int]:

@@ -117,34 +117,18 @@ def cf_cluster_char(rep: IntRep) -> LaurentPoly:
     return cluster_char(rep).specialize_ones(Family.Y)
 
 
-class KeyIdentityReport:
-    """Both sides of the translate identity L(M,0) * L(tM, dim tM) = y^{dim tM}."""
-
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: LaurentPoly, rhs: LaurentPoly) -> None:
-        self.lhs = lhs
-        self.rhs = rhs
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def check_lemma_key(rep: IntRep, tau_rep: IntRep) -> KeyIdentityReport:
-    """Verify the translate identity exactly; ``tau_rep`` must be the AR
-    translate of ``rep`` (tube combinatorics supply it), and ``rep`` must
-    not be projective.  A violated identity raises IdentityFailed carrying
-    both sides."""
+def check_lemma_key(rep: IntRep, tau_rep: IntRep) -> None:
+    """Verify the translate identity L(M,0) * L(tM, dim tM) = y^{dim tM}
+    exactly; ``tau_rep`` must be the AR translate of ``rep`` (tube
+    combinatorics supply it), and ``rep`` must not be projective.  A
+    violated identity raises IdentityFailed carrying both sides."""
     left = char_table(rep).leading() * char_table(tau_rep).full()
     right = y_monomial(tau_rep.dim)
-    report = KeyIdentityReport(left, right)
-    if not report.holds:
+    if left != right:
         raise IdentityFailed(
             f"translate identity failed: {left} != {right} "
             f"(is the input projective, or tau_rep not the translate?)"
         )
-    return report
 
 
 def char_via_chebyshev(

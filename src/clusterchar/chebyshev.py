@@ -37,6 +37,7 @@ __all__ = [
     "cheb_second_kind",
     "s_from_f",
     "tail_substitution",
+    "periodic_neighbour",
 ]
 
 _ZERO = LaurentPoly.zero()
@@ -211,12 +212,12 @@ def tail_substitution(
     """t_i -> t_i (+ u_i) + q_i / t_{neighbour(i)} for i = 1..n.
 
     The positivity statements take neighbour(i) = i - 1: with a fresh t_0
-    for P_n, and with t_0 wrapping back to t_n for the periodic
-    delta-polynomials.  Relative to the pinned determinant orientation
-    (diagonal t_n, ..., t_1, recurrence stripping the top index) this is
-    the direction that makes the substituted polynomial subtraction-free;
-    attaching the tail to t_{i+1} instead leaves an uncancelled -q_n
-    already at n = 2.
+    for P_n, and with t_0 wrapping back to t_n (``periodic_neighbour``) for
+    the periodic delta-polynomials.  Relative to the pinned determinant
+    orientation (diagonal t_n, ..., t_1, recurrence stripping the top index)
+    this is the direction that makes the substituted polynomial
+    subtraction-free; attaching the tail to t_{i+1} instead leaves an
+    uncancelled -q_n already at n = 2.
     """
     sigma = {}
     for i in range(1, n + 1):
@@ -225,3 +226,8 @@ def tail_substitution(
             img = img + u(i)
         sigma[tid(i)] = img
     return sigma
+
+
+def periodic_neighbour(n: int) -> Callable[[int], int]:
+    """i -> i - 1 on 1..n with 0 wrapping back to n."""
+    return lambda i: (i - 2) % n + 1

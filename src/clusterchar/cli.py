@@ -27,6 +27,7 @@ from .chebyshev import (
     delta,
     gen_cheb,
     gen_cheb_det,
+    periodic_neighbour,
     tail_substitution,
 )
 from .errors import ClusterCharError, InvalidArgument
@@ -136,8 +137,8 @@ def _cmd_gencheb(args: argparse.Namespace) -> int:
 def _cmd_delta(args: argparse.Namespace) -> int:
     value = delta(args.l, args.p)
     lp = args.l * args.p
-    if args.substitute == "periodic":  # t_0 is t_lp
-        value = value.substitute(tail_substitution(lp, lambda i: (i - 2) % lp + 1))
+    if args.substitute == "periodic":
+        value = value.substitute(tail_substitution(lp, periodic_neighbour(lp)))
     elif args.substitute == "nonperiodic":  # t_{lp+1} is fresh
         value = value.substitute(tail_substitution(lp, lambda i: i + 1))
     if args.coefficient_free:
@@ -242,21 +243,22 @@ def _cmd_variables(args: argparse.Namespace) -> int:
 
 def _cmd_basis(args: argparse.Namespace) -> int:
     quiver = _resolve_quiver(args.quiver)
-    report = bases.verify_positivity(args.kind, args.max_n, quiver)
+    lines = bases.verify_positivity(args.kind, args.max_n, quiver)
+    all_positive = all(line.passed for line in lines)
     _emit(args, lambda: "\n".join(
-        f"{'PASS' if line.positive else 'FAIL'} {line.description}"
-        + (f" [offending {line.witness}]" if line.witness else "")
-        for line in report.lines
+        f"{'PASS' if line.passed else 'FAIL'} {line.label}"
+        + (f" [offending {line.detail}]" if line.detail else "")
+        for line in lines
     ), lambda: {
         "kind": args.kind,
         "max_n": args.max_n,
-        "all_positive": report.all_positive,
+        "all_positive": all_positive,
         "elements": [
-            {"description": l.description, "positive": l.positive, "witness": l.witness}
-            for l in report.lines
+            {"description": l.label, "positive": l.passed, "witness": l.detail}
+            for l in lines
         ],
     })
-    return 0 if report.all_positive else 1
+    return 0 if all_positive else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

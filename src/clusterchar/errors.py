@@ -1,5 +1,5 @@
-"""The exception types shared across the package, and ``Record``, the base
-of its public records."""
+"""The exception types shared across the package, ``Record``, the base of
+its public records, and ``CheckLine``, the record every check returns."""
 
 import operator
 
@@ -93,3 +93,14 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+class CheckLine(Record):
+    """One tested instance of a check: its label, whether it held, and a
+    witness or reason when it did not."""
+
+    _fields = ("label", "passed", "detail")
+    _compared = 3
+
+    def __init__(self, label: str, passed: bool, detail: str = "") -> None:
+        self.__dict__.update(label=label, passed=bool(passed), detail=detail)

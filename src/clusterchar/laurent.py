@@ -661,9 +661,6 @@ class LaurentPoly:
 
     def specialize_ones(self, family: Family) -> "LaurentPoly":
         """Set every variable of the given family to 1."""
-        if len(self._terms) == 1:  # one term: its bounds are its exponents
-            (c,) = self._terms.values()
-            return LaurentPoly._single([(v, e) for v, e in zip(self._vars, self._lo) if v.family != family], c)
         return self._project(family)
 
     def is_subtraction_free(self) -> bool:

@@ -2,7 +2,8 @@
 
 Each check returns a list of CheckLine records, one per tested instance,
 so the CLI can print one PASS/FAIL line each and scripts can diff the
-output.  Default bounds match the package's acceptance envelope.
+output.  Each check's default bound, written in REGISTRY, matches the
+package's acceptance envelope.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from .chebyshev import (
     delta,
     gen_cheb,
     gen_cheb_values,
+    periodic_neighbour,
     s_from_f,
     s_from_f_value,
     tail_substitution,
 )
-from .errors import IdentityFailed
+from .errors import CheckLine, IdentityFailed
 from .laurent import Family, LaurentPoly, q, t, tid
 from .quiver import (
     a21_tube,
@@ -44,19 +46,10 @@ from .quiver import (
     tau_translate,
 )
 
-__all__ = ["CheckLine", "REGISTRY", "run_check", "available_checks"]
+__all__ = ["REGISTRY", "run_check", "available_checks"]
 
 
-class CheckLine:
-    __slots__ = ("label", "passed", "detail")
-
-    def __init__(self, label: str, passed: bool, detail: str = "") -> None:
-        self.label = label
-        self.passed = bool(passed)
-        self.detail = detail
-
-
-def lemma_dpsn(max_n: int = 8) -> list[CheckLine]:
+def lemma_dpsn(max_n: int) -> list[CheckLine]:
     """d P_n / d t_i splits as the product of the two flanking windows."""
     out = []
     for n in range(1, max_n + 1):
@@ -67,7 +60,7 @@ def lemma_dpsn(max_n: int = 8) -> list[CheckLine]:
     return out
 
 
-def lemma_cc(max_n: int = 6) -> list[CheckLine]:
+def lemma_cc(max_n: int) -> list[CheckLine]:
     """P_n under t_i -> t_i + q_i/t_{i-1} (t_0 fresh) is subtraction-free."""
     out = []
     for n in range(1, max_n + 1):
@@ -76,7 +69,7 @@ def lemma_cc(max_n: int = 6) -> list[CheckLine]:
     return out
 
 
-def lemma_pnpos(max_n: int = 5) -> list[CheckLine]:
+def lemma_pnpos(max_n: int) -> list[CheckLine]:
     """P_n under t_i -> t_i + u_i + q_i/t_{i-1} (t_0 fresh) is subtraction-free."""
     out = []
     for n in range(1, max_n + 1):
@@ -91,7 +84,7 @@ def _lp_pairs(max_lp: int) -> list[tuple[int, int]]:
     return [(l, p) for l in range(1, max_lp + 1) for p in range(1, max_lp + 1) if l * p <= max_lp]
 
 
-def delta_pos(max_lp: int = 6) -> list[CheckLine]:
+def delta_pos(max_lp: int) -> list[CheckLine]:
     """Delta_{l,p} under the periodic substitution is subtraction-free.
 
     Delta_{l,p} depends on l and p only through lp, so the outcome is
@@ -102,13 +95,13 @@ def delta_pos(max_lp: int = 6) -> list[CheckLine]:
         lp = l * p
         ok = seen.get(lp)
         if ok is None:
-            sigma = tail_substitution(lp, lambda i: (i - 2) % lp + 1, with_u=True)  # t_0 is t_lp
+            sigma = tail_substitution(lp, periodic_neighbour(lp), with_u=True)
             ok = seen[lp] = delta(l, p).substitute(sigma).is_subtraction_free()
         out.append(CheckLine(f"periodic substitution positive l={l} p={p}", ok))
     return out
 
 
-def delta_claim(max_lp: int = 6) -> list[CheckLine]:
+def delta_claim(max_lp: int) -> list[CheckLine]:
     """d Delta_{l,p} / d t_i equals P_{lp-1} in the cyclically shifted
     variables starting after i.
 
@@ -128,7 +121,7 @@ def delta_claim(max_lp: int = 6) -> list[CheckLine]:
     return out
 
 
-def s_from_f_check(max_n: int = 12) -> list[CheckLine]:
+def s_from_f_check(max_n: int) -> list[CheckLine]:
     """The first-kind decomposition reconstructs S_n with multipliers >= 0."""
     out = []
     for n in range(0, max_n + 1):
@@ -152,7 +145,7 @@ def lemma_key_check() -> list[CheckLine]:
     return out
 
 
-def char_cheb(max_n: int = 3) -> list[CheckLine]:
+def char_cheb(max_n: int) -> list[CheckLine]:
     """Characters of tube modules agree with their Chebyshev assembly."""
     ns = range(1, max_n + 1)
     cases = [(f"kronecker n={n}", homogeneous(n, 1), n) for n in ns]
@@ -184,24 +177,24 @@ def char_mutation() -> list[CheckLine]:
     return out
 
 
-def basis_pos(max_n: int = 4) -> list[CheckLine]:
+def basis_pos(max_n: int) -> list[CheckLine]:
     """Every basis element over both catalog quivers is subtraction-free."""
     out = []
     for quiver, name in ((kronecker_quiver(), "kronecker"), (affine_a2_quiver(), "affineA2")):
         for kind in bases.KINDS:
-            report = bases.verify_positivity(kind, max_n, quiver)
-            bad = report.violations()
+            lines = bases.verify_positivity(kind, max_n, quiver)
+            bad = [line.label for line in lines if not line.passed]
             out.append(
                 CheckLine(
-                    f"basis {kind} over {name} (n <= {max_n}, {len(report.lines)} elements)",
-                    report.all_positive,
-                    "; ".join(v.description for v in bad),
+                    f"basis {kind} over {name} (n <= {max_n}, {len(lines)} elements)",
+                    not bad,
+                    "; ".join(bad),
                 )
             )
     return out
 
 
-def tame_positivity(max_entry: int = 4) -> list[CheckLine]:
+def tame_positivity(max_entry: int) -> list[CheckLine]:
     """Coefficient-free characters of the affine catalog are subtraction-free."""
     out = []
     for fam in desk_affine_catalog():
@@ -213,7 +206,7 @@ def tame_positivity(max_entry: int = 4) -> list[CheckLine]:
     return out
 
 
-def graded_chi(max_entry: int = 3) -> list[CheckLine]:
+def graded_chi(max_entry: int) -> list[CheckLine]:
     """y-graded coefficients of the character at x = 1 recover each chi."""
     out = []
     for fam in desk_affine_catalog():

@@ -212,9 +212,9 @@ def test_criterion_12_positivity_at_desk_scale():
             failures.append(("character", fam.describe()))
     for quiver, qname in ((kronecker_quiver(), "kronecker"), (affine_a2_quiver(), "affineA2")):
         for kind in ("B", "C", "G"):
-            report = verify_positivity(kind, 4, quiver)
-            for line in report.violations():
-                failures.append((qname, kind, line.description))
+            for line in verify_positivity(kind, 4, quiver):
+                if not line.passed:
+                    failures.append((qname, kind, line.label))
     _report(12, "affine catalog characters and all basis elements n <= 4 subtraction-free", failures)
 
 

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterchar import bases
 from clusterchar.cli import _json_text, main
 from clusterchar.laurent import LaurentPoly
+from clusterchar.quiver import kronecker_quiver
 
 
 def run_cli(capsys, *argv):
@@ -463,6 +465,68 @@ class TestBasisAndVerify:
         lines = out.splitlines()
         assert any(line.startswith("PASS [lemma-key]") for line in lines)
         assert sum(line.startswith("PASS [lemma-dpsn]") for line in lines) == 6
+
+
+# sha256 of the stdout of `basis --kind K --max-n 4 --quiver Q`, text and --json
+BASIS_DIGESTS = {
+    ("kronecker", "B", False): "12db174e0cef551d3bc8fb76cb8bbfa863ae8866333c7af157cc17f680bdacd6",
+    ("kronecker", "B", True): "35c1c46433f0570575958d84b2b18ae4e2936023c336ad45f7632b6c7dcbcad2",
+    ("kronecker", "C", False): "3215b7de430c0d4fb4922b7f1942bd0892582fb0b2bdcb4b989777b5ed49f991",
+    ("kronecker", "C", True): "70e6dfbaf53d269dd60f5b581946f17fd1e21632546c946f50cf39f991605143",
+    ("kronecker", "G", False): "bbc27c9743a2ab68df600e4f695f8788ff62756819d19acca24f02246e19a47a",
+    ("kronecker", "G", True): "db8873bed43fc49f6596057fac84537e911e10a691d0cda2c7f017a250ac45ce",
+    ("affineA2", "B", False): "6fbf44dee9b0547f3e856015886ab8043e04ac9c80093598e05fcb6b09687870",
+    ("affineA2", "B", True): "162f2e64a6ebd18993ed8fd6c3346971e0d7f46bd62634176a145c97f76481a0",
+    ("affineA2", "C", False): "fa8c8cc919487a8cb459fe47978f4c211aa922cf75ece66fdd4a9abb1d2490d4",
+    ("affineA2", "C", True): "30a1f3da63397ce6a6f06b6e2986e6ca3be235f517cbb3f4685d97b5dbcf5d64",
+    ("affineA2", "G", False): "462561b7c51689c67ab7972bb1b53846d98eeb19ffe8988f8146e8a6c97989c7",
+    ("affineA2", "G", True): "0ea221d3ec5c04067cd9260b969c1512f09a2eddf92726cfcf854ddbaece3479",
+}
+
+
+class TestBasisOutputs:
+    @pytest.mark.parametrize("quiver, kind, as_json", list(BASIS_DIGESTS), ids=str)
+    def test_byte_stable(self, capsys, quiver, kind, as_json):
+        argv = ["basis", "--kind", kind, "--max-n", "4", "--quiver", quiver]
+        code, out, _ = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BASIS_DIGESTS[quiver, kind, as_json]
+
+    @pytest.fixture
+    def faulty_s2(self, monkeypatch):
+        """S_2(X_delta) over the Kronecker quiver, less 7: its constant term
+        becomes -6 and no other basis value changes."""
+        head, xd = bases._head, bases.x_delta(kronecker_quiver())
+
+        def faulty(kind, n, x):
+            value = head(kind, n, x)
+            return value - 7 * LaurentPoly.one() if (kind, n, x) == ("C", 2, xd) else value
+
+        monkeypatch.setattr(bases, "_head", faulty)
+
+    def test_fail_line_names_the_offending_term(self, capsys, faulty_s2):
+        code, out, _ = run_cli(capsys, "basis", "--kind", "C", "--max-n", "4", "--quiver", "kronecker")
+        assert code == 1
+        assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+            "FAIL S_2(X_delta) [offending -6]"
+        ]
+
+    def test_fail_json_carries_the_witness(self, capsys, faulty_s2):
+        code, out, _ = run_cli(
+            capsys, "basis", "--kind", "C", "--max-n", "4", "--quiver", "kronecker", "--json"
+        )
+        payload = json.loads(out)
+        assert (code, payload["all_positive"]) == (1, False)
+        assert [e for e in payload["elements"] if not e["positive"]] == [
+            {"description": "S_2(X_delta)", "positive": False, "witness": "-6"}
+        ]
+
+    def test_verify_basis_pos_fail_detail(self, capsys, faulty_s2):
+        code, out, _ = run_cli(capsys, "verify", "basis-pos")
+        assert code == 1
+        assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+            "FAIL [basis-pos] basis C over kronecker (n <= 4, 34 elements) (S_2(X_delta))"
+        ]
 
 
 GOLDENS = json.loads(

@@ -9,6 +9,7 @@ import pytest
 from clusterchar import grassmannian as gr
 from clusterchar.bases import basis_element
 from clusterchar.chebyshev import ChebWindow
+from clusterchar.errors import CheckLine
 from clusterchar.mutation import Seed, initial_seed
 from clusterchar.quiver import (
     IntRep,
@@ -43,6 +44,7 @@ RECORDS = {
         lambda: basis_element("C", 1, affine_a2_quiver(), a21_tube(1, 1)),
         ("kind", "n", "regular_part", "value"),
     ),
+    "CheckLine": (lambda: CheckLine("S_2(X_delta)", False, "-6"), ("label", "passed", "detail")),
 }
 
 ROUND_TRIPS = {
