@@ -273,12 +273,14 @@ def _subspace_bases(m: int, q: int) -> list[tuple[int, list[list[int]]]]:
     return out
 
 
-def _relation_plan(sizes: Sequence[int], q: int) -> tuple[list, list]:
+@functools.lru_cache(maxsize=32)  # one char-ladder pass builds 10 distinct plans
+def _relation_plan(sizes: tuple[int, ...], q: int) -> tuple[list, list]:
     """What _rank_by_solving needs for groups of these sizes over F_q: the
     relation spaces of each group, and for each tuple d of relation
     dimensions the coefficients c(d, j) = prod_g (-1)^(j_g - d_g)
     q^binom(j_g - d_g, 2) [j_g, d_g]_q, which invert the q-binomial sums
-    N(j) = sum_d prod_g [d_g, j_g]_q T(d) to T(d) = sum_j c(d, j) N(j)."""
+    N(j) = sum_d prod_g [d_g, j_g]_q T(d) to T(d) = sum_j c(d, j) N(j).
+    The plan is cached, so every walk that reads it shares it."""
     spaces = [_subspace_bases(m, q) for m in sizes]
     dims = list(itertools.product(*[range(m + 1) for m in sizes]))
     inverse = []
@@ -561,10 +563,8 @@ def _walk(rep: IntRep, q: int) -> dict[tuple, int]:
     groups: list[list[tuple[int, int]]] = [[] for _ in ranked]
     for b, lo, hi in stacks[last][1] if explicit else ():
         groups[ranked.index(b)].append((lo, hi))
-    system_count = math.prod(
-        sum(gaussian_binomial(len(g), j, q) for j in range(len(g) + 1)) for g in groups
-    )
-    plan = None
+    sizes = tuple(len(g) for g in groups)
+    system_count = math.prod(sum(gaussian_binomial(m, j, q) for j in range(m + 1)) for m in sizes)
 
     dims: list[int] = [0] * len(dim)
     leaves: dict[tuple, int] = {}
@@ -616,10 +616,8 @@ def _walk(rep: IntRep, q: int) -> dict[tuple, int]:
             tally_family(red[0], [red[j] for j in range(1, len(free)) if j not in taken])
 
     def tally_family(base: list[int], gens: list[list[int]]) -> None:
-        nonlocal plan
         if system_count < q ** len(gens):
-            plan = plan or _relation_plan([len(segs) for segs in groups], q)
-            ranks = _rank_by_solving(groups, base, gens, field, plan, q)
+            ranks = _rank_by_solving(groups, base, gens, field, _relation_plan(sizes, q), q)
         else:
             ranks = _rank_by_loop(groups, base, gens, field)
         stratum = tuple(dims)

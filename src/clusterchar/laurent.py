@@ -26,7 +26,12 @@ variable bounded by 0 on both sides leaves the frame, so equal polynomials
 have equal frames and keys whatever built them, and every operation knows
 before it forms a key whether an exponent could pass ``_LIMIT``, which
 raises InvalidArgument.  Exact division takes the leading remainder term
-from a heap of keys (its bound is proved in ``LaurentPoly.exact_div``).
+from a heap of keys and holds the divisor's other terms as offsets from its
+leading key, so each product key is one addition (the bound on every key it
+forms, offsets included, is proved in ``LaurentPoly.exact_div``).  Text is
+read off the keys as well: ``to_text`` cuts each key into its fields by
+shift and mask and looks each field up in a table of factor texts, one
+table per frame variable, that lives for that call only.
 
 Values are immutable after construction and safe to share between
 concurrent tasks; all operations are pure functions.
@@ -173,7 +178,7 @@ Frame = tuple[VarId, ...]
 Bounds = Sequence[int]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _ones(n: int) -> int:
     """A 1 in each of n fields."""
     return ((1 << (_BITS * n)) - 1) // _MASK
@@ -717,7 +722,10 @@ class LaurentPoly:
         deg r >= -n*a and e_i(r) = deg r - sum_{j != i} e_j(r) <= (2n - 1)*a.
         A quotient term r / d then has |e_i| <= (2n - 1)*a + d, and a
         product of it with a divisor term |e_i| <= (2n - 1)*a + 2d <= M.
-        Every key formed, the dividend's, the divisor's, quotients and
+        Each other divisor term is stored as its offset from d, the key of
+        its exponents minus d's, which lie within ±2d <= M; a product's key
+        is then r's key plus the offset, the key being linear.  Every key
+        formed, the dividend's, the divisor's, offsets, quotients and
         products, lies within M, the lead that fails the floor check
         included.
         """
@@ -739,15 +747,18 @@ class LaurentPoly:
         # The remainder is a key -> coefficient map with a heap of its keys,
         # each pushed once, when it first enters the map.  A key that cancels
         # stays in the map at 0 and is skipped when popped.  Every product
-        # qk + d sorts after the lead it was made from, so a popped key never
-        # returns.
+        # key lead + offset sorts after the lead it was made from, so a popped
+        # key never returns.
         # Field i of gate - key holds 2**(_BITS - 1) + e_i - f_i for the floor
         # f, in [0, 2**_BITS) as |e_i - f_i| <= 2M < 2**(_BITS - 1): its top
         # bit survives exactly when e_i >= f_i, one subtraction for all fields.
         guards = _ones(n) << (_BITS - 1)
         gate = guards + _key([min(lo, 0) for lo in alo])
-        dterms = sorted(dterms.items())
-        (dk, dc), rest = dterms[0], dterms[1:]
+        # The divisor's other terms as offsets from its leading key, their
+        # coefficients negated: lead + offset is the key of the quotient term
+        # lead / d times that term.
+        (dk, dc), *rest = sorted(dterms.items())
+        rest = [(k2 - dk, -c2) for k2, c2 in rest]
         rem = dict(rem)
         get, push, pop = rem.get, heapq.heappush, heapq.heappop
         heap = list(rem)
@@ -767,17 +778,16 @@ class LaurentPoly:
                 raise NonLaurentResult(
                     f"remainder term {_factors(pairs)} lies below the dividend's floor"
                 )
-            qk = lead - dk
             qc = c // dc
-            quot[qk] = qc
-            for k2, c2 in rest:
-                key = qk + k2
+            quot[lead - dk] = qc
+            for offset, c2 in rest:
+                key = lead + offset
                 old = get(key)
                 if old is None:
                     push(heap, key)
-                    rem[key] = -qc * c2
+                    rem[key] = qc * c2
                 else:
-                    rem[key] = old - qc * c2
+                    rem[key] = old + qc * c2
         return LaurentPoly._exact(frame, quot, tuple(map(sub, alo, dlo)), tuple(map(sub, ahi, dhi)))
 
     # -- serialization ----------------------------------------------------
@@ -790,22 +800,32 @@ class LaurentPoly:
             yield pairs, self._terms[k]
 
     def to_text(self) -> str:
-        if not self._terms:
+        """The canonical text: terms in canonical order, each a magnitude
+        and its factors in descending variable order.  Each factor's text,
+        ``*`` first, is looked up in a table per field keyed by the raw
+        field of ``bias - key``; the tables live for this call only."""
+        terms = self._terms
+        if not terms:
             return "0"
+        bias = _LIMIT * _ones(len(self._vars))
+        # the last frame variable is the lowest field and prints first
+        fields = [(_BITS * i, {}, name) for i, name in enumerate(reversed(_names(self._vars)))]
         pieces: list[str] = []
-        for i, (pairs, c) in enumerate(self._named_terms()):
+        for key in sorted(terms):
+            k = bias - key
+            text = ""
+            for s, table, name in fields:
+                raw = k >> s & _MASK
+                got = table.get(raw)
+                if got is None:
+                    e = raw - _LIMIT
+                    got = table[raw] = "" if not e else f"*{name}" if e == 1 else f"*{name}^{e}"
+                text += got
+            c = terms[key]
             mag = abs(c)
-            text = _factors(pairs)
-            if not pairs:
-                body = str(mag)
-            elif mag == 1:
-                body = text
-            else:
-                body = f"{mag}*{text}"
-            if i == 0:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f" + {body}" if c > 0 else f" - {body}")
+            pieces.append(" + " if c > 0 else " - ")
+            pieces.append(text[1:] if mag == 1 and text else f"{mag}{text}")
+        pieces[0] = "" if pieces[0] == " + " else "-"
         return "".join(pieces)
 
     def to_json_obj(self) -> list[dict]:

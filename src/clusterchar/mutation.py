@@ -12,7 +12,10 @@ on mutation-produced variables: the y-monomials attach to the opposite
 sides of the exchange binomial relative to the x-products, equivalently
 the whole thing is the textbook update run on [B; -C].  ``_exchange_weights``
 is the one place that column of [B; -C] is written; the exchange binomial
-and the g-vector both read it.  Every produced
+and the g-vector both read it.  Each side of the binomial is the product of
+the cluster variables of its sign's weight, a variable of weight ±1 taken
+as it is and one of weight ±w as its w-th power, times one y-monomial that
+carries all of that side's coefficients.  Every produced
 variable is verified to be a genuine Laurent polynomial by exact division;
 a remainder raises NonLaurentResult and means the implementation is wrong.
 
@@ -38,6 +41,8 @@ knows no g-vectors and always divides.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
 from typing import Iterator
 
 from .errors import IdentityFailed, InvalidArgument, NonLaurentResult, Record
@@ -136,12 +141,15 @@ def mutate(seed: Seed, k: int) -> Seed:
     m = seed.rank
     if not 0 <= k < m:
         raise IndexError(f"mutation index {k} out of range for rank {m}")
-    c_rows = seed.exchange_matrix[m:]
-    ys = tuple(LaurentPoly.variable(yid(j + 1)) for j in range(len(c_rows)))
-    sides = [LaurentPoly.one(), LaurentPoly.one()]  # P, N
-    for f, w in zip(seed.cluster + ys, _exchange_weights(seed, c_rows, k)):
-        if w:
-            sides[w < 0] = sides[w < 0] * f ** abs(w)
+    weights = _exchange_weights(seed, seed.exchange_matrix[m:], k)
+    sides = []  # P, N
+    for sign in (1, -1):
+        signed = [sign * w for w in weights]
+        factors = [f if w == 1 else f ** w for f, w in zip(seed.cluster, signed) if w > 0]
+        ys = [(yid(j + 1), w) for j, w in enumerate(signed[m:]) if w > 0]
+        if ys:
+            factors.append(LaurentPoly._single(ys, 1))
+        sides.append(reduce(mul, factors) if factors else LaurentPoly.one())
     new_var = (sides[0] + sides[1]).exact_div(seed.cluster[k])
     if new_var.min_family_exponent(Family.Y) < 0:
         raise NonLaurentResult("mutation produced a negative y exponent")

@@ -593,6 +593,37 @@ class TestFieldEdge:
             (x(1) ** (a + 1)).exact_div(x(1))
 
 
+TEXT_POOL = [VarId(f, i) for f in Family for i in (1, 2, 10)]
+
+
+@st.composite
+def text_polys(draw):
+    """Polynomials over up to 12 variables of all six families, with
+    exponents up to ±_LIMIT and coefficients ±1 or large."""
+    frame = draw(st.lists(st.sampled_from(TEXT_POOL), max_size=12, unique=True))
+    exps = st.one_of(st.integers(-3, 3), st.sampled_from([-_LIMIT, -_LIMIT + 1, _LIMIT]))
+    coeffs = st.one_of(st.sampled_from([1, -1]), st.integers(-(10**30), 10**30))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        es = draw(st.lists(exps, min_size=len(frame), max_size=len(frame)))
+        terms.append((Monomial(dict(zip(frame, es))), draw(coeffs)))
+    return LaurentPoly(terms)
+
+
+def _text_by_terms(p):
+    """The canonical text written from ``canonical_terms`` and
+    ``Monomial.text``."""
+    pieces = []
+    for i, (m, c) in enumerate(p.canonical_terms()):
+        mag = abs(c)
+        body = str(mag) if m.is_one() else m.text() if mag == 1 else f"{mag}*{m.text()}"
+        if i == 0:
+            pieces.append(body if c > 0 else "-" + body)
+        else:
+            pieces.append((" + " if c > 0 else " - ") + body)
+    return "".join(pieces) or "0"
+
+
 class TestSerialization:
     def test_canonical_text(self):
         assert str(t(2) * t(1) - q(2)) == "t2*t1 - q2"
@@ -650,6 +681,17 @@ class TestSerialization:
         assert VarId(Family.Q, 3) < VarId(Family.T, 1)
         assert sorted([tid(2), qid(1), xid(5)]) == [xid(5), qid(1), tid(2)]
         assert repr(tid(2)) == "VarId(t2)" and tid(2).name == "t2"
+
+    @given(p=text_polys())
+    @example(p=LaurentPoly.zero())
+    @example(p=LaurentPoly.constant(-7))
+    @example(p=LaurentPoly.constant(10**40))
+    @example(p=-(x(1) ** 2) + 3 * y(1) - 1)
+    @example(p=x(1) ** -_LIMIT - z(2) ** _LIMIT * u(3) + 1)
+    def test_text_is_the_canonical_terms_formatted(self, p):
+        want = _text_by_terms(p)
+        assert p.to_text() == str(p) == want
+        assert repr(p) == f"LaurentPoly({want})"
 
 
 class TestHash:

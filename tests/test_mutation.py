@@ -270,6 +270,22 @@ class TestExchangeBinomial:
             assert child.cluster[k] * seed.cluster[k] == _binomial_by_rows(seed, k)
             seed = child
 
+    @pytest.mark.parametrize("name, depth", [("affineA2", 4), ("double-arrows", 2)])
+    @pytest.mark.parametrize("principal", [False, True])
+    def test_every_seed_of_a_search(self, name, depth, principal):
+        quiver = affine_a2_quiver() if name == "affineA2" else DOUBLE_ARROWS
+        weights = set()
+        for seed in seeds_up_to(quiver, depth, principal):
+            for k in range(seed.rank):
+                weights.update(row[k] for row in seed.exchange_matrix)
+                assert mutate(seed, k).cluster[k] * seed.cluster[k] == _binomial_by_rows(seed, k)
+        if name == "double-arrows":
+            assert {2, -2} <= weights
+
+
+# The rank-3 wild quiver with two arrows on each of 1->2, 1->3 and 2->3.
+DOUBLE_ARROWS = Quiver(("1", "2", "3"), (("1", "2"),) * 2 + (("1", "3"),) * 2 + (("2", "3"),) * 2)
+
 
 def _homogeneous_degree(v, b0):
     """The one degree of every term of v under deg x_i = e_i and
