@@ -2,7 +2,7 @@
 characteristics via counting-polynomial interpolation.
 
 Counts are taken over F_q for q a power of an admissible prime p (one
-whose reduction keeps the module's ranks; see IntRep.excluded_primes).
+at which reduction keeps the module; see IntRep.excluded_primes).
 Katz's theorem (appendix to Hausel and Rodriguez-Villegas, Mixed Hodge
 polynomials of character varieties) turns a count that is one polynomial
 in q over every F_q into the E-polynomial, whose value at 1 is the Euler
@@ -64,10 +64,12 @@ checked against all later nodes (at least two); the closings then give the
 counting polynomial of every e at once, checked against every sample.  If
 a stratum fails, each e of the module is interpolated alone through the
 first D+3 nodes, D the ambient product-of-Grassmannians degree bound.
-Disagreement on a held-out node raises instead of guessing, and so does a
-Kronecker module with a point that is not rational, whose counts cannot be
-a polynomial in q.  One walk per (module, node) is cached, with the counts
-of every e.
+When no node is the square of a prime, both paths also check one node
+they do not list, the square of the smallest admissible prime, which sees
+the points over quadratic fields.  Disagreement on a held-out node raises
+instead of guessing, and so does a Kronecker module with a point that is
+not rational, whose counts cannot be a polynomial in q.  One walk per
+(module, node) is cached, with the counts of every e.
 """
 
 from __future__ import annotations
@@ -106,9 +108,20 @@ def admissible_nodes(rep: IntRep) -> Iterator[int]:
             yield n
 
 
-def _nodes(rep: IntRep, bound: int) -> list[int]:
+def _nodes(rep: IntRep, bound: int) -> tuple[int, ...]:
     """Interpolation nodes for degree ``bound`` plus two held-out nodes."""
-    return list(itertools.islice(admissible_nodes(rep), bound + 3))
+    return tuple(itertools.islice(admissible_nodes(rep), bound + 3))
+
+
+def _square_node(nodes: tuple[int, ...]) -> tuple[int, ...]:
+    """One more held-out node when no node is the square of a prime: the
+    square of the smallest admissible prime, nodes[0].  The nodes are the
+    first admissible prime powers, so some node is such a square exactly
+    when that one is.  A point over a quadratic field is rational over
+    F_{p^2}, so a count that is 1 + (D/p) at every prime node is 2 there.
+    Past the largest field (_FIELD_LIMIT) there is no such node to count."""
+    square = nodes[0] ** 2
+    return () if square <= nodes[-1] or square > _FIELD_LIMIT else (square,)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +494,7 @@ def _module_plan(rep: IntRep) -> tuple[IntRep, bool, tuple[int, ...]]:
     the dual; and the nodes, the first B + 3 admissible prime powers."""
     dual = dual_rep(rep)
     walked = min((rep, dual), key=lambda side: (_walk_degree(side), _walk_cost(side, 2)))
-    return walked, walked is dual, tuple(_nodes(rep, _walk_degree(walked)))
+    return walked, walked is dual, _nodes(rep, _walk_degree(walked))
 
 
 def _walk(rep: IntRep, q: int) -> dict[tuple, int]:
@@ -727,67 +740,6 @@ def count_subreps(rep: IntRep, e: Sequence[int], q: int) -> int:
 # the Kronecker spectrum
 
 
-def _det(rows: list[list[int]]) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in rows]
-    n, sign, prev = len(a), 1, 1
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            for k in range(c + 1, n):
-                a[r][k] = (a[r][k] * a[c][c] - a[r][c] * a[c][k]) // prev
-        prev = a[c][c]
-    return sign * (a[n - 1][n - 1] if n else 1)
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = [1]
-    for p in _prime_factors(n):
-        k = 0
-        while n % p ** (k + 1) == 0:
-            k += 1
-        out = [d * p**i for d in out for i in range(k + 1)]
-    return out
-
-
-def _without_rational_roots(coeffs: Sequence[int]) -> tuple[int, ...]:
-    """The integer polynomial divided by a linear factor s*t - r for every
-    rational root r/s, with multiplicity (rational-root test)."""
-    c = list(_trim(coeffs))
-    while len(c) > 1:
-        if c[0] == 0:
-            c.pop(0)
-            continue
-        deg = len(c) - 1
-        root = next(
-            (
-                (r, s)
-                for s in _divisors(c[-1])
-                for a in _divisors(c[0])
-                for r in (a, -a)
-                if math.gcd(r, s) == 1
-                and sum(ci * r**i * s ** (deg - i) for i, ci in enumerate(c)) == 0
-            ),
-            None,
-        )
-        if root is None:
-            break
-        r, s = root
-        quotient = [0] * deg  # c = (s t - r) * quotient, from the top down
-        rest = c[:]
-        for i in range(deg, 0, -1):
-            quotient[i - 1] = rest[i] // s
-            rest[i - 1] += r * quotient[i - 1]
-        c = quotient
-    return tuple(c)
-
-
 def _form_text(coeffs: Sequence[int]) -> str:
     """The binary form sum c_i lambda^i mu^(deg-i), highest power of
     lambda first."""
@@ -804,37 +756,19 @@ def _form_text(coeffs: Sequence[int]) -> str:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def _check_spectrum(rep: IntRep) -> None:
     """Refuse a Kronecker module of dimension (n, n) whose spectrum has a
-    point that is not rational.  A Kronecker module here is one supported
-    on two vertices joined by two parallel arrows.
+    point that is not rational (the module's pencil, see quiver._Pencil).
 
-    With arrow matrices A and B and det(mu B - lambda A) not identically 0,
-    the points of the module are the roots of that binary form.  A factor
-    of degree 2 or more without rational roots splits differently mod
-    different primes, so the counts are not a polynomial in p.
+    With det(mu B - lambda A) not identically 0, the points of the module
+    are the roots of that binary form.  A factor of degree 2 or more
+    without rational roots splits differently mod different primes, so the
+    counts are not a polynomial in p.
     """
-    inner = [
-        (arrow, mat)
-        for arrow, mat in zip(rep.quiver.arrow_indices(), rep.matrices)
-        if rep.dim[arrow[0]] and rep.dim[arrow[1]]
-    ]
-    support = [d for d in rep.dim if d]
-    if len(support) != 2 or len(inner) != 2 or inner[0][0] != inner[1][0]:
-        return
-    if support[0] != support[1]:
-        return
-    (_, a), (_, b) = inner
-    # det(B - tA) at t = 0..n, interpolated: the form at mu = 1
-    form = _newton_coefficients([
-        (t, _det([[y - t * x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]))
-        for t in range(support[0] + 1)
-    ])
-    rest = _without_rational_roots(form)
-    if len(rest) > 2:
+    pencil = rep._pencil
+    if pencil is not None and len(pencil.rest) > 2:
         raise NonPolynomialCount(
-            f"det(mu*B - lambda*A) has the factor {_form_text(rest)} with no "
+            f"det(mu*B - lambda*A) has the factor {_form_text(pencil.rest)} with no "
             f"rational root: the module has a point that is not rational, so "
             f"its counts are not a polynomial in p"
         )
@@ -916,10 +850,12 @@ def _box_polynomials(rep: IntRep) -> dict[DimVector, tuple[int, ...]] | NonPolyn
     the error of the first stratum that fails.
 
     Each stratum's tally is interpolated with the degree bound of its own
-    dims; every later node is held out.  Its closing polynomials then give
-    each e's share.  The walks were done (and cached) by count_subreps.
+    dims; every later node, and the _square_node, is held out.  Its
+    closing polynomials then give each e's share.  The walks were done
+    (and cached) by count_subreps.
     """
     walked, dual, nodes = _module_plan(rep)
+    nodes += _square_node(nodes)
     _, tail, sink = _walk_plan(walked.quiver)
     tallies = [_count_box(rep, q)[0] for q in nodes]
     totals: dict[DimVector, list[int]] = {}
@@ -943,11 +879,13 @@ def _samples(rep: IntRep, e: DimVector, nodes: Sequence[int]) -> tuple[tuple[int
 
 def _per_e_profile(rep: IntRep, e: DimVector) -> CountProfile:
     """The fallback: interpolate e's count alone, through the first nodes
-    of the ambient product-of-Grassmannians degree bound."""
+    of the ambient product-of-Grassmannians degree bound, checked at the
+    later ones and at their _square_node."""
     bound = _grassmannian_dim(rep.dim, e)
-    samples = _samples(rep, e, _nodes(rep, bound))
-    coeffs = _interpolate(samples, bound, f"e={e}")
-    return CountProfile(rep, e, samples, coeffs, _eval_poly(coeffs, 1))
+    nodes = _nodes(rep, bound)
+    points = _samples(rep, e, nodes + _square_node(nodes))
+    coeffs = _interpolate(points, bound, f"e={e}")
+    return CountProfile(rep, e, points[:len(nodes)], coeffs, _eval_poly(coeffs, 1))
 
 
 def profile(rep: IntRep, e: Sequence[int]) -> CountProfile:
@@ -956,12 +894,12 @@ def profile(rep: IntRep, e: Sequence[int]) -> CountProfile:
     e = _check_e(rep, e)
     _check_spectrum(rep)
     _, _, nodes = _module_plan(rep)
-    samples = _samples(rep, e, nodes)
+    points = _samples(rep, e, nodes + _square_node(nodes))
     box = _box_polynomials(rep)
     if isinstance(box, NonPolynomialCount):
         return _per_e_profile(rep, e)
     coeffs = box.get(e, (0,))
-    return CountProfile(rep, e, samples, coeffs, _eval_poly(coeffs, 1))
+    return CountProfile(rep, e, points[:len(nodes)], coeffs, _eval_poly(coeffs, 1))
 
 
 def counting_polynomial(rep: IntRep, e: Sequence[int]) -> tuple[int, ...]:

@@ -530,15 +530,17 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             return self.inverse() ** (-n)
-        result = _ONE
+        if not n:
+            return _ONE
+        result = None  # the product so far, from the first set bit on
         base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):

@@ -16,6 +16,7 @@ and exceptional tube members are string modules, built by ``_string``.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -182,10 +183,15 @@ class IntRep(Record):
     """A representation by integer matrices, one per arrow, of shape
     dim(target) x dim(source).
 
-    Counting excludes the primes at which the mod-p reduction is visibly a
-    different module: those at which an arrow matrix, a composition along
-    a path, or the map whose kernel is End(M) loses rank (so dim End jumps).
-    The rule is necessary, not sufficient; the held-out primes of
+    Counting excludes the primes at which the mod-p reduction is a
+    different module.  A Kronecker module of dimension (n, n) whose pencil
+    form is not 0 and has only rational points (see _Pencil) is, over any
+    field, fixed up to isomorphism by its Kronecker canonical form, whose
+    type (a Jordan partition at each point) is all its counts depend on; it
+    excludes exactly the primes at which that type changes.  Every other
+    module excludes the primes at which an arrow matrix, a composition
+    along a path, or the map whose kernel is End(M) loses rank (so dim End
+    jumps).  That rule is necessary, not sufficient; the held-out nodes of
     interpolation catch the rest.
 
     The label names the module in messages; equality and hashing ignore it.
@@ -227,8 +233,30 @@ class IntRep(Record):
 
     @functools.cached_property
     def _excluded_primes(self) -> frozenset[int]:
-        values = {v for mat in self._rank_matrices() for v in _diagonal_entries(mat)}
+        pencil = self._pencil
+        if pencil is not None and pencil.rational():
+            values = pencil.type_values()
+        else:
+            values = {v for mat in self._rank_matrices() for v in _diagonal_entries(mat)}
         return frozenset(p for v in values for p in _prime_factors(v))
+
+    @functools.cached_property
+    def _pencil(self) -> _Pencil | None:
+        """The pencil of a Kronecker module of dimension (n, n), n >= 1: one
+        supported on two vertices joined by two parallel arrows.  None for
+        every other module."""
+        inner = [
+            (arrow, mat)
+            for arrow, mat in zip(self.quiver.arrow_indices(), self.matrices)
+            if self.dim[arrow[0]] and self.dim[arrow[1]]
+        ]
+        support = [d for d in self.dim if d]
+        if len(support) != 2 or support[0] != support[1]:
+            return None
+        if len(inner) != 2 or inner[0][0] != inner[1][0]:
+            return None
+        (_, a), (_, b) = inner
+        return _Pencil(a, b)
 
     def _rank_matrices(self) -> Iterator[Sequence[Sequence[int]]]:
         """The matrices whose rank must not drop mod p: every arrow, every
@@ -262,6 +290,156 @@ class IntRep(Record):
                     row[at:at + dim[t]] = minus_cols[c]
                     rows.append(row)
         yield rows
+
+
+class _Pencil:
+    """A Kronecker module of dimension (n, n) as the pencil mu*B - lambda*A
+    of its arrow matrices A and B.
+
+    Its points are the roots of the binary form det(mu*B - lambda*A) = sum
+    c_i lambda^i mu^(n-i).  ``rest`` is the form divided by its rational
+    linear factors, and ``points`` are the rational roots (lambda, mu,
+    multiplicity), lambda and mu coprime.  When every point is rational,
+    rest is the content of the form up to sign (Gauss's lemma).
+    """
+
+    __slots__ = ("a", "b", "rest", "points")
+
+    def __init__(self, a: IntMatrix, b: IntMatrix) -> None:
+        n = len(a)
+        # det(B - tA) at t = 0..n, interpolated: divided differences of an
+        # integer polynomial at consecutive integers are integers
+        dd = [_det([[y - t * x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]) for t in range(n + 1)]
+        for j in range(1, n + 1):
+            for i in range(n, j - 1, -1):
+                dd[i] = (dd[i] - dd[i - 1]) // j
+        form = [0] * (n + 1)
+        for k in range(n, -1, -1):  # Horner on the Newton form
+            form = [(form[i - 1] if i else 0) - k * form[i] for i in range(n + 1)]
+            form[0] += dd[k]
+        self.a, self.b = a, b
+        self.rest, roots = _without_rational_roots(form)
+        # a degree below n is a root at mu = 0
+        infinite = n - max((i for i, c in enumerate(form) if c), default=n)
+        self.points = tuple(roots) + (((1, 0, infinite),) if infinite else ())
+
+    def rational(self) -> bool:
+        """Whether the form is not 0 and every point is rational."""
+        return len(self.rest) == 1 and self.rest[0] != 0
+
+    def type_values(self) -> set[int]:
+        """Nonzero integers whose prime factors are exactly the primes at
+        which reduction changes the type of the canonical form, for a
+        rational pencil.
+
+        Mod p the form must not vanish: p must not divide its content.  Then
+        every point mod p is the reduction of a rational point (lam : mu).
+        With (gamma, delta) completing (lam, mu) to a basis of Z^2, the
+        pencil there is s*P + t*Q for P = mu*B - lam*A and Q = delta*B -
+        gamma*A, and the kernel of the block matrix T_k with P down its
+        diagonal and Q below it, of dimension sum_j min(k, kappa_j), gives
+        the Jordan partition kappa at the point, over Q and over F_p alike.
+        Its rank drops mod p exactly when p divides an entry of
+        _diagonal_entries.  Two points meeting mod p raise the multiplicity
+        m of each, so T_(m+1) loses rank there; with T_1, ..., T_(m+1) of
+        unchanged rank the partition keeps its size m and, read off those
+        kernels, its parts, so no larger k is needed (k stops at n).
+        """
+        a, b, n = self.a, self.b, len(self.a)
+        values = {abs(self.rest[0])}
+        for lam, mu, m in self.points:
+            if mu:
+                delta = pow(lam, -1, mu)
+                gamma = (lam * delta - 1) // mu
+            else:
+                gamma, delta = 0, lam  # lam is +-1
+            p = [[mu * y - lam * x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+            q = [[delta * y - gamma * x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+            for k in range(1, min(n, m + 1) + 1):
+                rows = []
+                for i in range(k):
+                    for r in range(n):
+                        row = [0] * (k * n)
+                        row[i * n:(i + 1) * n] = p[r]
+                        if i:
+                            row[(i - 1) * n:i * n] = q[r]
+                        rows.append(row)
+                values.update(_diagonal_entries(rows))
+        return values
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            sign = -sign
+        for r in range(c + 1, n):
+            for k in range(c + 1, n):
+                a[r][k] = (a[r][k] * a[c][c] - a[r][c] * a[c][k]) // prev
+        prev = a[c][c]
+    return sign * (a[n - 1][n - 1] if n else 1)
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = [1]
+    for p in _prime_factors(n):
+        k = 0
+        while n % p ** (k + 1) == 0:
+            k += 1
+        out = [d * p**i for d in out for i in range(k + 1)]
+    return out
+
+
+def _without_rational_roots(
+    coeffs: Sequence[int],
+) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
+    """The integer polynomial divided by a linear factor s*t - r for every
+    rational root r/s, with multiplicity (rational-root test), and those
+    roots as (r, s, multiplicity), s > 0 and coprime to r."""
+    c = list(coeffs)
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    roots = []
+    if len(c) > 1 and c[0] == 0:
+        zeros = next(i for i, x in enumerate(c) if x)
+        del c[:zeros]
+        roots.append((0, 1, zeros))
+
+    def value(r: int, s: int) -> int:  # s^deg times c at r/s
+        return sum(ci * r**i * s ** (len(c) - 1 - i) for i, ci in enumerate(c))
+
+    while len(c) > 1:
+        root = next(
+            (
+                (r, s)
+                for s in _divisors(c[-1])
+                for a in _divisors(c[0])
+                for r in (a, -a)
+                if math.gcd(r, s) == 1 and value(r, s) == 0
+            ),
+            None,
+        )
+        if root is None:
+            break
+        r, s = root
+        m = 0
+        while len(c) > 1 and value(r, s) == 0:
+            deg = len(c) - 1
+            quotient = [0] * deg  # c = (s t - r) * quotient, from the top down
+            rest = c[:]
+            for i in range(deg, 0, -1):
+                quotient[i - 1] = rest[i] // s
+                rest[i - 1] += r * quotient[i - 1]
+            c, m = quotient, m + 1
+        roots.append((r, s, m))
+    return tuple(c), roots
 
 
 def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from clusterchar import bases
 from clusterchar.cli import _json_text, main
 from clusterchar.laurent import LaurentPoly
-from clusterchar.quiver import kronecker_quiver
+from clusterchar.character import cluster_char
+from clusterchar.quiver import catalog_module, homogeneous, kronecker_quiver
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +99,7 @@ class TestCheb:
 
 MODULE_QUASI = '{"family": "kronecker_homogeneous", "params": {"n": 1, "point": 1}}'
 HOMOGENEOUS_2_1 = '{"family": "kronecker_homogeneous", "params": {"n": 2, "point": 1}}'
+JORDAN_CORNER = '{"dim": {"1": 2, "2": 2}, "matrices": {"0": [[1, 0], [0, 1]], "1": [[1, %d], [0, 1]]}}'
 
 
 class TestChar:
@@ -282,18 +284,25 @@ class TestGrass:
         assert payload["samples"][0] == [2, 3]
 
     @pytest.mark.parametrize(
-        "family, point, e, primes",
+        "quiver, mod, e, primes",
         [
-            ("kronecker_homogeneous", 2, "1,1", [3, 5, 7, 9]),
-            ("kronecker_homogeneous", 6, "1,1", [5, 7, 11, 13]),
-            ("affineA21_homogeneous", 3, "1,1,1", [2, 4, 5, 7]),
+            # the Jordan block J_2(1) in a basis that splits it mod 2, and mod 3 too
+            ("kronecker", JORDAN_CORNER % 2, "1,1", [3, 5, 7, 9]),
+            ("kronecker", JORDAN_CORNER % 6, "1,1", [5, 7, 11, 13]),
+            ("affineA2", '{"family": "affineA21_homogeneous", "params": {"n": 2, "point": 3}}', "1,1,1", [2, 4, 5, 7]),
         ],
     )
-    def test_samples_skip_excluded_primes(self, capsys, family, point, e, primes):
-        mod = '{"family": "%s", "params": {"n": 2, "point": %d}}' % (family, point)
-        code, out, _ = run_cli(capsys, "grass", "--module", mod, "--e", e, "--json")
+    def test_samples_skip_excluded_primes(self, capsys, quiver, mod, e, primes):
+        code, out, _ = run_cli(capsys, "grass", "--quiver", quiver, "--module", mod, "--e", e, "--json")
         assert code == 0
         assert [p for p, _ in json.loads(out)["samples"]] == primes
+
+    def test_homogeneous_samples_start_at_two(self, capsys):
+        # M_2(6) mod 2 and 3 is M_2(0), of the same type, so no prime is skipped
+        mod = '{"family": "kronecker_homogeneous", "params": {"n": 2, "point": 6}}'
+        code, out, _ = run_cli(capsys, "grass", "--module", mod, "--e", "1,1", "--json")
+        assert code == 0
+        assert [p for p, _ in json.loads(out)["samples"]] == [2, 3, 4, 5]
 
     def test_unfactorable_entry_exit_two(self, capsys):
         mod = '{"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1]], "1": [[100000000000000000039]]}}'
@@ -330,19 +339,31 @@ class TestGrass:
             "[7, 9, 11] is -2/4, not an integer\n"
         )
 
+    def test_quadratic_point_refused_at_the_square_of_the_smallest_prime(self, capsys):
+        # the points are the roots of lambda^2 + 78, a non-residue at the nodes
+        # 5, 7, 11, 17 of the strata; no node is a square, so F_25 is checked
+        # too, and the fallback's nodes 5, ..., 23 and 25 see both points at 19 and 25
+        mod = '{"dim":{"1":2,"2":2,"3":2},"matrices":{"0":[[1,0],[0,1]],"1":[[1,0],[0,1]],"2":[[0,-78],[1,0]]}}'
+        code, out, err = run_cli(capsys, "grass", "--quiver", "affineA2", "--module", mod, "--e", "1,1,1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: NonPolynomialCount: held-out primes [19, 25] disagree for e=(1, 1, 1): "
+            "counts [2, 2] vs interpolant [0, 0]\n"
+        )
+
     @pytest.mark.parametrize("corner", [2, 6])
     def test_jordan_block_in_another_basis(self, capsys, corner):
-        # conjugate to (I, J_2(1)) over Q; dim End jumps at the primes of the corner
+        # conjugate to (I, J_2(1)) over Q; the block splits at the primes of the corner
         _, want, _ = run_cli(capsys, "char", "--module", HOMOGENEOUS_2_1)
-        mod = '{"dim": {"1": 2, "2": 2}, "matrices": {"0": [[1, 0], [0, 1]], "1": [[1, %d], [0, 1]]}}'
-        code, out, _ = run_cli(capsys, "char", "--quiver", "kronecker", "--module", mod % corner)
+        code, out, _ = run_cli(capsys, "char", "--quiver", "kronecker", "--module", JORDAN_CORNER % corner)
         assert (code, out) == (0, want)
 
-    def test_two_rational_points_exit_two(self, capsys):
+    def test_two_rational_points_multiply(self, capsys):
+        # M_1(3) + M_1(5) over Q; at 2 the points meet, and 2 is excluded
         mod = '{"dim": {"1": 2, "2": 2}, "matrices": {"0": [[1, 0], [0, 1]], "1": [[3, 1], [0, 5]]}}'
-        code, out, err = run_cli(capsys, "char", "--quiver", "kronecker", "--module", mod)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: NonPolynomialCount:")
+        code, out, _ = run_cli(capsys, "char", "--quiver", "kronecker", "--module", mod)
+        quasi_simple = cluster_char(catalog_module(homogeneous(1, 1)))
+        assert (code, out) == (0, (quasi_simple * quasi_simple).to_text() + "\n")
 
     def test_spectrum_key_exit_two(self, capsys):
         mod = '{"dim": {"1": 1, "2": 1}, "matrices": {"0": [[1]], "1": [[1]]}, "spectrum": [1]}'

@@ -26,6 +26,7 @@ from clusterchar.quiver import (
     direct_sum,
     dual_rep,
     homogeneous,
+    _without_rational_roots,
     kronecker_quiver,
     preinjective,
     preprojective,
@@ -208,13 +209,70 @@ def _rank(rows, p=None):
 @settings(max_examples=25, deadline=None)
 def test_end_keeps_its_dimension_at_admitted_primes(name, data):
     """Both ways: a prime is excluded exactly when the End complex, an arrow
-    matrix or a composition along a path loses rank mod p."""
+    matrix or a composition along a path loses rank mod p; for a Kronecker
+    module of dimension (n, n) with only rational points, exactly when the
+    type of its canonical form changes mod p."""
     rep = data.draw(explicit_modules(WALK_QUIVERS[name][0]))
+    pair = _kronecker_pair(rep)
+    over_q = pair and _rational_type(*pair)
+    if over_q:
+        for p in (2, 3, 5, 7):
+            mod_p = _pencil_type(*pair, [(x, 1) for x in range(p)] + [(1, 0)], p)
+            assert (p in rep.excluded_primes()) == (mod_p != over_q), p
+        return
     mats = [_end_complex(rep), *_path_compositions(rep)]
     over_q = [_rank(m) for m in mats]
     for p in (2, 3, 5, 7):
         drops = any(_rank(m, p) < r for m, r in zip(mats, over_q))
         assert (p in rep.excluded_primes()) == drops, p
+
+
+def _kronecker_pair(rep):
+    """The arrow matrices A and B of a module supported on two vertices of
+    equal dimension joined by two parallel arrows, else None."""
+    inner = [
+        (arrow, m) for arrow, m in zip(rep.quiver.arrow_indices(), rep.matrices)
+        if rep.dim[arrow[0]] and rep.dim[arrow[1]]
+    ]
+    support = [d for d in rep.dim if d]
+    if len(support) == 2 and support[0] == support[1] and len(inner) == 2 and inner[0][0] == inner[1][0]:
+        return inner[0][1], inner[1][1]
+    return None
+
+
+def _pencil_type(a, b, points, p=None):
+    """The type of the pencil mu*B - lambda*A over F_p (over Q if p is None)
+    at the given points: for each point where mu*B - lambda*A is singular,
+    the kernel dimensions of the block matrices with it down the diagonal
+    and A (or B at mu = 0) below, k = 1..n, which give the Jordan partition
+    there; sorted, so that two pencils of one type give one list."""
+    n = len(a)
+    out = []
+    for lam, mu in points:
+        diag = [[mu * y - lam * x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        below = a if (mu if p is None else mu % p) else b
+        kernels = []
+        for k in range(1, n + 1):
+            rows = [
+                [0] * ((i - 1) * n) + list(below[r]) + list(diag[r]) + [0] * ((k - i - 1) * n)
+                if i else list(diag[r]) + [0] * ((k - 1) * n)
+                for i in range(k) for r in range(n)
+            ]
+            kernels.append(k * n - _rank(rows, p))
+        if kernels[0]:
+            out.append(tuple(kernels))
+    return sorted(out)
+
+
+def _rational_type(a, b):
+    """The pencil's type over Q when its form is not 0 and every point is
+    rational (the algebraic multiplicities, the last kernel dimensions, of
+    its rational points sum to n), else None.  The points are searched
+    among (r : s) with |r|, |s| <= 16, which holds every root of a form of
+    a 2 x 2 pencil with entries in -2..2 (coefficients at most 16 in size)."""
+    points = [(r, s) for s in range(17) for r in range(-16, 17) if math.gcd(r, s) == 1 and (s or r == 1)]
+    found = _pencil_type(a, b, points)
+    return found if sum(kernels[-1] for kernels in found) == len(a) else None
 
 
 def _path_compositions(rep):
@@ -519,9 +577,88 @@ class TestKroneckerSpectrum:
     def test_rational_roots_are_divided_out(self):
         # (t - 1)(2t + 3)(t^2 + 2) t
         poly = (0, -6, 2, 1, 1, 2)
-        assert gr._without_rational_roots(poly) == (2, 0, 1)
-        assert gr._without_rational_roots((-6, 1, 1)) == (1,)  # (t + 3)(t - 2)
-        assert gr._without_rational_roots((0, 0)) == (0,)
+        assert _without_rational_roots(poly) == ((2, 0, 1), [(0, 1, 1), (1, 1, 1), (-3, 2, 1)])
+        assert _without_rational_roots((-6, 1, 1)) == ((1,), [(-3, 1, 1), (2, 1, 1)])  # (t + 3)(t - 2)
+        assert _without_rational_roots((0, 0)) == ((0,), [])
+        assert _without_rational_roots((0, 0, 4, -4, 1)) == ((1,), [(0, 1, 2), (2, 1, 2)])
+
+
+@st.composite
+def rational_pencils(draw):
+    """A Kronecker module of dimension (n, n), n <= 3, with only rational
+    points: a sum of blocks (mu0 I + d N, lam0 I + c N) of random sizes at
+    random points (lam0 : mu0), N the nilpotent shift (one Jordan block
+    there unless mu0 c = lam0 d), scaled now and then, and moved by
+    unimodular matrices on both sides, which keeps it over every F_p."""
+    n = draw(st.integers(1, 3))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    a = [[0] * n for _ in range(n)]
+    b = [[0] * n for _ in range(n)]
+    at = 0
+    for k in sizes:
+        lam, mu = draw(st.integers(-6, 6)), draw(st.integers(0, 4))
+        lam, mu = (lam // math.gcd(lam, mu), mu // math.gcd(lam, mu)) if mu else (1, 0)
+        c, d = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        for i in range(at, at + k):
+            a[i][i], b[i][i] = mu, lam
+            if i + 1 < at + k:
+                a[i][i + 1], b[i][i + 1] = d, c
+        at += k
+    scale = draw(st.sampled_from((1, 1, 1, 2, 3)))
+    g, _ = draw(unimodular(n))
+    h, _ = draw(unimodular(n))
+    a, b = ([[scale * x for x in row] for row in _matmul(_matmul(g, m), h)] for m in (a, b))
+    return _kronecker(tuple(map(tuple, a)), tuple(map(tuple, b)))
+
+
+def _box(rep):
+    return list(itertools.product(*[range(d + 1) for d in rep.dim]))
+
+
+class TestKroneckerTypes:
+    """On the Kronecker quiver the counts depend only on the type of the
+    canonical form, so a prime is excluded exactly where that type changes."""
+
+    @given(rep=rational_pencils())
+    @settings(max_examples=25, deadline=None)
+    def test_excluded_exactly_where_counts_leave_the_polynomial(self, rep):
+        polys = {e: gr.counting_polynomial(rep, e) for e in _box(rep)}
+        for p in (2, 3, 5, 7, 11, 13):
+            counts = gr._count_side(rep, p)[1]  # the walk itself does not refuse p
+            off = [e for e, poly in polys.items() if counts.get(e, 0) != gr._eval_poly(poly, p)]
+            assert bool(off) == (p in rep.excluded_primes()), (p, off)
+
+    def test_points_that_meet_as_one_jordan_block(self):
+        # the roots 0 and -7 of det(B - tA) = t(t + 7) meet mod 7 as J_2:
+        # P = B keeps rank 1 there, while the k = 2 block matrix loses rank
+        rep = _kronecker(((1, 1), (1, 2)), ((-1, 1), (2, -2)))
+        assert rep.excluded_primes() == {7}
+        assert gr.counting_polynomial(rep, (1, 1)) == (2,)
+        assert gr._count_side(rep, 7)[1][1, 1] == 1
+
+    def test_homogeneous_counts_do_not_depend_on_the_point(self):
+        checked = 0
+        for n in (1, 2, 3):
+            base = catalog_module(homogeneous(n, 1))
+            for point in (2, -2, 4, -4, 3, -3, 9, -9, 6, -6, 12, -12):
+                rep = catalog_module(homogeneous(n, point))
+                assert rep.excluded_primes() == frozenset()
+                for e in _box(rep):
+                    poly = gr.counting_polynomial(base, e)
+                    for q in (2, 3, 4, 8, 9):
+                        assert gr.count_subreps(rep, e, q) == gr._eval_poly(poly, q), (n, point, e, q)
+                        checked += 1
+        assert checked == 1740
+
+    def test_four_points_count_alike_whatever_their_cross_ratio(self):
+        boxes = []
+        for points in ((1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 4, 8)):
+            parts = [catalog_module(homogeneous(1, x)) for x in points]
+            rep = functools.reduce(direct_sum, parts)
+            boxes.append({e: prof.coefficients for e, prof in gr.box_profiles(rep).items()})
+        assert len(boxes[0]) == 25 and boxes[0] == boxes[1] == boxes[2]
 
 
 class TestCountExamples:
@@ -545,9 +682,9 @@ class TestCountExamples:
             gr.count_subreps(rep, (0,), 5)
 
     def test_excluded_prime(self):
-        rep = catalog_module(homogeneous(1, 6))
+        rep = catalog_module(a21_homogeneous(1, 6))
         with pytest.raises(ExcludedPrime):
-            gr.count_subreps(rep, (1, 1), 3)
+            gr.count_subreps(rep, (1, 1, 1), 3)
 
 
 class TestCountingPolynomials:
@@ -709,11 +846,11 @@ class TestFiniteField:
             gr.count_subreps(rep, (0, 1), 257)
 
     def test_excluded_prime_excludes_its_powers(self):
-        rep = catalog_module(homogeneous(1, 6))
-        assert gr.count_subreps(rep, (0, 1), 25) == 1
+        rep = catalog_module(a21_homogeneous(1, 6))
+        assert gr.count_subreps(rep, (0, 0, 1), 25) == 1
         for q in (4, 9, 27):
             with pytest.raises(ExcludedPrime, match=f"prime {_base_prime(q)} is excluded"):
-                gr.count_subreps(rep, (1, 1), q)
+                gr.count_subreps(rep, (1, 1, 1), q)
 
 
 def _assert_polynomials_hold_at_primes(rep):

@@ -732,6 +732,26 @@ class TestPow:
         assert p.min_family_exponent(Family.U) == 0
         assert (u(1).inverse()).min_family_exponent(Family.U) == -1
 
+    def test_squaring_starts_from_the_base(self, monkeypatch):
+        f = x(1) + x(2)
+        want = [LaurentPoly.constant(1), f]
+        for _ in range(4):
+            want.append(want[-1] * f)
+        calls = []
+        mul = LaurentPoly.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        made = []
+        for n in range(5):
+            calls.clear()
+            assert f ** n == want[n]
+            made.append(len(calls))
+        assert made == [0, 0, 1, 2, 2]
+
 
 
 # -- term maps against a reference on terms() and Monomial ----------------

@@ -261,15 +261,18 @@ class TestCatalog:
         assert quasi_factors(fam) == parts
 
     def test_excluded_primes_from_arrows_and_endomorphisms(self, kronecker, affine_a2):
+        # mod 2 and 3 the pencil (1, 6) is M_1(0), of the same type as M_1(6)
         rep = catalog_module(homogeneous(1, 6))
-        assert rep.excluded_primes() == {2, 3}
-        # 3 from the arrow diag(1, 3); at 2 the points 1 and 3 meet and dim End jumps
+        assert rep.excluded_primes() == frozenset()
+        # the points 1 and 3 meet at 2 only; the arrow diag(1, 3) drops rank
+        # at 3 as well, but the type does not change there
         both = direct_sum(catalog_module(homogeneous(1, 1)), catalog_module(homogeneous(1, 3)))
-        assert both.excluded_primes() == {2, 3}
+        assert both.excluded_primes() == {2}
         # every arrow keeps its rank at 11, but dim End is 1 over Q and 3 over F_11
         jump = IntRep(affine_a2, (2, 2, 1), (((1, 1), (2, 0)), ((-1, -2),), ((1, -2),)))
         assert jump.excluded_primes() == {2, 11}
-        # conjugate to (I, J_2(1)) over Q; mod a prime of the corner both are I, and End jumps
+        # conjugate to (I, J_2(1)) over Q; mod a prime of the corner both are
+        # I, so the Jordan block J_2 at 1 splits in two
         for corner, primes in ((2, {2}), (6, {2, 3})):
             jordan = IntRep(kronecker, (2, 2), (((1, 0), (0, 1)), ((1, corner), (0, 1))))
             assert jordan.excluded_primes() == primes
@@ -287,12 +290,12 @@ class TestCatalog:
         unimodular = IntRep(kronecker, (2, 2), (((2, 1), (1, 1)), ((1, 0), (0, 1))))
         assert unimodular.excluded_primes() == frozenset()
 
-    def test_excluded_primes_near_the_trial_division_bound(self, kronecker):
+    def test_excluded_primes_near_the_trial_division_bound(self, affine_a2):
         big = 10**12 + 39  # prime, below (10^6 + 1)^2
-        rep = IntRep(kronecker, (1, 1), (((1,),), ((big,),)))
+        rep = IntRep(affine_a2, (1, 1, 1), (((1,),), ((1,),), ((big,),)))
         assert rep.excluded_primes() == {big}
         # the two largest primes below 10^6
-        rep = IntRep(kronecker, (1, 1), (((1,),), ((999979 * 999983,),)))
+        rep = IntRep(affine_a2, (1, 1, 1), (((1,),), ((1,),), ((999979 * 999983,),)))
         assert rep.excluded_primes() == {999979, 999983}
 
     def test_excluded_primes_refuse_unfactorable_entry(self, kronecker):
@@ -351,8 +354,11 @@ CATALOG_GRID = [
 
 @pytest.mark.parametrize("fam", CATALOG_GRID, ids=lambda f: f.describe())
 def test_catalog_excludes_the_primes_of_its_point(fam):
-    # every member but the homogeneous ones has point 0, and so excludes nothing
-    want = {p for p in (2, 3, 5, 7, 11) if fam.point and fam.point % p == 0}
+    # every member but the homogeneous ones has point 0, and so excludes
+    # nothing; on the Kronecker quiver M_n(point) mod p is M_n(point mod p),
+    # of the same type, so it excludes nothing either
+    kronecker = fam.family == "kronecker_homogeneous"
+    want = {p for p in (2, 3, 5, 7, 11) if fam.point and fam.point % p == 0 and not kronecker}
     assert catalog_module(fam).excluded_primes() == want
 
 
