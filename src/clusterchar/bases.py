@@ -178,6 +178,4 @@ def power_in_second_kind(n: int) -> list[int]:
             if k >= 1:
                 new[k - 1] += c
         coeffs = new
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
     return coeffs

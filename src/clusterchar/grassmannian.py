@@ -67,8 +67,8 @@ first D+3 nodes, D the ambient product-of-Grassmannians degree bound.
 When no node is the square of a prime, both paths also check one node
 they do not list, the square of the smallest admissible prime, which sees
 the points over quadratic fields.  Disagreement on a held-out node raises
-instead of guessing, and so does a Kronecker module with a point that is
-not rational, whose counts cannot be a polynomial in q.  One walk per
+instead of guessing, and so does a module whose pencil has a point that
+is not rational, whose counts cannot be a polynomial in q.  One walk per
 (module, node) is cached, with the counts of every e.
 """
 
@@ -80,7 +80,8 @@ import math
 from typing import Iterator, Sequence
 
 from .errors import DimOutOfRange, ExcludedPrime, InvalidArgument, NonPolynomialCount, Record
-from .quiver import DimVector, IntRep, Quiver, _prime_factors, dual_rep
+from .linalg import _eval_poly, _newton_coefficients, _poly_add, _poly_mul, _prime_factors, _trim
+from .quiver import DimVector, IntRep, Quiver, dual_rep
 
 __all__ = [
     "CountProfile",
@@ -398,34 +399,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return _eval_poly(_q_binomial(n, k), q)
 
 
-# ---------------------------------------------------------------------------
-# integer polynomials in q (ascending coefficient tuples)
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _poly_add(acc: list[int], a: Sequence[int], shift: int = 0) -> None:
-    """acc += q^shift * a, in place."""
-    if len(acc) < shift + len(a):
-        acc.extend([0] * (shift + len(a) - len(acc)))
-    for i, x in enumerate(a):
-        acc[shift + i] += x
-
-
-def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
-    out = list(coeffs) or [0]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=None)
 def _q_binomial(n: int, k: int) -> tuple[int, ...]:
     """The Gaussian binomial [n, k]_q as a polynomial in q."""
@@ -436,13 +409,6 @@ def _q_binomial(n: int, k: int) -> tuple[int, ...]:
     out = list(_q_binomial(n - 1, k - 1))  # [n-1, k-1] + q^k [n-1, k]
     _poly_add(out, _q_binomial(n - 1, k), k)
     return tuple(out)
-
-
-def _eval_poly(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -737,71 +703,13 @@ def count_subreps(rep: IntRep, e: Sequence[int], q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the Kronecker spectrum
-
-
-def _form_text(coeffs: Sequence[int]) -> str:
-    """The binary form sum c_i lambda^i mu^(deg-i), highest power of
-    lambda first."""
-    deg = len(coeffs) - 1
-    out = ""
-    for i in range(deg, -1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
-        powers = [f"{v}^{k}" if k > 1 else v for v, k in (("lambda", i), ("mu", deg - i)) if k]
-        body = "*".join(([str(abs(c))] if abs(c) != 1 or not powers else []) + powers)
-        sign = ("-" if c < 0 else "") if not out else (" - " if c < 0 else " + ")
-        out += sign + body
-    return out
-
-
-def _check_spectrum(rep: IntRep) -> None:
-    """Refuse a Kronecker module of dimension (n, n) whose spectrum has a
-    point that is not rational (the module's pencil, see quiver._Pencil).
-
-    With det(mu B - lambda A) not identically 0, the points of the module
-    are the roots of that binary form.  A factor of degree 2 or more
-    without rational roots splits differently mod different primes, so the
-    counts are not a polynomial in p.
-    """
-    pencil = rep._pencil
-    if pencil is not None and len(pencil.rest) > 2:
-        raise NonPolynomialCount(
-            f"det(mu*B - lambda*A) has the factor {_form_text(pencil.rest)} with no "
-            f"rational root: the module has a point that is not rational, so "
-            f"its counts are not a polynomial in p"
-        )
-
-
-# ---------------------------------------------------------------------------
 # interpolation
 
 
-def _newton_coefficients(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """Exact interpolation through integer nodes by Newton divided
-    differences; coefficients ascending by degree.
-
-    Every divided difference of an integer polynomial at integer nodes is
-    an integer, so the first division that leaves a remainder proves the
-    interpolant is not integral and raises NonPolynomialCount.
-    """
-    xs = [x for x, _ in points]
-    dd = [y for _, y in points]
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            num, den = dd[i] - dd[i - 1], xs[i] - xs[i - j]
-            if num % den:
-                raise NonPolynomialCount(
-                    f"divided difference over nodes {xs[i - j:i + 1]} is "
-                    f"{num}/{den}, not an integer"
-                )
-            dd[i] = num // den
-    out = [0]
-    for k in range(len(xs) - 1, -1, -1):  # Horner on the Newton form
-        out = [a - xs[k] * b for a, b in zip([0] + out, out + [0])]
-        out[0] += dd[k]
-    return _trim(out)
+def _check_spectrum(rep: IntRep) -> None:
+    """Refuse a module whose pencil (IntRep._pencil) has an irrational point."""
+    if rep._pencil is not None:
+        rep._pencil.refuse_irrational()
 
 
 def _interpolate(points: Sequence[tuple[int, int]], bound: int, what: str) -> tuple[int, ...]:

@@ -3,7 +3,8 @@ catalog of module families used as concrete test subjects.
 
 Representations carry plain integer matrices and are reduced mod p on
 demand, so a single object serves every prime during point counting.  The
-primes a module excludes are read off its matrices, not declared.
+primes a module excludes are read off its matrices, not declared; this
+module picks the matrices, and ``linalg`` finds their primes.
 The Auslander-Reiten translate is not implemented as a functor; tube
 families expose it combinatorially (an index shift mod the tube's rank).
 
@@ -16,12 +17,12 @@ and exceptional tube members are string modules, built by ``_string``.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch, InvalidArgument, InvalidParams, QuiverMismatch, Record, UnsupportedQuiver,
 )
+from .linalg import IntMatrix, _Pencil, _diagonal_entries, _end_matrix, _matmul, _prime_factors
 
 __all__ = [
     "DimVector",
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 DimVector = tuple[int, ...]
-IntMatrix = tuple[tuple[int, ...], ...]
 
 
 class Quiver(Record):
@@ -184,15 +184,16 @@ class IntRep(Record):
     dim(target) x dim(source).
 
     Counting excludes the primes at which the mod-p reduction is a
-    different module.  A Kronecker module of dimension (n, n) whose pencil
-    form is not 0 and has only rational points (see _Pencil) is, over any
-    field, fixed up to isomorphism by its Kronecker canonical form, whose
-    type (a Jordan partition at each point) is all its counts depend on; it
-    excludes exactly the primes at which that type changes.  Every other
-    module excludes the primes at which an arrow matrix, a composition
-    along a path, or the map whose kernel is End(M) loses rank (so dim End
-    jumps).  That rule is necessary, not sufficient; the held-out nodes of
-    interpolation catch the rest.
+    different module.  A module whose nonzero arrows are two parallel ones
+    s => t, dim s = dim t, is a pencil plus a semisimple module (_pencil).
+    When the pencil's form is not 0 and has only rational points, the type
+    of its Kronecker canonical form (a Jordan partition at each point) fixes
+    it over any field, and with it every count, so it excludes exactly the
+    primes at which that type changes.  Every other module excludes the
+    primes at which an arrow matrix, a composition along a path, or the map
+    whose kernel is End(M) loses rank (so dim End jumps).  That rule is
+    necessary, not sufficient; the held-out nodes of interpolation catch
+    the rest.
 
     The label names the module in messages; equality and hashing ignore it.
     """
@@ -242,27 +243,20 @@ class IntRep(Record):
 
     @functools.cached_property
     def _pencil(self) -> _Pencil | None:
-        """The pencil of a Kronecker module of dimension (n, n), n >= 1: one
-        supported on two vertices joined by two parallel arrows.  None for
-        every other module."""
-        inner = [
-            (arrow, mat)
-            for arrow, mat in zip(self.quiver.arrow_indices(), self.matrices)
-            if self.dim[arrow[0]] and self.dim[arrow[1]]
-        ]
-        support = [d for d in self.dim if d]
-        if len(support) != 2 or support[0] != support[1]:
+        """The pencil (linalg._Pencil) of a module whose every nonzero arrow
+        matrix is on one pair s => t of exactly two arrows, with dim s = dim
+        t: a Kronecker module plus a semisimple one.  None for every other."""
+        pairs = self.quiver.arrow_indices()
+        live = {arrow for arrow, mat in zip(pairs, self.matrices) if any(map(any, mat))}
+        inner = [mat for arrow, mat in zip(pairs, self.matrices) if {arrow} == live]
+        if len(inner) != 2 or len(inner[0]) != len(inner[0][0]):  # not square
             return None
-        if len(inner) != 2 or inner[0][0] != inner[1][0]:
-            return None
-        (_, a), (_, b) = inner
-        return _Pencil(a, b)
+        return _Pencil(*inner)
 
     def _rank_matrices(self) -> Iterator[Sequence[Sequence[int]]]:
         """The matrices whose rank must not drop mod p: every arrow, every
         composition along a path (except through a zero map), and the map
-        (phi_v) -> (M_a phi_s - phi_t M_a) over arrows a: s -> t, whose
-        kernel is End(M)."""
+        whose kernel is End(M) (linalg._end_matrix)."""
         pairs = self.quiver.arrow_indices()
         stack = [(t, m) for (_, t), m in zip(pairs, self.matrices)]
         while stack:
@@ -272,259 +266,7 @@ class IntRep(Record):
                 stack.extend(
                     (t, _matmul(m, mat)) for (s, t), m in zip(pairs, self.matrices) if s == end
                 )
-        # phi_v[i][j] is unknown offset[v] + i * dim[v] + j.  The row of entry
-        # (r, c) of arrow a: s -> t holds row r of M_a at the phi_s[i][c] and
-        # minus column c at the phi_t[r][j]; with no loops the two never meet.
-        dim = self.dim
-        offset = [0]
-        for d in dim:
-            offset.append(offset[-1] + d * d)
-        rows = []
-        for (s, t), m in zip(pairs, self.matrices):
-            minus_cols = [[-v for v in col] for col in zip(*m)]
-            for r in range(dim[t]):
-                at = offset[t] + r * dim[t]
-                for c in range(dim[s]):
-                    row = [0] * offset[-1]
-                    row[offset[s] + c:offset[s + 1]:dim[s]] = m[r]
-                    row[at:at + dim[t]] = minus_cols[c]
-                    rows.append(row)
-        yield rows
-
-
-class _Pencil:
-    """A Kronecker module of dimension (n, n) as the pencil mu*B - lambda*A
-    of its arrow matrices A and B.
-
-    Its points are the roots of the binary form det(mu*B - lambda*A) = sum
-    c_i lambda^i mu^(n-i).  ``rest`` is the form divided by its rational
-    linear factors, and ``points`` are the rational roots (lambda, mu,
-    multiplicity), lambda and mu coprime.  When every point is rational,
-    rest is the content of the form up to sign (Gauss's lemma).
-    """
-
-    __slots__ = ("a", "b", "rest", "points")
-
-    def __init__(self, a: IntMatrix, b: IntMatrix) -> None:
-        n = len(a)
-        # det(B - tA) at t = 0..n, interpolated: divided differences of an
-        # integer polynomial at consecutive integers are integers
-        dd = [_det([[y - t * x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]) for t in range(n + 1)]
-        for j in range(1, n + 1):
-            for i in range(n, j - 1, -1):
-                dd[i] = (dd[i] - dd[i - 1]) // j
-        form = [0] * (n + 1)
-        for k in range(n, -1, -1):  # Horner on the Newton form
-            form = [(form[i - 1] if i else 0) - k * form[i] for i in range(n + 1)]
-            form[0] += dd[k]
-        self.a, self.b = a, b
-        self.rest, roots = _without_rational_roots(form)
-        # a degree below n is a root at mu = 0
-        infinite = n - max((i for i, c in enumerate(form) if c), default=n)
-        self.points = tuple(roots) + (((1, 0, infinite),) if infinite else ())
-
-    def rational(self) -> bool:
-        """Whether the form is not 0 and every point is rational."""
-        return len(self.rest) == 1 and self.rest[0] != 0
-
-    def type_values(self) -> set[int]:
-        """Nonzero integers whose prime factors are exactly the primes at
-        which reduction changes the type of the canonical form, for a
-        rational pencil.
-
-        Mod p the form must not vanish: p must not divide its content.  Then
-        every point mod p is the reduction of a rational point (lam : mu).
-        With (gamma, delta) completing (lam, mu) to a basis of Z^2, the
-        pencil there is s*P + t*Q for P = mu*B - lam*A and Q = delta*B -
-        gamma*A, and the kernel of the block matrix T_k with P down its
-        diagonal and Q below it, of dimension sum_j min(k, kappa_j), gives
-        the Jordan partition kappa at the point, over Q and over F_p alike.
-        Its rank drops mod p exactly when p divides an entry of
-        _diagonal_entries.  Two points meeting mod p raise the multiplicity
-        m of each, so T_(m+1) loses rank there; with T_1, ..., T_(m+1) of
-        unchanged rank the partition keeps its size m and, read off those
-        kernels, its parts, so no larger k is needed (k stops at n).
-        """
-        a, b, n = self.a, self.b, len(self.a)
-        values = {abs(self.rest[0])}
-        for lam, mu, m in self.points:
-            if mu:
-                delta = pow(lam, -1, mu)
-                gamma = (lam * delta - 1) // mu
-            else:
-                gamma, delta = 0, lam  # lam is +-1
-            p = [[mu * y - lam * x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-            q = [[delta * y - gamma * x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-            for k in range(1, min(n, m + 1) + 1):
-                rows = []
-                for i in range(k):
-                    for r in range(n):
-                        row = [0] * (k * n)
-                        row[i * n:(i + 1) * n] = p[r]
-                        if i:
-                            row[(i - 1) * n:i * n] = q[r]
-                        rows.append(row)
-                values.update(_diagonal_entries(rows))
-        return values
-
-
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in rows]
-    n, sign, prev = len(a), 1, 1
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            for k in range(c + 1, n):
-                a[r][k] = (a[r][k] * a[c][c] - a[r][c] * a[c][k]) // prev
-        prev = a[c][c]
-    return sign * (a[n - 1][n - 1] if n else 1)
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = [1]
-    for p in _prime_factors(n):
-        k = 0
-        while n % p ** (k + 1) == 0:
-            k += 1
-        out = [d * p**i for d in out for i in range(k + 1)]
-    return out
-
-
-def _without_rational_roots(
-    coeffs: Sequence[int],
-) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
-    """The integer polynomial divided by a linear factor s*t - r for every
-    rational root r/s, with multiplicity (rational-root test), and those
-    roots as (r, s, multiplicity), s > 0 and coprime to r."""
-    c = list(coeffs)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    roots = []
-    if len(c) > 1 and c[0] == 0:
-        zeros = next(i for i, x in enumerate(c) if x)
-        del c[:zeros]
-        roots.append((0, 1, zeros))
-
-    def value(r: int, s: int) -> int:  # s^deg times c at r/s
-        return sum(ci * r**i * s ** (len(c) - 1 - i) for i, ci in enumerate(c))
-
-    while len(c) > 1:
-        root = next(
-            (
-                (r, s)
-                for s in _divisors(c[-1])
-                for a in _divisors(c[0])
-                for r in (a, -a)
-                if math.gcd(r, s) == 1 and value(r, s) == 0
-            ),
-            None,
-        )
-        if root is None:
-            break
-        r, s = root
-        m = 0
-        while len(c) > 1 and value(r, s) == 0:
-            deg = len(c) - 1
-            quotient = [0] * deg  # c = (s t - r) * quotient, from the top down
-            rest = c[:]
-            for i in range(deg, 0, -1):
-                quotient[i - 1] = rest[i] // s
-                rest[i - 1] += r * quotient[i - 1]
-            c, m = quotient, m + 1
-        roots.append((r, s, m))
-    return tuple(c), roots
-
-
-def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """The product ab of integer matrices, b with at least one row."""
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
-
-
-def _diagonal_entries(mat: Sequence[Sequence[int]]) -> list[int]:
-    """The absolute values of the nonzero entries of a diagonal form of the
-    matrix under invertible integer row and column operations.  Those
-    operations stay invertible mod every p, so the matrix's rank mod p is
-    the number of entries that p does not divide.
-
-    The form depends on the pivot order, but the primes dividing its entries
-    do not.  Invertible integer operations keep the gcd of the r x r minors,
-    r the rank; a diagonal form has one nonzero r x r minor, the product of
-    its entries; so the primes that divide some entry are those dividing
-    that gcd, whichever form is reached.
-
-    A +-1 entry, the first found, is the pivot whenever there is one: adding
-    multiples of its row clears its column, and column operations would
-    then clear its row without touching another, so the row is dropped.
-    Without a unit, the smallest entry is reduced against its row and
-    column until it is alone in both."""
-    a = [list(row) for row in mat]
-    out = []
-    while True:
-        i = next((i for i, row in enumerate(a) if 1 in row or -1 in row), None)
-        if i is not None:
-            pivot_row = a.pop(i)
-            j = pivot_row.index(1) if 1 in pivot_row else pivot_row.index(-1)
-            scaled = [(col, v * pivot_row[j]) for col, v in enumerate(pivot_row) if v]
-            for row in a:
-                f = row[j]
-                if f:
-                    for col, v in scaled:
-                        row[col] -= f * v
-            out.append(1)
-            continue
-        nonzero = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
-        if not nonzero:
-            return out
-        _, i, j = min(nonzero)
-        pivot = a[i][j]
-        for k, row in enumerate(a):
-            if k != i and row[j]:
-                f = row[j] // pivot
-                a[k] = [x - f * y for x, y in zip(row, a[i])]
-        for col in range(len(a[i])):
-            if col != j and a[i][col]:
-                f = a[i][col] // pivot
-                for row in a:
-                    row[col] -= f * row[j]
-        # Each nonzero remainder is smaller than the pivot, so this ends.
-        if sum(1 for row in a if row[j]) == 1 and sum(1 for v in a[i] if v) == 1:
-            out.append(abs(pivot))
-            del a[i]
-            for row in a:
-                del row[j]
-
-
-_TRIAL_DIVISORS = 10**6
-
-
-def _prime_factors(n: int) -> set[int]:
-    """The prime factors of n >= 0, by trial division up to 10^6.  A
-    cofactor left below (10^6 + 1)^2 is then prime; a larger one is refused,
-    since it may have two factors beyond the trial bound."""
-    whole = n
-    out: set[int] = set()
-    for d in range(2, _TRIAL_DIVISORS + 1):
-        if d * d > n:
-            break
-        while n % d == 0:
-            out.add(d)
-            n //= d
-    else:
-        if n >= (_TRIAL_DIVISORS + 1) ** 2:
-            raise InvalidArgument(
-                f"cannot factor {whole}: trial division up to {_TRIAL_DIVISORS} "
-                f"leaves {n}, too large to be known prime"
-            )
-    if n > 1:
-        out.add(n)
-    return out
+        yield _end_matrix(pairs, self.dim, self.matrices)
 
 
 def _jordan(n: int, lam: int) -> IntMatrix:

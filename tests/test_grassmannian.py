@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from clusterchar import grassmannian as gr
 from clusterchar.errors import DimOutOfRange, ExcludedPrime, InvalidArgument, NonPolynomialCount
+from clusterchar.linalg import _eval_poly, _newton_coefficients, _without_rational_roots
 from clusterchar.quiver import (
     IntRep,
     Quiver,
@@ -26,7 +27,6 @@ from clusterchar.quiver import (
     direct_sum,
     dual_rep,
     homogeneous,
-    _without_rational_roots,
     kronecker_quiver,
     preinjective,
     preprojective,
@@ -228,15 +228,16 @@ def test_end_keeps_its_dimension_at_admitted_primes(name, data):
 
 
 def _kronecker_pair(rep):
-    """The arrow matrices A and B of a module supported on two vertices of
-    equal dimension joined by two parallel arrows, else None."""
-    inner = [
-        (arrow, m) for arrow, m in zip(rep.quiver.arrow_indices(), rep.matrices)
-        if rep.dim[arrow[0]] and rep.dim[arrow[1]]
-    ]
-    support = [d for d in rep.dim if d]
-    if len(support) == 2 and support[0] == support[1] and len(inner) == 2 and inner[0][0] == inner[1][0]:
-        return inner[0][1], inner[1][1]
+    """The arrow matrices A and B of a module whose nonzero arrows all run
+    s -> t, along the only two arrows from s to t, with dim s = dim t; such
+    a module is a Kronecker module plus a semisimple one.  Else None."""
+    pairs = rep.quiver.arrow_indices()
+    nonzero = {arrow for arrow, m in zip(pairs, rep.matrices) if any(x for row in m for x in row)}
+    if len(nonzero) == 1:
+        (s, t), = nonzero
+        mats = [m for arrow, m in zip(pairs, rep.matrices) if arrow == (s, t)]
+        if len(mats) == 2 and rep.dim[s] == rep.dim[t]:
+            return tuple(mats)
     return None
 
 
@@ -617,6 +618,22 @@ def _box(rep):
     return list(itertools.product(*[range(d + 1) for d in rep.dim]))
 
 
+def _beside(rep, d):
+    """The Kronecker module rep on the arrows 2 => 3 of the double-arrow
+    quiver, plus S_1^d: the arrow 1 -> 2 is zero."""
+    n = rep.dim[0]
+    zero = tuple((0,) * d for _ in range(n))
+    return IntRep(WALK_QUIVERS["double-arrow"][0], (d, n, n), (zero, *rep.matrices))
+
+
+def _assert_excluded_exactly_where_counts_leave_the_polynomial(rep):
+    polys = {e: gr.counting_polynomial(rep, e) for e in _box(rep)}
+    for p in (2, 3, 5, 7, 11, 13):
+        counts = gr._count_side(rep, p)[1]  # the walk itself does not refuse p
+        off = [e for e, poly in polys.items() if counts.get(e, 0) != _eval_poly(poly, p)]
+        assert bool(off) == (p in rep.excluded_primes()), (p, off)
+
+
 class TestKroneckerTypes:
     """On the Kronecker quiver the counts depend only on the type of the
     canonical form, so a prime is excluded exactly where that type changes."""
@@ -624,11 +641,20 @@ class TestKroneckerTypes:
     @given(rep=rational_pencils())
     @settings(max_examples=25, deadline=None)
     def test_excluded_exactly_where_counts_leave_the_polynomial(self, rep):
-        polys = {e: gr.counting_polynomial(rep, e) for e in _box(rep)}
-        for p in (2, 3, 5, 7, 11, 13):
-            counts = gr._count_side(rep, p)[1]  # the walk itself does not refuse p
-            off = [e for e, poly in polys.items() if counts.get(e, 0) != gr._eval_poly(poly, p)]
-            assert bool(off) == (p in rep.excluded_primes()), (p, off)
+        _assert_excluded_exactly_where_counts_leave_the_polynomial(rep)
+
+    @given(rep=rational_pencils(), semisimple=st.integers(1, 2))
+    @settings(max_examples=15, deadline=None)
+    def test_beside_a_semisimple_vertex(self, rep, semisimple):
+        _assert_excluded_exactly_where_counts_leave_the_polynomial(_beside(rep, semisimple))
+
+    def test_pencil_beside_a_semisimple_vertex_excludes_where_points_meet(self):
+        # S_1^2 plus a pencil on 2 => 3 whose roots 0 and 7 of
+        # det(B - tA) = -t(t - 7) meet mod 7
+        rep = _beside(_kronecker(((-1, -1), (1, 2)), ((-1, 1), (-2, 2))), 2)
+        assert rep.excluded_primes() == {7}
+        assert gr.counting_polynomial(rep, (0, 1, 1)) == (2,)
+        assert gr._count_side(rep, 7)[1][0, 1, 1] == 1
 
     def test_points_that_meet_as_one_jordan_block(self):
         # the roots 0 and -7 of det(B - tA) = t(t + 7) meet mod 7 as J_2:
@@ -648,7 +674,7 @@ class TestKroneckerTypes:
                 for e in _box(rep):
                     poly = gr.counting_polynomial(base, e)
                     for q in (2, 3, 4, 8, 9):
-                        assert gr.count_subreps(rep, e, q) == gr._eval_poly(poly, q), (n, point, e, q)
+                        assert gr.count_subreps(rep, e, q) == _eval_poly(poly, q), (n, point, e, q)
                         checked += 1
         assert checked == 1740
 
@@ -860,7 +886,7 @@ def _assert_polynomials_hold_at_primes(rep):
     for e in itertools.product(*[range(d + 1) for d in rep.dim]):
         coeffs = gr.counting_polynomial(rep, e)
         for p in primes:
-            assert gr._eval_poly(coeffs, p) == gr.count_subreps(rep, e, p), (rep.label, e, p)
+            assert _eval_poly(coeffs, p) == gr.count_subreps(rep, e, p), (rep.label, e, p)
 
 
 class TestPrimePowerNodes:
@@ -953,7 +979,7 @@ class TestNewtonInterpolation:
     def test_recovers_integer_polynomials(self, coeffs, extra):
         nodes = FIRST_PRIMES[: len(coeffs) + extra]
         points = list(zip(nodes, _values(coeffs, nodes)))
-        assert gr._newton_coefficients(points) == _trimmed(coeffs)
+        assert _newton_coefficients(points) == _trimmed(coeffs)
 
     @given(
         coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=10),
@@ -966,7 +992,7 @@ class TestNewtonInterpolation:
         points = list(zip(nodes, values))
         exact = _fraction_solve(points)
         if all(c.denominator == 1 for c in exact):
-            assert gr._newton_coefficients(points) == _trimmed(int(c) for c in exact)
+            assert _newton_coefficients(points) == _trimmed(int(c) for c in exact)
         else:
             with pytest.raises(NonPolynomialCount):
-                gr._newton_coefficients(points)
+                _newton_coefficients(points)

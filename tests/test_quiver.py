@@ -12,11 +12,11 @@ from clusterchar.errors import (
     InvalidParams,
     QuiverMismatch,
 )
+from clusterchar.linalg import _diagonal_entries
 from clusterchar.quiver import (
     _CATALOG,
     IntRep,
     _Family,
-    _diagonal_entries,
     ModuleFamily,
     Quiver,
     a21_homogeneous,
