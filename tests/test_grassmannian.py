@@ -209,9 +209,9 @@ def _rank(rows, p=None):
 @settings(max_examples=25, deadline=None)
 def test_end_keeps_its_dimension_at_admitted_primes(name, data):
     """Both ways: a prime is excluded exactly when the End complex, an arrow
-    matrix or a composition along a path loses rank mod p; for a Kronecker
-    module of dimension (n, n) with only rational points, exactly when the
-    type of its canonical form changes mod p."""
+    matrix or a composition along a path loses rank mod p; for a pencil
+    with only rational points plus a semisimple module (_kronecker_pair),
+    exactly when the type of its canonical form changes mod p."""
     rep = data.draw(explicit_modules(WALK_QUIVERS[name][0]))
     pair = _kronecker_pair(rep)
     over_q = pair and _rational_type(*pair)
