@@ -18,7 +18,7 @@ strongest self-check.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import grassmannian
 from .chebyshev import gen_cheb_values

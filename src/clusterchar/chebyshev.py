@@ -20,7 +20,7 @@ delta-polynomial cases well defined.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import InvalidArgument, Record
 from .laurent import Family, LaurentPoly, VarId, q, t, tid, u, z

@@ -15,8 +15,8 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable
 from json.encoder import encode_basestring_ascii
-from typing import Callable
 
 from . import bases, grassmannian, mutation, verify
 from .character import CharTermTable, char_table, cf_cluster_char, cluster_char
@@ -295,76 +295,103 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # parser
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _opt(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+# Each verb's handler, help text and options after ``--json``.
+_VERBS = {
+    "gencheb": (_cmd_gencheb, "generalized Chebyshev polynomial over a window", (
+        _opt("--n", type=int, required=True, help="window length"),
+        _opt("--start", type=int, default=1, help="window start index, >= 0 (default 1)"),
+        _opt("--det", action="store_true", help="use the determinant oracle"),
+    )),
+    "delta": (_cmd_delta, "delta-polynomial, optionally substituted", (
+        _opt("--l", type=int, required=True),
+        _opt("--p", type=int, required=True),
+        _opt(
+            "--substitute",
+            choices=("none", "periodic", "nonperiodic"),
+            default="none",
+            help="periodic: t_i -> t_i + q_i/t_{i-1}, t_0 wrapping to t_{l*p}; "
+            "nonperiodic: t_i -> t_i + q_i/t_{i+1}, t_{l*p+1} fresh",
+        ),
+        _opt("--coefficient-free", action="store_true", help="set all q to 1"),
+    )),
+    "cheb": (_cmd_cheb, "one-variable normalized Chebyshev polynomial", (
+        _opt("--kind", choices=("F", "S"), required=True),
+        _opt("--n", type=int, required=True),
+    )),
+    "char": (_cmd_char, "cluster character of a module", (
+        _opt("--module", required=True, help="module JSON (inline or path)"),
+        _opt("--quiver", help="quiver name or JSON; must be the module's own"),
+        _opt("--coefficient-free", action="store_true"),
+    )),
+    "grass": (_cmd_grass, "counting polynomial and Euler characteristic", (
+        _opt("--module", required=True, help="module JSON (inline or path)"),
+        _opt("--quiver", help="quiver name or JSON; must be the module's own"),
+        _opt("--e", required=True, help="sub-dimension vector, e.g. 0,1"),
+    )),
+    "mutate": (_cmd_mutate, "apply a mutation sequence to the initial seed", (
+        _opt("--quiver", required=True, help="kronecker | affineA2 | JSON"),
+        _opt("--sequence", required=True, help="comma-separated vertex ids"),
+        _opt("--principal", action="store_true", help="track principal coefficients"),
+    )),
+    "variables": (_cmd_variables, "cluster variables up to a mutation depth", (
+        _opt("--quiver", required=True),
+        _opt("--depth", type=int, required=True),
+        _opt("--principal", action="store_true"),
+    )),
+    "basis": (_cmd_basis, "expand and check one basis stratum", (
+        _opt("--kind", choices=bases.KINDS, required=True),
+        _opt("--max-n", type=int, required=True),
+        _opt("--quiver", required=True),
+    )),
+    "verify": (_cmd_verify, "run a named verification check", (
+        _opt("check", help="check name or 'all'", nargs="?", default="all"),
+        _opt("--n", type=int, default=None, help="override the check's size bound"),
+    )),
+}
+
+
+def _parser_of(verbs: Iterable[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clusterchar",
         description="Exact cluster characters, generalized Chebyshev polynomials, "
         "and quiver Grassmannian counting at desk scale.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name: str, handler, help_: str) -> argparse.ArgumentParser:
+    for name in verbs:
+        handler, help_, options = _VERBS[name]
         p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        return p
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+    return parser
 
-    p = add("gencheb", _cmd_gencheb, "generalized Chebyshev polynomial over a window")
-    p.add_argument("--n", type=int, required=True, help="window length")
-    p.add_argument("--start", type=int, default=1, help="window start index, >= 0 (default 1)")
-    p.add_argument("--det", action="store_true", help="use the determinant oracle")
 
-    p = add("delta", _cmd_delta, "delta-polynomial, optionally substituted")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument(
-        "--substitute",
-        choices=("none", "periodic", "nonperiodic"),
-        default="none",
-        help="periodic: t_i -> t_i + q_i/t_{i-1}, t_0 wrapping to t_{l*p}; "
-        "nonperiodic: t_i -> t_i + q_i/t_{i+1}, t_{l*p+1} fresh",
-    )
-    p.add_argument("--coefficient-free", action="store_true", help="set all q to 1")
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, with every verb."""
+    return _parser_of(_VERBS)
 
-    p = add("cheb", _cmd_cheb, "one-variable normalized Chebyshev polynomial")
-    p.add_argument("--kind", choices=("F", "S"), required=True)
-    p.add_argument("--n", type=int, required=True)
 
-    p = add("char", _cmd_char, "cluster character of a module")
-    p.add_argument("--module", required=True, help="module JSON (inline or path)")
-    p.add_argument("--quiver", help="quiver name or JSON; must be the module's own")
-    p.add_argument("--coefficient-free", action="store_true")
-
-    p = add("grass", _cmd_grass, "counting polynomial and Euler characteristic")
-    p.add_argument("--module", required=True, help="module JSON (inline or path)")
-    p.add_argument("--quiver", help="quiver name or JSON; must be the module's own")
-    p.add_argument("--e", required=True, help="sub-dimension vector, e.g. 0,1")
-
-    p = add("mutate", _cmd_mutate, "apply a mutation sequence to the initial seed")
-    p.add_argument("--quiver", required=True, help="kronecker | affineA2 | JSON")
-    p.add_argument("--sequence", required=True, help="comma-separated vertex ids")
-    p.add_argument("--principal", action="store_true", help="track principal coefficients")
-
-    p = add("variables", _cmd_variables, "cluster variables up to a mutation depth")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--principal", action="store_true")
-
-    p = add("basis", _cmd_basis, "expand and check one basis stratum")
-    p.add_argument("--kind", choices=bases.KINDS, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--quiver", required=True)
-
-    p = add("verify", _cmd_verify, "run a named verification check")
-    p.add_argument("check", help="check name or 'all'", nargs="?", default="all")
-    p.add_argument("--n", type=int, default=None, help="override the check's size bound")
-
+@functools.cache
+def _verb_parser(verb: str) -> argparse.ArgumentParser:
+    """A parser with only ``verb``'s subparser: a tenth of the full build.
+    Once the verb is parsed, its one top-level error is "unrecognized
+    arguments", which the full parser prints with every verb in its usage;
+    the full parser is built only then."""
+    parser = _parser_of((verb,))
+    parser.error = lambda message: _build_parser().error(message)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _verb_parser(argv[0]) if argv and argv[0] in _VERBS else _build_parser()
     args = parser.parse_args(argv)
     try:
         code = args.handler(args)

@@ -77,7 +77,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import DimOutOfRange, ExcludedPrime, InvalidArgument, NonPolynomialCount, Record
 from .linalg import _eval_poly, _newton_coefficients, _poly_add, _poly_mul, _prime_factors, _trim

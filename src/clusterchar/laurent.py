@@ -40,10 +40,11 @@ concurrent tasks; all operations are pure functions.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import IntEnum
 from functools import lru_cache
 from operator import add, neg, or_, sub
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import InvalidArgument, NonInvertibleImage, NonLaurentResult
 
@@ -71,14 +72,13 @@ class Family(IntEnum):
         return "xyqtuz"[int(self)]
 
 
-class VarId(NamedTuple):
-    """One indeterminate, identified by (family, index).
+class VarId(namedtuple("VarId", ("family", "index"))):
+    """One indeterminate, identified by (family, index): a Family and an int.
 
     Ordering is total and deterministic: family rank first, then index.
     """
 
-    family: Family
-    index: int
+    __slots__ = ()
 
     @property
     def name(self) -> str:
@@ -292,9 +292,6 @@ def _nonzero(terms: dict[int, int]) -> dict[int, int]:
     for k in [k for k, c in terms.items() if not c]:
         del terms[k]
     return terms
-
-
-PolyLike = Union["LaurentPoly", int]
 
 
 class LaurentPoly:
@@ -839,6 +836,8 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()})"
 
+
+PolyLike = LaurentPoly | int
 
 _ZERO = LaurentPoly._wrap((), {}, (), ())
 _ONE = LaurentPoly._wrap((), {0: 1}, (), ())

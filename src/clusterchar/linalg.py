@@ -8,7 +8,7 @@ pencil mu*B - lambda*A of two square matrices (_Pencil).
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import InvalidArgument, NonPolynomialCount
 

@@ -41,9 +41,9 @@ knows no g-vectors and always divides.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import reduce
 from operator import mul
-from typing import Iterator
 
 from .errors import IdentityFailed, InvalidArgument, NonLaurentResult, Record
 from .laurent import Family, LaurentPoly, x as x_var, yid

@@ -17,7 +17,8 @@ and exceptional tube members are string modules, built by ``_string``.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatch, InvalidArgument, InvalidParams, QuiverMismatch, Record, UnsupportedQuiver,
@@ -434,14 +435,17 @@ def _tube_member(quiver: Quiver, cycle: tuple, f: ModuleFamily) -> _Matrices:
     return _string(quiver, [step for j in range(f.n) for step in cycle[(f.index - 1 + j) % r]])
 
 
-class _Family(NamedTuple):
-    """What the catalog knows of one family."""
+class _Family(namedtuple("_Family", ("quiver", "reads", "label", "member", "tube"))):
+    """What the catalog knows of one family:
 
-    quiver: Quiver
-    reads: tuple[str, ...]  # the ModuleFamily fields it reads
-    label: str  # describe() format over n, point and index
-    member: Callable[[ModuleFamily], _Matrices]  # dim, matrices
-    tube: int  # the tube's rank, 1 if homogeneous, 0 for a transient family
+    - quiver: the Quiver;
+    - reads: the ModuleFamily fields it reads;
+    - label: describe() format over n, point and index;
+    - member: ModuleFamily -> (dim, matrices);
+    - tube: the tube's rank, 1 if homogeneous, 0 for a transient family.
+    """
+
+    __slots__ = ()
 
 
 _CATALOG: dict[str, _Family] = {

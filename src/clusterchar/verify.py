@@ -8,7 +8,7 @@ package's acceptance envelope.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from . import bases, mutation
 from .character import (

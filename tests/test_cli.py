@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterchar import bases
+from clusterchar import bases, cli
 from clusterchar.cli import _json_text, main
 from clusterchar.laurent import LaurentPoly
 from clusterchar.character import cluster_char
@@ -600,21 +600,21 @@ def test_json_writer_refuses_other_types(obj):
         _json_text(obj)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["gencheb", "--n", "3"],
-        ["delta", "--l", "2", "--p", "2", "--substitute", "periodic"],
-        ["cheb", "--kind", "S", "--n", "4"],
-        ["char", "--module", '{"family":"affineA21_tube","params":{"index":1,"n":3}}'],
-        ["grass", "--module", MODULE_QUASI, "--e", "1,1"],
-        ["mutate", "--quiver", "affineA2", "--sequence", "1,2,3", "--principal"],
-        ["variables", "--quiver", "kronecker", "--depth", "3"],
-        ["basis", "--kind", "B", "--max-n", "2", "--quiver", "kronecker"],
-        ["verify", "lemma-key"],
-    ],
-    ids=lambda argv: argv[0],
-)
+# One valid argv of each verb.
+VERB_ARGVS = [
+    ["gencheb", "--n", "3"],
+    ["delta", "--l", "2", "--p", "2", "--substitute", "periodic"],
+    ["cheb", "--kind", "S", "--n", "4"],
+    ["char", "--module", '{"family":"affineA21_tube","params":{"index":1,"n":3}}'],
+    ["grass", "--module", MODULE_QUASI, "--e", "1,1"],
+    ["mutate", "--quiver", "affineA2", "--sequence", "1,2,3", "--principal"],
+    ["variables", "--quiver", "kronecker", "--depth", "3"],
+    ["basis", "--kind", "B", "--max-n", "2", "--quiver", "kronecker"],
+    ["verify", "lemma-key"],
+]
+
+
+@pytest.mark.parametrize("argv", VERB_ARGVS, ids=lambda argv: argv[0])
 def test_json_output_is_json_dumps_indent_two(capsys, argv):
     _, out, _ = run_cli(capsys, *argv, "--json")
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
@@ -639,6 +639,67 @@ def test_two_calls_share_one_parser(capsys, monkeypatch):
     run_cli(capsys, "cheb", "--kind", "F", "--n", "2")
     run_cli(capsys, "cheb", "--kind", "S", "--n", "2")
     assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
+@pytest.mark.parametrize(
+    "argv", [*VERB_ARGVS, ["-h"], [], ["bogus", "--n", "3"]], ids=lambda argv: " ".join(argv[:1]) or "none"
+)
+def test_main_calls_parse_args_once(capsys, monkeypatch, argv):
+    # The benchmark ends its set-up at the first ArgumentParser.parse_args
+    # call; a verb's own parser must not build the full one.
+    calls = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    cli._build_parser.cache_clear()
+    cli._verb_parser.cache_clear()
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert len(calls) == 1
+    full = not (argv and argv[0] in cli._VERBS)
+    assert cli._build_parser.cache_info().currsize == full
+
+
+def _parsed(parser, argv, capsys):
+    try:
+        got, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        got, code = None, exc.code
+    return got, code, *capsys.readouterr()
+
+
+def _parse_variants(argv):
+    """Valid argv, then -h, no required option, an unknown option, an extra
+    positional, and a bad int and a bad choice for each option that takes one."""
+    verb = argv[0]
+    yield argv
+    yield [verb, "-h"]
+    yield [verb, "--json"]
+    yield [*argv, "--bogus"]
+    yield [*argv, "extra"]
+    for flags, kwargs in cli._VERBS[verb][2]:
+        if kwargs.get("type") is int:
+            yield [*argv, flags[0], "x"]
+        if "choices" in kwargs:
+            yield [*argv, flags[0], "nonesuch"]
+
+
+@pytest.mark.parametrize("argv", VERB_ARGVS, ids=lambda argv: argv[0])
+def test_verb_parser_matches_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    for variant in _parse_variants(argv):
+        want = _parsed(cli._build_parser(), variant, capsys)
+        assert _parsed(cli._verb_parser(argv[0]), variant, capsys) == want, variant
+    # "unrecognized arguments" is a top-level error: its usage lists every verb.
+    _, code, _, err = _parsed(cli._verb_parser(argv[0]), [*argv, "extra"], capsys)
+    assert code == 2 and "{gencheb,delta,cheb,char,grass,mutate,variables,basis,verify}" in err
 
 
 class TestConsoleEntry:
@@ -669,7 +730,7 @@ class TestConsoleEntry:
 
     def test_cli_import_loads_none_of_dataclasses_inspect_pathlib(self):
         src = Path(__file__).resolve().parents[1] / "src"
-        heavy = "{'dataclasses', 'inspect', 'pathlib'}"
+        heavy = "{'dataclasses', 'inspect', 'pathlib', 'typing'}"
         code = f"import sys, clusterchar.cli; print(sorted({heavy} & set(sys.modules)))"
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code],

@@ -1,6 +1,7 @@
 import functools
 import json
 import operator
+import pickle
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -681,6 +682,18 @@ class TestSerialization:
         assert VarId(Family.Q, 3) < VarId(Family.T, 1)
         assert sorted([tid(2), qid(1), xid(5)]) == [xid(5), qid(1), tid(2)]
         assert repr(tid(2)) == "VarId(t2)" and tid(2).name == "t2"
+
+    def test_var_id_is_its_pair(self):
+        # Equality, hash, ordering and pickling are those of the tuple
+        # (family, index), and an instance carries no __dict__.
+        v = VarId(Family.Q, 3)
+        assert VarId._fields == ("family", "index") and (v.family, v.index) == (Family.Q, 3)
+        assert v == (Family.Q, 3) and hash(v) == hash((Family.Q, 3))
+        pool = [VarId(f, i) for f in reversed(Family) for i in (10, 2, 1)]
+        assert sorted(pool) == sorted(pool, key=tuple)
+        assert not hasattr(v, "__dict__")
+        back = pickle.loads(pickle.dumps(v))
+        assert type(back) is VarId and back == v and repr(back) == "VarId(q3)"
 
     @given(p=text_polys())
     @example(p=LaurentPoly.zero())

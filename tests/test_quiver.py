@@ -207,6 +207,17 @@ class TestCatalog:
         with pytest.raises(InvalidParams, match=r"^tube index must be 1, 2 or 3 on the rank-3 tube$"):
             ModuleFamily("stub", n=1, index=4)
 
+    def test_family_is_its_tuple(self, affine_a2):
+        fam = _Family(affine_a2, ("n",), "stub(n={n})", None, 0)
+        assert _Family._fields == ("quiver", "reads", "label", "member", "tube")
+        assert fam == (affine_a2, ("n",), "stub(n={n})", None, 0) and hash(fam) == hash(tuple(fam))
+        assert fam < fam._replace(tube=1) and fam.tube == 0
+        assert repr(fam) == (
+            f"_Family(quiver={affine_a2!r}, reads=('n',), label='stub(n={{n}})', member=None, tube=0)"
+        )
+        assert not hasattr(fam, "__dict__")
+        assert pickle.loads(pickle.dumps(fam)) == fam
+
     def test_tau_swaps_tube_index(self):
         assert tau_translate(a21_tube(1, 3)) == a21_tube(2, 3)
         assert tau_translate(homogeneous(2, 1)) == homogeneous(2, 1)
