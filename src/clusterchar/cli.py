@@ -54,9 +54,13 @@ def _emit(args: argparse.Namespace, text: Callable[[], str], payload: Callable[[
 
 def _json_text(obj: object, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for the values payloads
-    hold: dicts with str keys, lists, str, int, bool and None.  Any other
-    value, a tuple too, raises TypeError.  With ``indent`` set, ``json`` runs
-    its pure-Python encoder, which this writer outpaces."""
+    hold: dicts with str keys, lists, str, int, bool and None, and Laurent
+    polynomials, written as their ``to_json_obj()`` by ``to_json_text``.
+    Any other value, a tuple too, raises TypeError.  With ``indent`` set,
+    ``json`` runs its pure-Python encoder, which this writer outpaces.
+    Only ``variables`` puts polynomials in its payload; the other verbs keep
+    ``to_json_obj()``, the call through which perfbench's tracer times
+    ``laurent.serialize`` on the ``char --json`` ops."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -81,6 +85,8 @@ def _json_text(obj: object, newline: str = "\n") -> str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             items.append(encode_basestring_ascii(key) + ": " + _json_text(value, inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, LaurentPoly):
+        return obj.to_json_text(newline)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -236,7 +242,7 @@ def _cmd_variables(args: argparse.Namespace) -> int:
         "depth": args.depth,
         "principal": args.principal,
         "count": len(variables),
-        "variables": [v.to_json_obj() for v in variables],
+        "variables": variables,
     })
     return 0
 

@@ -31,7 +31,8 @@ leading key, so each product key is one addition (the bound on every key it
 forms, offsets included, is proved in ``LaurentPoly.exact_div``).  Text is
 read off the keys as well: ``to_text`` cuts each key into its fields by
 shift and mask and looks each field up in a table of factor texts, one
-table per frame variable, that lives for that call only.
+table per frame variable, that lives for that call only; ``to_json_text``
+writes the JSON of ``to_json_obj`` the same way.
 
 Values are immutable after construction and safe to share between
 concurrent tasks; all operations are pure functions.
@@ -328,8 +329,14 @@ class LaurentPoly:
         """Wrap nonzero terms over a frame, reading their bounds off the keys."""
         if not terms:
             return _ZERO
-        cols = list(zip(*(exps for _, exps in _decode(terms, len(frame)))))
-        return LaurentPoly._exact(frame, terms, tuple(map(min, cols)), tuple(map(max, cols)))
+        n = len(frame)
+        raw = [_LIMIT * _ones(n) - k for k in terms]  # fields hold e_i + _LIMIT
+        lo, hi = [], []
+        for s in range(_BITS * (n - 1), -1, -_BITS):
+            field = [k >> s & _MASK for k in raw]
+            lo.append(min(field) - _LIMIT)
+            hi.append(max(field) - _LIMIT)
+        return LaurentPoly._exact(frame, terms, tuple(lo), tuple(hi))
 
     def _lift(self, frame: Frame) -> tuple[dict[int, int], Bounds, Bounds]:
         """The terms and bounds over a frame that holds this one."""
@@ -376,6 +383,35 @@ class LaurentPoly:
         frame, exps = zip(*pairs)
         _check(frame, exps, exps)
         return LaurentPoly._wrap(frame, {_key(exps): int(c)}, exps, exps)
+
+    @staticmethod
+    def _lattice(
+        frame: Frame,
+        base: Sequence[int],
+        steps: Sequence[Sequence[int]],
+        box: Sequence[int],
+        coefficients: Sequence[int],
+    ) -> "LaurentPoly":
+        """The sum of c_e times the monomial of exponents base + sum_i e_i *
+        steps[i] over the frame, for the cells e of the box 0 <= e_i <=
+        box[i], ``coefficients`` giving c_e cell by cell, e_1 varying
+        fastest.  The exponents are affine in e, so their bounds over the
+        box's corners, which hold every cell's, are checked before any key
+        is formed; a key is linear, so each cell's is base's plus e_i times
+        each step's."""
+        lo, hi = list(base), list(base)
+        for d, step in zip(box, steps):
+            for j, s in enumerate(step):
+                if s < 0:
+                    lo[j] += d * s
+                else:
+                    hi[j] += d * s
+        _check(frame, lo, hi)
+        keys = [_key(base)]
+        for d, step in zip(reversed(box), reversed(steps)):
+            k = _key(step)
+            keys = [a + e * k for a in keys for e in range(d + 1)]
+        return LaurentPoly._rescan(frame, {k: c for k, c in zip(keys, coefficients) if c})
 
     # -- inspection ----------------------------------------------------
 
@@ -829,6 +865,41 @@ class LaurentPoly:
 
     def to_json_obj(self) -> list[dict]:
         return [{"exponents": dict(pairs), "coeff": str(c)} for pairs, c in self._named_terms()]
+
+    def to_json_text(self, newline: str = "\n") -> str:
+        """``json.dumps(self.to_json_obj(), indent=2)``, byte for byte, with
+        ``newline`` (a line break and the indent of the enclosing value)
+        starting each line after the first.  Like ``to_text``, each term is
+        read off its key: a table per field, living for this call only,
+        holds the text of each exponent entry.  Variable names are ASCII
+        letters and digits, so they need no escaping."""
+        terms = self._terms
+        if not terms:
+            return "[]"
+        inner = newline + "  "  # a term
+        field_sep = inner + "  "  # "exponents" and "coeff"
+        entry_sep = field_sep + "  "  # each exponent
+        n = len(self._vars)
+        bias = _LIMIT * _ones(n)
+        # the first frame variable is the highest field and comes first
+        fields = [(_BITS * (n - 1 - i), {}, name) for i, name in enumerate(_names(self._vars))]
+        items = []
+        for key in sorted(terms):
+            k = bias - key
+            entries = []
+            for s, table, name in fields:
+                raw = k >> s & _MASK
+                if raw != _LIMIT:  # a nonzero exponent
+                    got = table.get(raw)
+                    if got is None:
+                        got = table[raw] = f'"{name}": {raw - _LIMIT}'
+                    entries.append(got)
+            exponents = "{}"
+            if entries:
+                exponents = "{" + entry_sep + ("," + entry_sep).join(entries) + field_sep + "}"
+            coeff = f'"coeff": "{terms[key]}"'
+            items.append("{" + field_sep + '"exponents": ' + exponents + "," + field_sep + coeff + inner + "}")
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
 
     def __str__(self) -> str:
         return self.to_text()

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from clusterchar import bases, cli
 from clusterchar.cli import _json_text, main
-from clusterchar.laurent import LaurentPoly
+from clusterchar.laurent import LaurentPoly, t, x, y
+from clusterchar.mutation import cluster_variables_up_to
 from clusterchar.character import cluster_char
-from clusterchar.quiver import catalog_module, homogeneous, kronecker_quiver
+from clusterchar.quiver import affine_a2_quiver, catalog_module, homogeneous, kronecker_quiver
 
 
 def run_cli(capsys, *argv):
@@ -403,15 +404,15 @@ class TestMutateAndVariables:
     @pytest.mark.parametrize("json_mode", [False, True])
     def test_only_the_printed_form_is_built(self, capsys, monkeypatch, json_mode):
         built = []
-        for form in ("to_text", "to_json_obj"):
+        for form in ("to_text", "to_json_text"):
             original = getattr(LaurentPoly, form)
             monkeypatch.setattr(
-                LaurentPoly, form, lambda self, f=original, n=form: built.append(n) or f(self)
+                LaurentPoly, form, lambda self, *args, f=original, n=form: built.append(n) or f(self, *args)
             )
         argv = ["variables", "--quiver", "kronecker", "--depth", "2"]
         code, out, _ = run_cli(capsys, *argv, *(["--json"] if json_mode else []))
         assert code == 0 and out
-        assert set(built) == {"to_json_obj" if json_mode else "to_text"}
+        assert set(built) == {"to_json_text" if json_mode else "to_text"}
 
     def test_variables_negative_depth_exit_two(self, capsys):
         code, out, err = run_cli(capsys, "variables", "--quiver", "kronecker", "--depth", "-1")
@@ -592,6 +593,37 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_json_writer_matches_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_variables_json_is_json_dumps_of_the_payload(capsys):
+    # Each variable's terms are written from their keys; the bytes are those
+    # of json.dumps on the payload of to_json_obj() lists.
+    found = cluster_variables_up_to(affine_a2_quiver(), 8, principal=True)
+    payload = {
+        "depth": 8,
+        "principal": True,
+        "count": len(found),
+        "variables": [v.to_json_obj() for v in found],
+    }
+    _, out, _ = run_cli(capsys, "variables", "--quiver", "affineA2", "--depth", "8", "--principal", "--json")
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(-40, 40)),
+        st.integers(-(10**30), 10**30),
+        max_size=6,
+    ),
+    st.sampled_from(["\n", "\n  ", "\n      "]),
+)
+@settings(max_examples=200, deadline=None)
+def test_polynomial_json_text_is_json_dumps_of_its_obj(terms, newline):
+    poly = LaurentPoly.sum(
+        [x(1) ** a * y(2) ** b * t(1) ** e * c for (a, b, e), c in terms.items()]
+    )
+    assert _json_text(poly, newline) == _json_text(poly.to_json_obj(), newline)
+    assert _json_text([poly, {"p": poly}]) == json.dumps([poly.to_json_obj(), {"p": poly.to_json_obj()}], indent=2)
 
 
 @pytest.mark.parametrize("obj", [1.5, (1,), {1: 2}, {"a": [set()]}, b"x"], ids=repr)

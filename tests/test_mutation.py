@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from clusterchar.character import cf_cluster_char, cluster_char
 from clusterchar import mutation
-from clusterchar.errors import IdentityFailed, InvalidArgument
-from clusterchar.laurent import Family, LaurentPoly, x, xid, y, yid
+from clusterchar.errors import IdentityFailed, InvalidArgument, NonLaurentResult
+from clusterchar.laurent import Family, LaurentPoly, Monomial, x, xid, y, yid
 from clusterchar.mutation import (
     Seed,
     cluster_variables_up_to,
@@ -311,15 +311,19 @@ WORKLOAD_SEARCHES = [
 
 class TestGVectorMemo:
     """``seeds_up_to`` keys its memo by g-vector: each distinct cluster
-    variable is computed once, by one exact division."""
+    variable is computed once, by one exact division: of F-polynomials with
+    principal coefficients, of Laurent polynomials without."""
 
     @pytest.mark.parametrize("name, depth, principal, divisions", WORKLOAD_SEARCHES)
     def test_one_division_per_new_variable(self, monkeypatch, name, depth, principal, divisions):
-        calls = []
-        divide = LaurentPoly.exact_div
-        monkeypatch.setattr(LaurentPoly, "exact_div", lambda f, d: calls.append(d) or divide(f, d))
+        kernel, laurent = [], []
+        quotient, divide = mutation._f_quotient, LaurentPoly.exact_div
+        monkeypatch.setattr(mutation, "_f_quotient", lambda sides, d: kernel.append(d) or quotient(sides, d))
+        monkeypatch.setattr(LaurentPoly, "exact_div", lambda f, d: laurent.append(d) or divide(f, d))
         quiver = kronecker_quiver() if name == "kronecker" else affine_a2_quiver()
         found = cluster_variables_up_to(quiver, depth, principal)
+        calls, unused = (kernel, laurent) if principal else (laurent, kernel)
+        assert not unused
         assert len(calls) == divisions == len(found) - len(set(found) & set(x(i) for i in (1, 2, 3)))
 
     @pytest.mark.parametrize("principal", [False, True])
@@ -331,23 +335,24 @@ class TestGVectorMemo:
     @pytest.mark.parametrize("name", ["kronecker", "affineA2"])
     def test_principal_variables_are_homogeneous_of_their_g_vector(self, monkeypatch, name):
         # Record the g-vector of each exchange that divides and the variable
-        # it made; the search reuses that variable for the same g-vector.
+        # made from its F-polynomial; the search reuses that variable for the
+        # same g-vector.
         quiver = kronecker_quiver() if name == "kronecker" else affine_a2_quiver()
         b0 = initial_seed(quiver).exchange_matrix[: len(quiver.vertices)]
         made, last = [], []
-        g_vector, step = mutation._g_vector, mutation.mutate
+        g_vector, make = mutation._g_vector, mutation._principal_variable
 
         def record_g(seed, c_rows, g, y_degrees, k):
             last[:] = [g_vector(seed, c_rows, g, y_degrees, k)]
             return last[0]
 
-        def record_step(seed, k):
-            child = step(seed, k)
-            made.append((last[0], child.cluster[k]))
-            return child
+        def record_variable(g, f, b):
+            v = make(g, f, b)
+            made.append((last[0], v))
+            return v
 
         monkeypatch.setattr(mutation, "_g_vector", record_g)
-        monkeypatch.setattr(mutation, "mutate", record_step)
+        monkeypatch.setattr(mutation, "_principal_variable", record_variable)
         for seed in seeds_up_to(quiver, 6, principal=True):
             assert all(_homogeneous_degree(v, b0) is not None for v in seed.cluster)
         assert made and all(_homogeneous_degree(v, b0) == g for g, v in made)
@@ -368,6 +373,80 @@ class TestGVectorMemo:
             match=r"^exchange at x1 of a seed at depth 0: its sides have degrees \(0, -2\) and \(0, 2\)$",
         ):
             next(search)
+
+
+def _fpoly(terms, n):
+    """The FPoly of {exponent tuple: coefficient >= 0} in n variables."""
+    box = tuple(max([e[i] for e, c in terms.items() if c], default=0) for i in range(n))
+    strides, size = mutation._cells(box)
+    coefficients = [0] * size
+    for e, c in terms.items():
+        if c:
+            coefficients[sum(a * s for a, s in zip(e, strides))] += c
+    return mutation.FPoly(box, coefficients, sum(coefficients))
+
+
+def _as_laurent(f):
+    """An FPoly as a Laurent polynomial in y_1, ..., y_n, term by term."""
+    strides, _ = mutation._cells(f.box)
+    return LaurentPoly({
+        Monomial({yid(i + 1): cell // s % (d + 1) for i, (s, d) in enumerate(zip(strides, f.box))}): c
+        for cell, c in enumerate(f.coefficients) if c
+    })
+
+
+@st.composite
+def nonnegative_polynomials(draw, n):
+    """A nonzero polynomial in n variables with coefficients 0-5 and
+    exponents 0-3."""
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(exps, st.integers(0, 5), min_size=1, max_size=5))
+    terms[draw(exps)] = draw(st.integers(1, 5))
+    return terms
+
+
+class TestFQuotient:
+    """``_f_quotient`` divides by one big-int division and refuses unless
+    the quotient is the polynomial quotient."""
+
+    @given(data=st.data(), n=st.integers(1, 4), power=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_divides_back(self, data, n, power):
+        f = _fpoly(data.draw(nonnegative_polynomials(n)), n)
+        g = _fpoly(data.draw(nonnegative_polynomials(n)), n)
+        shift = data.draw(st.tuples(*[st.integers(0, 3)] * n))
+        # (F * G + y^shift * G^power) / G = F + y^shift * G^(power - 1)
+        got = mutation._f_quotient([((0,) * n, [(f, 1), (g, 1)]), (shift, [(g, power)])], g)
+        y_shift = LaurentPoly({Monomial({yid(i + 1): a for i, a in enumerate(shift)}): 1})
+        want = _as_laurent(f) + y_shift * _as_laurent(g) ** (power - 1)
+        assert _as_laurent(got) == want
+        expected = {
+            tuple(mono.exponent(yid(i + 1)) for i in range(n)): c for mono, c in want.terms()
+        }
+        assert got == _fpoly(expected, n)
+
+    def test_refuses_a_remainder(self):
+        # (1 + y^2) / (1 + y) is no polynomial.
+        with pytest.raises(NonLaurentResult, match=r"^F-polynomial division left a remainder$"):
+            mutation._f_quotient([((0,), []), ((2,), [])], _fpoly({(0,): 1, (1,): 1}, 1))
+
+    def test_refuses_a_digit_outside_the_box(self):
+        # (y_1 + y_2) / (1 + y_1): at y_1 = X, y_2 = X^2 the integers divide
+        # to X, the digit of y_1, which the quotient's box (0, 1) leaves out.
+        divisor = _fpoly({(0, 0): 1, (1, 0): 1}, 2)
+        with pytest.raises(
+            NonLaurentResult, match=r"^F-polynomial quotient has a digit outside the box \(0, 1\)$"
+        ):
+            mutation._f_quotient([((1, 0), []), ((0, 1), [])], divisor)
+
+    def test_refuses_a_quotient_of_the_wrong_value_at_one(self):
+        # (1 + y^3) / (1 + y) = 1 - y + y^2: at y = X = 256 the integers
+        # divide to the digits 1, X - 1, 0, whose sum 256 is not N(1) / 2.
+        with pytest.raises(
+            NonLaurentResult,
+            match=r"^F-polynomial quotient has value 256 at 1, times the divisor's 2 not the numerator's 2$",
+        ):
+            mutation._f_quotient([((0,), []), ((3,), [])], _fpoly({(0,): 1, (1,): 1}, 1))
 
 
 class TestNegativeDepth:
