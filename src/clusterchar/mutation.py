@@ -281,10 +281,10 @@ def _f_quotient(sides: Sequence[Side], divisor: FPoly) -> FPoly:
 
     Every polynomial here has coefficients >= 0 and a value >= 1 at 1, so
     each product's coefficients are at most its value at 1, hence at most
-    N(1), N the numerator.  With X a
-    power of two above N(1), each polynomial's value at y_j = X**s_j, s the
-    strides of N's box, is its coefficients as base-X digits, and products
-    and the sum are formed on those integers.  The integer quotient q is
+    N(1), N the numerator.  With X a power of two above N(1), each
+    polynomial's value at y_j = X**s_j, s the strides of N's box, is its
+    coefficients as base-X digits, and products and the sum are formed on
+    those integers.  The integer quotient q is
     accepted only if the remainder is 0, each of its base-X digits lies in
     the box of N's box minus the divisor's, and divisor(1) * Q(1) = N(1), Q
     the polynomial of those digits.  Then q is Q's value; the product of the
@@ -391,8 +391,8 @@ def _breadth_first(start: Seed, depth: int) -> Iterator[Seed]:
                     f_new = None
                 else:
                     if known is None:  # divide F-polynomials
-                        f_new = _f_exchange(seed, c_rows, fs, k)
-                        known = memo[g_new] = _principal_variable(g_new, f_new, b0), f_new
+                        f = _f_exchange(seed, c_rows, fs, k)
+                        known = memo[g_new] = _principal_variable(g_new, f, b0), f
                     variable, f_new = known
                     cluster = seed.cluster[:k] + (variable,) + seed.cluster[k + 1 :]
                     child = Seed(_mutate_matrix(seed.exchange_matrix, k, m), cluster, seed.depth + 1)
