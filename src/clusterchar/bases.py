@@ -99,18 +99,25 @@ def _head(kind: str, n: int, xd: LaurentPoly) -> LaurentPoly:
 
 def cluster_monomials(quiver: Quiver, depth: int) -> list[LaurentPoly]:
     """Monomials in the variables of a single cluster, over all seeds
-    reachable within ``depth`` mutations, with exponent sum at most 2."""
+    reachable within ``depth`` mutations, with exponent sum at most 2.
+    Seeds share variables, so each product is formed once, keyed on the
+    variables multiplied in their order."""
     out: dict[LaurentPoly, None] = {}
+    products: dict[tuple[LaurentPoly, ...], LaurentPoly] = {(): LaurentPoly.one()}
 
-    def extend(acc: LaurentPoly, vars_left: tuple[LaurentPoly, ...], budget: int) -> None:
+    def extend(factors: tuple[LaurentPoly, ...], vars_left: tuple[LaurentPoly, ...], budget: int) -> None:
+        acc = products[factors]
         out.setdefault(acc, None)
         if budget == 0 or not vars_left:
             return
         for i, v in enumerate(vars_left):
-            extend(acc * v, vars_left[i:], budget - 1)
+            key = (*factors, v)
+            if key not in products:
+                products[key] = acc * v
+            extend(key, vars_left[i:], budget - 1)
 
     for seed in seeds_up_to(quiver, depth, principal=False):
-        extend(LaurentPoly.one(), seed.cluster, 2)
+        extend((), seed.cluster, 2)
     return list(out)
 
 

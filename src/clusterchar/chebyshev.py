@@ -6,9 +6,13 @@ Everything here rests on one three-term recurrence,
     P_n = t_n * P_{n-1} - q_n * P_{n-2},    P_0 = 1,  P_{-1} = 0,
 
 and `gen_cheb_values` is the only loop that runs it.  The window
-polynomial `gen_cheb` runs it on the q/t variables of an index window
-[start, start+length-1]; `delta` and the second-kind family S_n (all q = 1,
-all t = z) run it on their own argument lists, and the first kind is
+polynomial `gen_cheb` over [start, start+length-1] depends on the window
+only through its length: the loop runs once per length, on q/t_1, ...,
+q/t_length, and every other window, like any sequence of distinct indices
+(`gen_cheb_along`), is that polynomial with its variables renamed, which
+moves no coefficient.  `delta` is P_{lp} - q_1 * P over [2, lp-1], two
+windows; `delta_values` and the second-kind family S_n (all q = 1, all
+t = z) run the loop on their own argument lists, and the first kind is
 F_n = S_n - S_{n-2}.  The tridiagonal-determinant expansion is kept as an
 independent oracle (`gen_cheb_det`) and the two must agree on every window.
 
@@ -23,11 +27,12 @@ import functools
 from collections.abc import Callable, Sequence
 
 from .errors import InvalidArgument, Record
-from .laurent import Family, LaurentPoly, VarId, q, t, tid, u, z
+from .laurent import Family, LaurentPoly, VarId, q, qid, t, tid, u, z
 
 __all__ = [
     "ChebWindow",
     "gen_cheb",
+    "gen_cheb_along",
     "gen_cheb_det",
     "gen_cheb_values",
     "delta",
@@ -56,13 +61,26 @@ class ChebWindow(Record):
         self.__dict__.update(start=start, length=length)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)  # every window of `verify lemma-dpsn --n 20`
 def gen_cheb(w: ChebWindow) -> LaurentPoly:
-    """P over the window: the recurrence run on q/t_start, ..., q/t_last."""
+    """P over the window.  The recurrence runs on q/t_1, ..., q/t_length
+    alone; a window at another start is that polynomial renamed."""
     if w.length < 0:
         return _ZERO
-    idx = range(w.start, w.start + w.length)
+    if w.start != 1:
+        return gen_cheb_along(range(w.start, w.start + w.length))
+    idx = range(1, w.length + 1)
     return gen_cheb_values([q(i) for i in idx], [t(i) for i in idx])
+
+
+def gen_cheb_along(order: Sequence[int]) -> LaurentPoly:
+    """P_n over the n distinct indices of ``order``: the recurrence's value
+    at q/t_order[0], ..., q/t_order[n-1], formed from P over [1, n] by
+    renaming q_k and t_k to q and t of order[k-1]."""
+    sigma = {}
+    for k, j in enumerate(order, 1):
+        sigma[qid(k)], sigma[tid(k)] = qid(j), tid(j)
+    return gen_cheb(ChebWindow(1, len(order)))._rename(sigma)
 
 
 def gen_cheb_det(w: ChebWindow) -> LaurentPoly:
@@ -140,10 +158,9 @@ def delta(l: int, p: int) -> LaurentPoly:
     return _delta(_lp(l, p))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)  # P_32 alone has 3.5 million terms
 def _delta(lp: int) -> LaurentPoly:
-    idx = range(1, lp + 1)
-    return delta_values(1, lp, [q(i) for i in idx], [t(i) for i in idx])
+    return gen_cheb(ChebWindow(1, lp)) - q(1) * gen_cheb(ChebWindow(2, lp - 2))
 
 
 def delta_cf(l: int, p: int) -> LaurentPoly:
@@ -170,7 +187,7 @@ def cheb_first_kind(n: int) -> LaurentPoly:
     return cheb_second_kind(n) - cheb_second_kind(n - 2)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def cheb_second_kind(n: int) -> LaurentPoly:
     """Normalized second-kind polynomial: S_0 = 1, S_1 = z, S_{n+1} = z S_n - S_{n-1}.
 

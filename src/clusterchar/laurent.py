@@ -32,7 +32,10 @@ forms, offsets included, is proved in ``LaurentPoly.exact_div``).  Text is
 read off the keys as well: ``to_text`` cuts each key into its fields by
 shift and mask and looks each field up in a table of factor texts, one
 table per frame variable, that lives for that call only; ``to_json_text``
-writes the JSON of ``to_json_obj`` the same way.
+writes the JSON of ``to_json_obj`` the same way.  A key depends on its
+frame only through the frame's order, so ``_rename``, which renames
+variables one to one, shares the keys when the order holds and otherwise
+moves each key's fields by one permutation.
 
 Values are immutable after construction and safe to share between
 concurrent tasks; all operations are pure functions.
@@ -669,6 +672,30 @@ class LaurentPoly:
             if e := ((bias - k) >> s & _MASK) - _LIMIT:
                 out[k + down] = c * e
         return LaurentPoly._rescan(self._vars, out)
+
+    def _rename(self, mapping: Mapping[VarId, VarId]) -> "LaurentPoly":
+        """The polynomial with each frame variable v renamed to mapping[v]
+        (kept if absent), equal to substituting those variables; raises
+        InvalidArgument unless the renaming is one to one on the frame.
+        A key depends on the frame only through its order, so a renaming
+        that keeps the order, as any index shift does, shares the keys,
+        coefficients and bounds.  Any other moves each key's fields by the
+        one permutation that sorts the renamed frame."""
+        images = tuple([mapping.get(v, v) for v in self._vars])
+        if images == self._vars:
+            return self
+        frame = tuple(sorted(images))
+        if len(set(frame)) < len(frame):
+            first: dict[VarId, VarId] = {}
+            for v, w in zip(self._vars, images):
+                if first.setdefault(w, v) is not v:
+                    names = f"{first[w].name} and {v.name} both map to {w.name}"
+                    raise InvalidArgument(f"renaming is not one to one: {names}")
+        if frame == images:
+            return LaurentPoly._wrap(frame, self._terms, self._lo, self._hi)
+        order = sorted(range(len(images)), key=images.__getitem__)
+        lo, hi = tuple([self._lo[i] for i in order]), tuple([self._hi[i] for i in order])
+        return LaurentPoly._wrap(frame, _rekey(self._terms, _plan(images, frame)), lo, hi)
 
     def _project(self, family: Family, want: list[int] | None = None) -> "LaurentPoly":
         """The terms whose exponents of the family's frame variables are

@@ -24,14 +24,14 @@ from .chebyshev import (
     cheb_second_kind,
     delta,
     gen_cheb,
-    gen_cheb_values,
+    gen_cheb_along,
     periodic_neighbour,
     s_from_f,
     s_from_f_value,
     tail_substitution,
 )
 from .errors import CheckLine, IdentityFailed
-from .laurent import Family, LaurentPoly, q, t, tid
+from .laurent import Family, LaurentPoly, tid
 from .quiver import (
     a21_tube,
     affine_a2_quiver,
@@ -114,11 +114,14 @@ def delta_claim(max_lp: int) -> list[CheckLine]:
         for i in range(1, lp + 1):
             ok = seen.get((lp, i))
             if ok is None:
-                order = list(range(i + 1, lp + 1)) + list(range(1, i))
-                rhs = gen_cheb_values([q(j) for j in order], [t(j) for j in order])
-                ok = seen[lp, i] = delta(l, p).partial_derivative(tid(i)) == rhs
+                ok = seen[lp, i] = delta(l, p).partial_derivative(tid(i)) == _claim_rhs(lp, i)
             out.append(CheckLine(f"delta derivative l={l} p={p} i={i}", ok))
     return out
+
+
+def _claim_rhs(lp: int, i: int) -> LaurentPoly:
+    """P_{lp-1} over the cyclic order i+1, ..., lp, 1, ..., i-1."""
+    return gen_cheb_along([*range(i + 1, lp + 1), *range(1, i)])
 
 
 def s_from_f_check(max_n: int) -> list[CheckLine]:

@@ -8,6 +8,7 @@ from clusterchar.chebyshev import (
     delta_cf,
     delta_values,
     gen_cheb,
+    gen_cheb_along,
     gen_cheb_det,
     gen_cheb_values,
     s_from_f,
@@ -70,6 +71,21 @@ class TestGenCheb:
         rhs = t(1) * P(2, i - 2) - q(2) * P(3, i - 3)
         assert lhs == rhs
 
+    @pytest.mark.parametrize("start", range(0, 13))
+    def test_windows_are_the_loop_on_their_lists(self, start):
+        """Each window, renamed from the one at start 1, is the loop run on
+        the window's own variables."""
+        assert P(start, -1) == 0
+        for length in range(0, 10):
+            idx = range(start, start + length)
+            assert P(start, length) == gen_cheb_values([q(i) for i in idx], [t(i) for i in idx])
+
+    def test_along_an_order_is_the_loop_on_its_lists(self):
+        for order in ([3, 1, 2], [5, 9, 0, 2], [2], []):
+            assert gen_cheb_along(order) == gen_cheb_values([q(i) for i in order], [t(i) for i in order])
+        with pytest.raises(InvalidArgument, match="not one to one"):
+            gen_cheb_along([2, 5, 2])
+
     def test_values_evaluator_agrees_with_substitution(self):
         qs = [q(5), q(6), q(7)]
         ts = [t(7) + 1, t(8), t(9) * t(7)]
@@ -107,6 +123,14 @@ class TestDelta:
         args_t = [t(1) + 1, t(2) ** 2]
         direct = delta(1, 2).substitute({tid(1): args_t[0], tid(2): args_t[1]})
         assert delta_values(1, 2, args_q, args_t) == direct
+
+    @pytest.mark.parametrize("lp", range(1, 11))
+    def test_matches_delta_values(self, lp):
+        """delta, formed from two windows, is the loop on the lists."""
+        idx = range(1, lp + 1)
+        want = delta_values(1, lp, [q(i) for i in idx], [t(i) for i in idx])
+        for l in (1, lp):
+            assert delta(l, lp // l) == want
 
     def test_delta_values_degenerate(self):
         assert delta_values(1, 1, [q(1)], [t(1)]) == t(1)

@@ -946,3 +946,52 @@ class TestTermMapsMatchTerms:
         p, method, arg, outcome = EDGE_CASES[case]
         got = _agree(lambda: getattr(p, method)(arg), lambda: REFERENCE[method](p, arg))
         assert got is outcome if outcome else isinstance(got, LaurentPoly)
+
+
+@st.composite
+def renamings(draw):
+    """A one-to-one renaming of ORDER_POOL's variables into EXTRA_POOL, some
+    of them left out of the map and so kept."""
+    kept = draw(st.sets(st.sampled_from(ORDER_POOL)))
+    moved = [v for v in ORDER_POOL if v not in kept]
+    targets = draw(st.permutations([v for v in EXTRA_POOL if v not in kept]))
+    return dict(zip(moved, targets))
+
+
+class TestRename:
+    """``_rename`` equals substituting one variable for each, with the
+    bounds of the renamed polynomial, and makes no ``Monomial``."""
+
+    @given(p=polys(ORDER_POOL), mapping=renamings())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_substitute(self, p, mapping):
+        want = p.substitute({v: LaurentPoly.variable(w) for v, w in mapping.items()})
+        got = p._rename(mapping)
+        assert got == want and hash(got) == hash(want)
+        assert (tuple(got._lo), tuple(got._hi)) == (tuple(want._lo), tuple(want._hi))
+
+    def test_order_kept_shares_the_terms(self, monkeypatch):
+        p = t(2) * t(1) ** -3 - 4 * q(2) + u(1)
+        shift = {qid(2): qid(7), tid(1): tid(6), tid(2): tid(7), uid(1): uid(3)}
+
+        def refuse(*args):
+            raise AssertionError("a Monomial was made")
+
+        monkeypatch.setattr(Monomial, "__init__", refuse)
+        monkeypatch.setattr(Monomial, "_of", refuse)
+        got = p._rename(shift)
+        swapped = p._rename({tid(1): tid(2), tid(2): tid(1)})
+        monkeypatch.undo()
+        assert got._terms is p._terms and (got._lo, got._hi) == (p._lo, p._hi)
+        assert got == t(7) * t(6) ** -3 - 4 * q(7) + u(3)
+        assert swapped._terms is not p._terms
+        assert swapped == t(1) * t(2) ** -3 - 4 * q(2) + u(1)
+        assert p._rename({}) is p and LaurentPoly.constant(3)._rename(shift) == 3
+
+    def test_not_one_to_one_on_the_frame_raises(self):
+        with pytest.raises(InvalidArgument, match="x1 and x2 both map to x2"):
+            (x(1) + x(2))._rename({xid(1): xid(2)})
+        with pytest.raises(InvalidArgument, match="not one to one"):
+            (x(1) * y(2))._rename({xid(1): zid(1), yid(2): zid(1)})
+        # a map that merges variables outside the frame renames the frame
+        assert x(1)._rename({xid(1): xid(3), xid(2): xid(3)}) == x(3)

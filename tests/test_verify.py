@@ -7,8 +7,9 @@ import pytest
 
 from clusterchar import bases, verify
 from clusterchar.character import CharTermTable, char_table
+from clusterchar.chebyshev import gen_cheb_values
 from clusterchar.cli import main
-from clusterchar.laurent import LaurentPoly
+from clusterchar.laurent import LaurentPoly, q, t
 from clusterchar.quiver import a21_tube, affine_a2_quiver, catalog_module, kronecker_quiver
 
 
@@ -36,6 +37,13 @@ def test_delta_claim_differentiates_once_per_lp_and_i(monkeypatch):
     lines = verify.run_check("delta-claim")
     assert (len(lines), len(calls)) == (57, 21)
     assert all(line.passed for line in lines)
+
+
+@pytest.mark.parametrize("lp", range(1, 9))
+def test_delta_claim_right_side_is_the_loop_on_the_cyclic_lists(lp):
+    for i in range(1, lp + 1):
+        order = list(range(i + 1, lp + 1)) + list(range(1, i))
+        assert verify._claim_rhs(lp, i) == gen_cheb_values([q(j) for j in order], [t(j) for j in order])
 
 
 def test_basis_pos_enumerates_cluster_monomials_once_per_quiver(monkeypatch):
