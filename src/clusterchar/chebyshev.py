@@ -187,7 +187,7 @@ def cheb_first_kind(n: int) -> LaurentPoly:
     return cheb_second_kind(n) - cheb_second_kind(n - 2)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64)  # `verify` reads S_0, ..., S_12
 def cheb_second_kind(n: int) -> LaurentPoly:
     """Normalized second-kind polynomial: S_0 = 1, S_1 = z, S_{n+1} = z S_n - S_{n-1}.
 
